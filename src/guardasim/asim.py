@@ -9,6 +9,11 @@ impose the two-witness variants.  On top of the per-connective checks sit
 the asimulation verifier, the greatest-fixpoint solver for the largest
 asimulation, the invariance checker, and the formula-preservation preorder
 computed by enumeration.
+
+Frozenset ``CrossRelation``s are the API edge only: inside, a relation is one
+bit row per carrier element, each back/forth check is compiled once per
+connective into row algebra serving the solver, ``max_inner_target`` and the
+verifier, and witness paths are built only for violation reports.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Sequence
 
+from .bitrows import bits, transpose, union
 from .boolfn import BoolClass
 from .connective import (
     ConnectiveError,
@@ -78,25 +84,20 @@ class CrossRelation:
         }
 
 
-EMPTY_RELATION = CrossRelation(frozenset(), frozenset())
-
-
 def relation_from_doc(doc: object, m1: Model, m2: Model) -> CrossRelation:
     if not isinstance(doc, dict):
         raise RelationError("document: expected an object")
     sides = {}
-    domains = {FWD: (m1, m2), BWD: (m2, m1)}
-    for key in (FWD, BWD):
+    for key, first, second in _directions(m1, m2):
         entries = doc.get(key, [])
         if not isinstance(entries, list):
             raise RelationError(f"{key}: expected a list of pairs")
-        first, second = domains[key]
         pairs = set()
         for i, entry in enumerate(entries):
-            pair = tuple(entry)
-            if len(pair) != 2:
-                raise RelationError(f"{key}[{i}]: expected a pair")
-            x, y = pair
+            if not (isinstance(entry, (list, tuple)) and len(entry) == 2
+                    and all(isinstance(el, str) for el in entry)):
+                raise RelationError(f"{key}[{i}]: expected a pair of element names")
+            x, y = pair = tuple(entry)
             if x not in first:
                 raise RelationError(f"{key}[{i}]: unknown element {x!r}")
             if y not in second:
@@ -107,10 +108,7 @@ def relation_from_doc(doc: object, m1: Model, m2: Model) -> CrossRelation:
 
 
 def full_relation(m1: Model, m2: Model) -> CrossRelation:
-    return CrossRelation(
-        fwd=frozenset((a, b) for a in m1.domain for b in m2.domain),
-        bwd=frozenset((b, a) for b in m2.domain for a in m1.domain),
-    )
+    return _relation(_full(m1, m2), m1, m2)
 
 
 @dataclass(frozen=True)
@@ -139,17 +137,54 @@ def _directions(m1: Model, m2: Model):
     return ((FWD, m1, m2), (BWD, m2, m1))
 
 
-def atom_preserving(m1: Model, m2: Model, theta_preds: Sequence[str]) -> CrossRelation:
-    """The largest relation transferring every listed atom along the pair."""
+# -- bit rows: per direction, one mask over the partner model per carrier element
+
+def _rows(a: CrossRelation, m1: Model, m2: Model) -> dict[str, list[int]]:
+    out = {}
+    for d, mx, my in _directions(m1, m2):
+        rows = out[d] = [0] * len(mx)
+        for x, y in a.pairs(d):
+            rows[mx.index_of(x)] |= 1 << my.index_of(y)
+    return out
+
+
+def _relation(rows: dict[str, list[int]], m1: Model, m2: Model) -> CrossRelation:
     sides = {}
     for d, mx, my in _directions(m1, m2):
-        sides[d] = frozenset(
-            (x, y)
-            for x in mx.domain
-            for y in my.domain
-            if all(my.has_pred(p, y) for p in theta_preds if mx.has_pred(p, x))
-        )
+        names = my.domain
+        sides[d] = frozenset((x, names[j]) for x, row in zip(mx.domain, rows[d]) for j in bits(row))
     return CrossRelation(fwd=sides[FWD], bwd=sides[BWD])
+
+
+def _inverse(rows: dict[str, list[int]], m1: Model, m2: Model) -> dict[str, list[int]]:
+    return {FWD: transpose(rows[BWD], len(m1)), BWD: transpose(rows[FWD], len(m2))}
+
+
+def _meet(a: dict[str, list[int]], b: dict[str, list[int]]) -> dict[str, list[int]]:
+    return {d: [r & s for r, s in zip(a[d], b[d])] for d in (FWD, BWD)}
+
+
+def _full(m1: Model, m2: Model) -> dict[str, list[int]]:
+    return {d: [(1 << len(my)) - 1] * len(mx) for d, mx, my in _directions(m1, m2)}
+
+
+def _atom_rows(m1: Model, m2: Model, theta_preds: Sequence[str]) -> dict[str, list[int]]:
+    out = {}
+    for d, mx, my in _directions(m1, m2):
+        holders = {p: sum(1 << j for j, y in enumerate(my.domain) if my.has_pred(p, y)) for p in theta_preds}
+        rows = out[d] = []
+        for x in mx.domain:
+            row = (1 << len(my)) - 1
+            for p in theta_preds:
+                if mx.has_pred(p, x):
+                    row &= holders[p]
+            rows.append(row)
+    return out
+
+
+def atom_preserving(m1: Model, m2: Model, theta_preds: Sequence[str]) -> CrossRelation:
+    """The largest relation transferring every listed atom along the pair."""
+    return _relation(_atom_rows(m1, m2, theta_preds), m1, m2)
 
 
 class CoreCandidateKind(Enum):
@@ -173,103 +208,152 @@ def core_candidate_kind(core_class: BoolClass) -> CoreCandidateKind:
     return CoreCandidateKind.SYMMETRIC_PART
 
 
-def core_candidate(core_class: BoolClass, a: CrossRelation, m1: Model, m2: Model) -> CrossRelation:
-    """The maximal relation the core admits as inner target."""
-    kind = core_candidate_kind(core_class)
+def _candidate(kind: CoreCandidateKind, a, inv, m1: Model, m2: Model) -> dict[str, list[int]]:
     if kind is CoreCandidateKind.FULL:
-        return full_relation(m1, m2)
+        return _full(m1, m2)
     if kind is CoreCandidateKind.SAME:
         return a
     if kind is CoreCandidateKind.INVERSE:
-        return a.inverse()
-    return a & a.inverse()
+        return inv
+    return _meet(a, inv)
 
 
-# -- pair-level checks return True or a witness path on failure -------------- -----------------------
-
-def _pair_back(x, y, mx, my, guards, target_pairs):
-    x_ends = mx.guard_endpoints(guards, x)
-    for y_end in sorted(my.guard_endpoints(guards, y)):
-        if not any((xe, y_end) in target_pairs for xe in x_ends):
-            return my.guard_path(guards, y, y_end)
-    return True
-
-def _pair_forth(x, y, mx, my, guards, target_pairs):
-    y_ends = my.guard_endpoints(guards, y)
-    for x_end in sorted(mx.guard_endpoints(guards, x)):
-        if not any((x_end, ye) in target_pairs for ye in y_ends):
-            return mx.guard_path(guards, x, x_end)
-    return True
-
-def _pair_sback(x, y, mx, my, guards, b_same, b_opposite):
-    x_ends = mx.guard_endpoints(guards, x)
-    for y_end in sorted(my.guard_endpoints(guards, y)):
-        if not any((xe, y_end) in b_same for xe in x_ends):
-            return my.guard_path(guards, y, y_end), "no witness related to the endpoint"
-        if not any((y_end, xe) in b_opposite for xe in x_ends):
-            return my.guard_path(guards, y, y_end), "no witness related from the endpoint"
-    return True
-
-def _pair_sforth(x, y, mx, my, guards, b_same, b_opposite):
-    y_ends = my.guard_endpoints(guards, y)
-    for x_end in sorted(mx.guard_endpoints(guards, x)):
-        if not any((x_end, ye) in b_same for ye in y_ends):
-            return mx.guard_path(guards, x, x_end), "no witness related to the endpoint"
-        if not any((ye, x_end) in b_opposite for ye in y_ends):
-            return mx.guard_path(guards, x, x_end), "no witness related from the endpoint"
-    return True
+def core_candidate(core_class: BoolClass, a: CrossRelation, m1: Model, m2: Model) -> CrossRelation:
+    """The maximal relation the core admits as inner target."""
+    rows = _rows(a, m1, m2)
+    kind = core_candidate_kind(core_class)
+    return _relation(_candidate(kind, rows, _inverse(rows, m1, m2), m1, m2), m1, m2)
 
 
-def _opposite(direction: str) -> str:
-    return BWD if direction == FWD else FWD
+# -- the pair check, compiled once per connective ---------------------------------
+
+@dataclass(frozen=True)
+class _Condition:
+    """Back (``forall``) or forth (``exists``) matching of the guard paths of
+    one block against witness relations.  Back at (x, y): every endpoint of
+    y has, in each witness relation, an endpoint of x related to it.  Forth:
+    every endpoint of x has, in each witness relation, an endpoint of y it is
+    related to.  Special connectives take two separate witnesses, the
+    relation and its inverse; a degree-2 connective takes as its one witness
+    the pairs passing its inner block's condition."""
+
+    guards: tuple[str, ...]
+    back: bool
+    special: bool = False
+    kind: CoreCandidateKind = CoreCandidateKind.SAME
+    inner: "_Condition | None" = None
+
+    def witnesses(self, a, inv, m1: Model, m2: Model) -> list:
+        """The maximal witness relations for the relation ``a`` (with its inverse)."""
+        if self.inner is not None:
+            return [self.inner.passing(_full(m1, m2), self.inner.witnesses(a, inv, m1, m2), m1, m2)]
+        if self.special:
+            return [a, inv]
+        return [_candidate(self.kind, a, inv, m1, m2)]
+
+    def passing(self, cand, witnesses, m1: Model, m2: Model) -> dict[str, list[int]]:
+        """The pairs of ``cand`` that satisfy the condition, as rows."""
+        out = {}
+        for d, mx, my in _directions(m1, m2):
+            x_ends = mx.chain_rows(self.guards)[0]
+            y_ends, y_sources = my.chain_rows(self.guards)
+            ws = [w[d] for w in witnesses]
+            rows = out[d] = list(cand[d])
+            if self.back:
+                full = (1 << len(my)) - 1
+                failing: dict[int, int] = {}
+                for i, row in enumerate(rows):
+                    if row:
+                        cover = full
+                        for w in ws:
+                            cover &= union(w, x_ends[i])
+                        missing = full ^ cover
+                        if row.bit_count() < missing.bit_count():
+                            # fewer candidates than gaps: test each candidate's endpoints
+                            rows[i] = sum(1 << j for j in bits(row) if not y_ends[j] & missing)
+                        elif missing:
+                            bad = failing.get(missing)
+                            if bad is None:
+                                # the partner elements with an endpoint outside the cover
+                                bad = failing[missing] = union(y_sources, missing)
+                            rows[i] = row & ~bad
+            else:
+                # hits[k][j]: the partner elements with an endpoint in ws[k][j]
+                hits: list[list] = [[None] * len(mx) for _ in ws]
+                for i, row in enumerate(rows):
+                    for j in bits(x_ends[i]) if row else ():
+                        for w, hit in zip(ws, hits):
+                            if hit[j] is None:
+                                hit[j] = union(y_sources, w[j])
+                            row &= hit[j]
+                    rows[i] = row
+        return out
+
+    def violation(self, cand, witnesses, m1: Model, m2: Model) -> ViolationReport | None:
+        """The first failing pair of ``cand`` in sorted order, with the first
+        unmatched endpoint in sorted order and its witness path."""
+        ok = self.passing(cand, witnesses, m1, m2)
+        for d, mx, my in _directions(m1, m2):
+            failing = [c & ~o for c, o in zip(cand[d], ok[d])]
+            if not any(failing):
+                continue
+            i = min((i for i, row in enumerate(failing) if row), key=mx.domain.__getitem__)
+            j = min(bits(failing[i]), key=my.domain.__getitem__)
+            x_ends, y_ends = mx.chain_rows(self.guards)[0][i], my.chain_rows(self.guards)[0][j]
+            ws = [w[d] for w in witnesses]
+            if self.back:
+                covers = [union(w, x_ends) for w in ws]
+                start, side, ends = j, my, y_ends
+                misses = [[not (c >> e) & 1 for c in covers] for e in range(len(my))]
+            else:
+                start, side, ends = i, mx, x_ends
+                misses = [[not w[e] & y_ends for w in ws] for e in range(len(mx))]
+            end = min((e for e in bits(ends) if any(misses[e])), key=side.domain.__getitem__)
+            detail = ""
+            if self.special:
+                detail = f"no witness related {'to' if misses[end][0] else 'from'} the endpoint"
+            path = side.guard_path(self.guards, side.domain[start], side.domain[end])
+            name = ("s-" if self.special else "") + ("back" if self.back else "forth")
+            return ViolationReport("", name, (mx.domain[i], my.domain[j]), d, tuple(path), detail)
+        return None
+
+
+def _compile(mu: GuardedConnective) -> _Condition:
+    cls = classify_connective(mu)
+    block = mu.blocks[0]
+    inner = _compile(ancestor(mu, 1)) if mu.degree == 2 else None
+    return _Condition(block.guards, block.quantifier == "forall", cls.is_special,
+                      core_candidate_kind(cls.core_class), inner)
+
+
+def _holds(back: bool, special: bool, a_outer, b, guards, m1, m2):
+    cond = _Condition(tuple(guards), back, special)
+    rows = _rows(b, m1, m2)
+    witnesses = [rows, _inverse(rows, m1, m2)] if special else [rows]
+    got = cond.violation(_rows(a_outer, m1, m2), witnesses, m1, m2)
+    return True if got is None else got
 
 
 def back_holds(a_outer, target, guards, m1, m2):
     """Every guard path on the partner side of a pair must be matched by one
     on the carrier side landing in the target relation."""
-    for d, mx, my in _directions(m1, m2):
-        tp = target.pairs(d)
-        for x, y in sorted(a_outer.pairs(d)):
-            got = _pair_back(x, y, mx, my, guards, tp)
-            if got is not True:
-                return ViolationReport("", "back", (x, y), d, tuple(got or ()))
-    return True
+    return _holds(True, False, a_outer, target, guards, m1, m2)
 
 
 def forth_holds(a_outer, target, guards, m1, m2):
     """Mirror of the universal check: carrier-side paths must be matched on
     the partner side."""
-    for d, mx, my in _directions(m1, m2):
-        tp = target.pairs(d)
-        for x, y in sorted(a_outer.pairs(d)):
-            got = _pair_forth(x, y, mx, my, guards, tp)
-            if got is not True:
-                return ViolationReport("", "forth", (x, y), d, tuple(got or ()))
-    return True
+    return _holds(False, False, a_outer, target, guards, m1, m2)
 
 
 def sback_holds(a_outer, b, guards, m1, m2):
     """Two-witness universal check: each partner-side path endpoint needs a
     carrier-side endpoint related to it and one related from it."""
-    for d, mx, my in _directions(m1, m2):
-        same, opposite = b.pairs(d), b.pairs(_opposite(d))
-        for x, y in sorted(a_outer.pairs(d)):
-            got = _pair_sback(x, y, mx, my, guards, same, opposite)
-            if got is not True:
-                path, why = got
-                return ViolationReport("", "s-back", (x, y), d, tuple(path or ()), why)
-    return True
+    return _holds(True, True, a_outer, b, guards, m1, m2)
 
 
 def sforth_holds(a_outer, b, guards, m1, m2):
-    for d, mx, my in _directions(m1, m2):
-        same, opposite = b.pairs(d), b.pairs(_opposite(d))
-        for x, y in sorted(a_outer.pairs(d)):
-            got = _pair_sforth(x, y, mx, my, guards, same, opposite)
-            if got is not True:
-                path, why = got
-                return ViolationReport("", "s-forth", (x, y), d, tuple(path or ()), why)
-    return True
+    return _holds(False, True, a_outer, b, guards, m1, m2)
 
 
 def max_inner_target(
@@ -283,32 +367,12 @@ def max_inner_target(
     connective: a pair enters iff its own matching condition holds, with the
     target fixed to a1 (plain case) or to the given relation and its inverse
     (special case)."""
-    cls = classify_connective(mu_minus)
     if mu_minus.degree != 1:
         raise ConnectiveError(f"{mu_minus.name}: inner target needs a degree-1 connective")
-    quant = mu_minus.blocks[0].quantifier
-    guard_list = mu_minus.blocks[0].guards
-    sides = {}
-    for d, mx, my in _directions(m1, m2):
-        kept = set()
-        for x in mx.domain:
-            for y in my.domain:
-                if cls.is_special:
-                    same, opposite = a_for_special.pairs(d), a_for_special.pairs(_opposite(d))
-                    if quant == "forall":
-                        ok = _pair_sback(x, y, mx, my, guard_list, same, opposite) is True
-                    else:
-                        ok = _pair_sforth(x, y, mx, my, guard_list, same, opposite) is True
-                else:
-                    tp = a1.pairs(d)
-                    if quant == "forall":
-                        ok = _pair_back(x, y, mx, my, guard_list, tp) is True
-                    else:
-                        ok = _pair_forth(x, y, mx, my, guard_list, tp) is True
-                if ok:
-                    kept.add((x, y))
-        sides[d] = frozenset(kept)
-    return CrossRelation(fwd=sides[FWD], bwd=sides[BWD])
+    cond = _compile(mu_minus)
+    rows = _rows(a_for_special if cond.special else a1, m1, m2)
+    witnesses = [rows, _inverse(rows, m1, m2)] if cond.special else [rows]
+    return _relation(cond.passing(_full(m1, m2), witnesses, m1, m2), m1, m2)
 
 
 def _degree0_violation(mu: GuardedConnective, a: CrossRelation) -> ViolationReport | None:
@@ -344,26 +408,10 @@ def connective_condition(
         got = _degree0_violation(mu, a)
         return True if got is None else got
 
-    quant = mu.blocks[0].quantifier
-    guards = mu.blocks[0].guards
-    if mu.degree == 1:
-        if cls.is_special:
-            holds = sback_holds if quant == "forall" else sforth_holds
-            got = holds(a, a, guards, m1, m2)
-        else:
-            target = core_candidate(cls.core_class, a, m1, m2)
-            holds = back_holds if quant == "forall" else forth_holds
-            got = holds(a, target, guards, m1, m2)
-    else:
-        mu_minus = ancestor(mu, 1)
-        inner_cls = classify_connective(mu_minus)
-        a1 = a if inner_cls.is_special else core_candidate(cls.core_class, a, m1, m2)
-        a2 = max_inner_target(mu_minus, a1, a, m1, m2)
-        holds = back_holds if quant == "forall" else forth_holds
-        got = holds(a, a2, guards, m1, m2)
-    if got is True:
-        return True
-    return replace(got, connective=mu.name)
+    cond = _compile(mu)
+    rows = _rows(a, m1, m2)
+    got = cond.violation(rows, cond.witnesses(rows, _inverse(rows, m1, m2), m1, m2), m1, m2)
+    return True if got is None else replace(got, connective=mu.name)
 
 
 def is_asimulation(
@@ -411,10 +459,10 @@ def largest_asimulation(
     """Greatest fixpoint of the condition functional, starting from the
     atom-preserving relation.
 
-    Each round recomputes the derived target relations from the current
-    relation, drops every pair violating its pair-level condition, and
-    restricts to the symmetric part when a degree-0 connective demands it.
-    The result is empty exactly when no asimulation exists.
+    Each round derives the witness relations from the current relation,
+    drops every pair violating its pair-level condition, and restricts to
+    the symmetric part when a degree-0 connective demands it.  The result
+    is empty exactly when no asimulation exists.
     """
     if strict:
         problems = validate_standard_fragment(sig)
@@ -424,51 +472,20 @@ def largest_asimulation(
     for mu in connectives:
         if mu.degree > 2:
             raise NonStandardFragmentError(f"{mu.name}: degree {mu.degree} is not supported")
+    # Degree-0 cores that are not monotone force the relation to equal its inverse.
     needs_symmetric = any(
-        mu.degree == 0
-        and (
-            (cc := classify_connective(mu).core_class).is_rest
-            or (cc.is_antimonotone and not cc.is_constant)
-        )
-        for mu in connectives
+        mu.degree == 0 and not classify_connective(mu).core_class.is_monotone for mu in connectives
     )
+    conditions = [_compile(mu) for mu in connectives if mu.degree > 0]
 
-    a = atom_preserving(m1, m2, theta_preds)
+    a = _atom_rows(m1, m2, theta_preds)
     while True:
-        survivors = a
-        if needs_symmetric:
-            survivors = survivors & survivors.inverse()
-        for mu in connectives:
-            if mu.degree == 0:
-                continue
-            cls = classify_connective(mu)
-            quant = mu.blocks[0].quantifier
-            guards = mu.blocks[0].guards
-            if mu.degree == 1 and cls.is_special:
-                pair_check = _pair_sback if quant == "forall" else _pair_sforth
-
-                def checker(x, y, mx, my, d, q=pair_check, g=guards, rel=a):
-                    return q(x, y, mx, my, g, rel.pairs(d), rel.pairs(_opposite(d))) is True
-            else:
-                if mu.degree == 1:
-                    target = core_candidate(cls.core_class, a, m1, m2)
-                else:
-                    mu_minus = ancestor(mu, 1)
-                    inner_cls = classify_connective(mu_minus)
-                    a1 = a if inner_cls.is_special else core_candidate(cls.core_class, a, m1, m2)
-                    target = max_inner_target(mu_minus, a1, a, m1, m2)
-                pair_check = _pair_back if quant == "forall" else _pair_forth
-
-                def checker(x, y, mx, my, d, q=pair_check, g=guards, tgt=target):
-                    return q(x, y, mx, my, g, tgt.pairs(d)) is True
-            sides = {}
-            for d, mx, my in _directions(m1, m2):
-                sides[d] = frozenset(
-                    (x, y) for x, y in survivors.pairs(d) if checker(x, y, mx, my, d)
-                )
-            survivors = CrossRelation(fwd=sides[FWD], bwd=sides[BWD])
+        inv = _inverse(a, m1, m2)
+        survivors = _meet(a, inv) if needs_symmetric else a
+        for cond in conditions:
+            survivors = cond.passing(survivors, cond.witnesses(a, inv, m1, m2), m1, m2)
         if survivors == a:
-            return a
+            return _relation(a, m1, m2)
         a = survivors
 
 
@@ -498,25 +515,10 @@ def preservation_relation(
     """Pairs along which every fragment formula up to the given nesting depth
     transfers truth, computed from the deduplicated enumeration."""
     classes = semantic_classes(sig, preds, depth, m1, m2, budget)
-    profile1 = [0] * len(m1.domain)
-    profile2 = [0] * len(m2.domain)
-    for c_index, cls in enumerate(classes):
-        for i in range(len(m1.domain)):
-            if (cls.vec1 >> i) & 1:
-                profile1[i] |= 1 << c_index
-        for j in range(len(m2.domain)):
-            if (cls.vec2 >> j) & 1:
-                profile2[j] |= 1 << c_index
-    fwd = frozenset(
-        (a, b)
-        for i, a in enumerate(m1.domain)
-        for j, b in enumerate(m2.domain)
-        if profile1[i] & ~profile2[j] == 0
-    )
-    bwd = frozenset(
-        (b, a)
-        for j, b in enumerate(m2.domain)
-        for i, a in enumerate(m1.domain)
-        if profile2[j] & ~profile1[i] == 0
-    )
-    return CrossRelation(fwd=fwd, bwd=bwd)
+    # profile[i]: the classes true at element i
+    profile1 = transpose([c.vec1 for c in classes], len(m1))
+    profile2 = transpose([c.vec2 for c in classes], len(m2))
+    rows = {}
+    for d, px, py in ((FWD, profile1, profile2), (BWD, profile2, profile1)):
+        rows[d] = [sum(1 << j for j, q in enumerate(py) if p & ~q == 0) for p in px]
+    return _relation(rows, m1, m2)

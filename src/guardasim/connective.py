@@ -92,10 +92,6 @@ class GuardedConnective:
         return len(self.blocks)
 
 
-def degree(mu: GuardedConnective) -> int:
-    return mu.degree
-
-
 def ancestor(mu: GuardedConnective, i: int) -> GuardedConnective:
     """The connective obtained by keeping only the innermost i blocks;
     index 0 is the bare core."""

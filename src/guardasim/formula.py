@@ -16,6 +16,7 @@ import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+from .bitrows import union
 from .connective import FragmentSignature, GuardedConnective, std_translation
 from .model import Model, PointedModel
 from .syntax import (
@@ -312,49 +313,28 @@ def parse_fragment(text: str, sig: FragmentSignature) -> FragmentFormula:
 
 # -- fragment evaluation over guard paths ---------------------------------------------
 
-def _connective_truth_set(
-    m: Model, mu: GuardedConnective, child_sets: Sequence[frozenset[str]]
-) -> frozenset[str]:
-    """Elements where the application holds, working from the core outward."""
-    sat = set()
-    for u in m.domain:
-        if mu.core.evaluate(u in s for s in child_sets):
-            sat.add(u)
-    for block in reversed(mu.blocks):
-        nxt = set()
-        for u in m.domain:
-            ends = m.guard_endpoints(block.guards, u)
-            if block.quantifier == "forall":
-                if ends <= sat:
-                    nxt.add(u)
-            else:
-                if ends & sat:
-                    nxt.add(u)
-        sat = nxt
-    return frozenset(sat)
-
-
 def fragment_truth_set(m: Model, f: FragmentFormula, sig: FragmentSignature) -> frozenset[str]:
     """The set of elements satisfying ``f``, memoized over the subformula DAG."""
-    memo: dict[FragmentFormula, frozenset[str]] = {}
+    memo: dict[FragmentFormula, int] = {}
 
-    def walk(node: FragmentFormula) -> frozenset[str]:
+    def walk(node: FragmentFormula) -> int:
         got = memo.get(node)
         if got is not None:
             return got
         if isinstance(node, Atom):
-            out = m.pred_elements(node.pred)
+            out = _pred_vector(m, node.pred)
         else:
             mu = sig.get(node.name)
             if mu.arity != len(node.args):
                 raise FormulaError(
                     f"connective {node.name!r} has arity {mu.arity}, got {len(node.args)}"
                 )
-            out = _connective_truth_set(m, mu, [walk(a) for a in node.args])
+            out = _mask_connective(m, mu, [walk(a) for a in node.args])
         memo[node] = out
         return out
 
-    return walk(f)
+    vec = walk(f)
+    return frozenset(u for i, u in enumerate(m.domain) if (vec >> i) & 1)
 
 
 def eval_fragment(m: Model, a: str, f: FragmentFormula, sig: FragmentSignature) -> bool:
@@ -383,37 +363,25 @@ class SemanticClass:
     vec2: int
 
 
-def _mask_connective(
-    m: Model, mu: GuardedConnective, child_vecs: Sequence[int],
-    endpoint_cache: dict,
-) -> int:
+def _pred_vector(m: Model, pred: str) -> int:
+    return sum(1 << m.index_of(u) for u in m.pred_elements(pred))
+
+
+def _mask_connective(m: Model, mu: GuardedConnective, child_vecs: Sequence[int]) -> int:
     """Truth vector of one application from child truth vectors (bit per element)."""
     n = len(m.domain)
     vec = 0
     for i in range(n):
         if mu.core.evaluate(bool((cv >> i) & 1) for cv in child_vecs):
             vec |= 1 << i
+    full = (1 << n) - 1
     for block in reversed(mu.blocks):
-        key = (id(m), block.guards)
-        ends = endpoint_cache.get(key)
-        if ends is None:
-            ends = []
-            for u in m.domain:
-                mask = 0
-                for e in m.guard_endpoints(block.guards, u):
-                    mask |= 1 << m.index_of(e)
-                ends.append(mask)
-            endpoint_cache[key] = ends
-        nxt = 0
-        for i in range(n):
-            em = ends[i]
-            if block.quantifier == "forall":
-                if em & ~vec == 0:
-                    nxt |= 1 << i
-            else:
-                if em & vec:
-                    nxt |= 1 << i
-        vec = nxt
+        # union(sources, S): the elements with a guard-path endpoint in S
+        sources = m.chain_rows(block.guards)[1]
+        if block.quantifier == "forall":
+            vec = full & ~union(sources, full & ~vec)
+        else:
+            vec = union(sources, vec)
     return vec
 
 
@@ -434,22 +402,10 @@ def semantic_classes(
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    cache: dict = {}
     seen: dict[tuple[int, int], int] = {}
     classes: list[SemanticClass] = []
     layer_of: list[int] = []
     checked = 0
-
-    def vec_of_atom(p: str) -> tuple[int, int]:
-        v1 = 0
-        for i, u in enumerate(m1.domain):
-            if m1.has_pred(p, u):
-                v1 |= 1 << i
-        v2 = 0
-        for i, u in enumerate(m2.domain):
-            if m2.has_pred(p, u):
-                v2 |= 1 << i
-        return v1, v2
 
     def admit(formula: FragmentFormula, v1: int, v2: int, layer: int) -> bool:
         key = (v1, v2)
@@ -461,13 +417,12 @@ def semantic_classes(
         return True
 
     for p in preds:
-        v1, v2 = vec_of_atom(p)
-        admit(Atom(p), v1, v2, 0)
+        admit(Atom(p), _pred_vector(m1, p), _pred_vector(m2, p), 0)
     for name in sig.names():
         mu = sig.get(name)
         if mu.arity == 0:
-            v1 = _mask_connective(m1, mu, [], cache)
-            v2 = _mask_connective(m2, mu, [], cache)
+            v1 = _mask_connective(m1, mu, [])
+            v2 = _mask_connective(m2, mu, [])
             admit(Apply(name, ()), v1, v2, 0)
 
     for layer in range(1, depth + 1):
@@ -485,8 +440,8 @@ def semantic_classes(
                     raise BudgetExceeded(checked)
                 checked += 1
                 kids = [classes[i] for i in combo]
-                v1 = _mask_connective(m1, mu, [k.vec1 for k in kids], cache)
-                v2 = _mask_connective(m2, mu, [k.vec2 for k in kids], cache)
+                v1 = _mask_connective(m1, mu, [k.vec1 for k in kids])
+                v2 = _mask_connective(m2, mu, [k.vec2 for k in kids])
                 if admit(Apply(name, tuple(k.formula for k in kids)), v1, v2, layer):
                     grew = True
         if not grew:

@@ -10,6 +10,8 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+from .bitrows import bits, transpose, union
+
 _REL_NAME = re.compile(r"^R[0-9]+$")
 _PRED_NAME = re.compile(r"^P[0-9]+$")
 
@@ -26,7 +28,7 @@ class Model:
     completion with empty interpretations.
     """
 
-    __slots__ = ("domain", "relations", "predicates", "_succ", "_index")
+    __slots__ = ("domain", "relations", "predicates", "_index", "_chains")
 
     def __init__(
         self,
@@ -45,15 +47,17 @@ class Model:
         for name, pairs in (relations or {}).items():
             if not _REL_NAME.match(name):
                 raise ModelError(f"relations.{name}: not a relation symbol (expected R<digits>)")
+            if not isinstance(pairs, (list, tuple, set, frozenset)):
+                raise ModelError(f"relations.{name}: expected a list of pairs")
             pair_set = set()
             for i, pair in enumerate(pairs):
-                pair = tuple(pair)
-                if len(pair) != 2:
-                    raise ModelError(f"relations.{name}[{i}]: expected a pair")
+                if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                        and all(isinstance(el, str) for el in pair)):
+                    raise ModelError(f"relations.{name}[{i}]: expected a pair of element names")
                 for el in pair:
                     if el not in members:
                         raise ModelError(f"relations.{name}[{i}]: unknown element {el!r}")
-                pair_set.add(pair)
+                pair_set.add(tuple(pair))
             rels[name] = frozenset(pair_set)
         self.relations: dict[str, frozenset[tuple[str, str]]] = rels
 
@@ -61,22 +65,20 @@ class Model:
         for name, elems in (predicates or {}).items():
             if not _PRED_NAME.match(name):
                 raise ModelError(f"predicates.{name}: not a predicate symbol (expected P<digits>)")
+            if not isinstance(elems, (list, tuple, set, frozenset)):
+                raise ModelError(f"predicates.{name}: expected a list of element names")
             elem_set = set()
             for i, el in enumerate(elems):
+                if not isinstance(el, str):
+                    raise ModelError(f"predicates.{name}[{i}]: expected an element name")
                 if el not in members:
                     raise ModelError(f"predicates.{name}[{i}]: unknown element {el!r}")
                 elem_set.add(el)
             preds[name] = frozenset(elem_set)
         self.predicates: dict[str, frozenset[str]] = preds
 
-        succ: dict[str, dict[str, tuple[str, ...]]] = {}
-        for name, pair_set in rels.items():
-            adj: dict[str, list[str]] = {}
-            for a, b in pair_set:
-                adj.setdefault(a, []).append(b)
-            succ[name] = {a: tuple(sorted(bs)) for a, bs in adj.items()}
-        self._succ = succ
         self._index = {el: i for i, el in enumerate(self.domain)}
+        self._chains: dict[tuple[str, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
 
     def __len__(self) -> int:
         return len(self.domain)
@@ -91,7 +93,9 @@ class Model:
         return self.relations.get(name, frozenset())
 
     def successors(self, name: str, element: str) -> tuple[str, ...]:
-        return self._succ.get(name, {}).get(element, ())
+        i = self._index.get(element)
+        row = 0 if i is None else self.chain_rows((name,))[0][i]
+        return tuple(sorted(self.domain[j] for j in bits(row)))
 
     def has_pred(self, name: str, element: str) -> bool:
         return element in self.predicates.get(name, frozenset())
@@ -99,17 +103,32 @@ class Model:
     def pred_elements(self, name: str) -> frozenset[str]:
         return self.predicates.get(name, frozenset())
 
+    def chain_rows(self, guards: Sequence[str]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The guard chain as bit rows over element indices: ``ends[i]`` holds
+        the elements reachable from element i by one step through each listed
+        relation in order, and ``sources`` is its transpose.  Built once per
+        guard tuple and kept, which is safe because the model is immutable."""
+        guards = tuple(guards)
+        got = self._chains.get(guards)
+        if got is None:
+            n = len(self.domain)
+            if guards:
+                step = [0] * n
+                for a, b in self.rel_pairs(guards[-1]):
+                    step[self._index[a]] |= 1 << self._index[b]
+                ends = tuple(union(step, row) for row in self.chain_rows(guards[:-1])[0])
+            else:
+                ends = tuple(1 << i for i in range(n))
+            got = self._chains[guards] = (ends, tuple(transpose(ends, n)))
+        return got
+
     def guard_endpoints(self, guards: Sequence[str], start: str) -> frozenset[str]:
         """Elements reachable from ``start`` along the guard chain: one step
         through each listed relation in order."""
         if start not in self._index:
             raise ModelError(f"unknown element {start!r}")
-        frontier = {start}
-        for g in guards:
-            frontier = {b for a in frontier for b in self.successors(g, a)}
-            if not frontier:
-                break
-        return frozenset(frontier)
+        row = self.chain_rows(guards)[0][self._index[start]]
+        return frozenset(self.domain[j] for j in bits(row))
 
     def guard_path(self, guards: Sequence[str], start: str, end: str) -> tuple[str, ...] | None:
         """One witnessing path start,...,end along the guard chain, or None."""

@@ -196,13 +196,49 @@ def _all_relations(m1: Model, m2: Model):
     return out
 
 
+def _chain_ends(m: Model, guards, start: str) -> set[str]:
+    """Endpoints of the guard paths from ``start``: one successor step through
+    each relation of the chain in turn."""
+    frontier = {start}
+    for g in guards:
+        frontier = {b for a in frontier for b in m.successors(g, a)}
+    return frontier
+
+
+def _guarded_match(outer, b, guards, m1, m2, universal, two_witness):
+    """The matching conditions straight from their definitions.
+
+    For every pair (x, y) of ``outer``, in both directions: with
+    ``universal`` (back), every endpoint y2 of a guard path from y needs an
+    endpoint x2 of one from x with (x2, y2) in ``b``; otherwise (forth), every
+    endpoint x2 of x needs an endpoint y2 of y with (x2, y2) in ``b``.  With
+    ``two_witness`` the endpoint also needs a second, separately chosen
+    witness related from it, through ``b``'s opposite direction.
+    """
+    sides = ((outer.fwd, m1, m2, b.fwd, b.bwd), (outer.bwd, m2, m1, b.bwd, b.fwd))
+    for pairs, mx, my, same, opposite in sides:
+        for x, y in pairs:
+            xs, ys = _chain_ends(mx, guards, x), _chain_ends(my, guards, y)
+            if universal:
+                for y2 in ys:
+                    if not any((x2, y2) in same for x2 in xs):
+                        return False
+                    if two_witness and not any((y2, x2) in opposite for x2 in xs):
+                        return False
+            else:
+                for x2 in xs:
+                    if not any((x2, y2) in same for y2 in ys):
+                        return False
+                    if two_witness and not any((y2, x2) in opposite for y2 in ys):
+                        return False
+    return True
+
+
 def brute_definition_accepts(sig, theta, m1, m2, candidate, universe=None):
     """Decide acceptance of one relation with the inner existentials
-    enumerated over all relations instead of collapsed to maximal choices."""
-    from guardasim.asim import back_holds, forth_holds, sback_holds, sforth_holds
-    from guardasim.boolfn import classify
-    from guardasim.connective import ancestor, classify_connective
-
+    enumerated over all relations instead of collapsed to maximal choices.
+    Core classes come from ``brute_class`` and the matching conditions from
+    ``_guarded_match``, so nothing but the data types is the library's."""
     if candidate.is_empty:
         return False
     for (x, y) in candidate.fwd:
@@ -214,62 +250,56 @@ def brute_definition_accepts(sig, theta, m1, m2, candidate, universe=None):
     if universe is None:
         universe = _all_relations(m1, m2)
 
-    def first_choices(core_class):
+    def first_choices(cc):
         # The set the core pairs the candidate with: every relation for a
         # constant core, otherwise the single determined element.
-        if core_class.is_constant:
+        if cc["is_constant"]:
             return universe
-        if core_class.is_monotone:
+        if cc["is_monotone"]:
             return [candidate]
-        if core_class.is_antimonotone:
+        if cc["is_antimonotone"]:
             return [candidate.inverse()]
         return [candidate & candidate.inverse()]
 
+    def special(cc, quantifier):
+        return cc["forall_special" if quantifier == "forall" else "exists_special"]
+
     for mu in sig:
-        cls = classify_connective(mu)
-        cc = cls.core_class
+        cc = brute_class(mu.core)
         if mu.degree == 0:
-            if cc.is_constant or cc.is_monotone:
+            if cc["is_constant"] or cc["is_monotone"]:
                 continue
             if candidate != candidate.inverse():
                 return False
             continue
-        quant = mu.blocks[0].quantifier
+        universal = mu.blocks[0].quantifier == "forall"
         guards = mu.blocks[0].guards
-        outer_holds = back_holds if quant == "forall" else forth_holds
         if mu.degree == 1:
-            if cls.is_special:
-                holds = sback_holds if quant == "forall" else sforth_holds
-                if holds(candidate, candidate, guards, m1, m2) is not True:
+            if special(cc, mu.blocks[0].quantifier):
+                if not _guarded_match(candidate, candidate, guards, m1, m2, universal, True):
                     return False
-            else:
-                if not any(
-                    outer_holds(candidate, a1, guards, m1, m2) is True
-                    for a1 in first_choices(cc)
-                ):
-                    return False
+            elif not any(
+                _guarded_match(candidate, a1, guards, m1, m2, universal, False)
+                for a1 in first_choices(cc)
+            ):
+                return False
             continue
-        mu_minus = ancestor(mu, 1)
-        inner_cls = classify_connective(mu_minus)
-        inner_guards = mu_minus.blocks[0].guards
-        inner_quant = mu_minus.blocks[0].quantifier
+        inner = mu.blocks[-1]
+        inner_universal = inner.quantifier == "forall"
         ok = False
         for a2 in universe:
-            if outer_holds(candidate, a2, guards, m1, m2) is not True:
+            if not _guarded_match(candidate, a2, guards, m1, m2, universal, False):
                 continue
-            if inner_cls.is_special:
-                holds = sback_holds if inner_quant == "forall" else sforth_holds
-                if holds(a2, candidate, inner_guards, m1, m2) is True:
+            if special(cc, inner.quantifier):
+                if _guarded_match(a2, candidate, inner.guards, m1, m2, inner_universal, True):
                     ok = True
                     break
-            else:
-                inner_holds = back_holds if inner_quant == "forall" else forth_holds
-                if any(
-                    inner_holds(a2, a1, inner_guards, m1, m2) is True
-                    for a1 in first_choices(classify(mu_minus.core))
-                ):
-                    ok = True
-                    break
+            elif any(
+                _guarded_match(a2, a1, inner.guards, m1, m2, inner_universal, False)
+                for a1 in first_choices(cc)
+            ):
+                ok = True
+                break
         if not ok:
             return False
     return True

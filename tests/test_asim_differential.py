@@ -1,0 +1,160 @@
+"""The bit-row asimulation kernel against the original set-based checks and
+solver, kept in reference_asim.py, on seeded random model pairs of 1-12
+elements: equal largest asimulations, inner targets, pair-check verdicts and
+violation reports."""
+
+import random
+
+import pytest
+
+from guardasim import asim
+from guardasim.asim import CrossRelation, NonStandardFragmentError
+from guardasim.connective import FragmentSignature, ancestor
+from guardasim.model import random_model
+
+import reference_asim as ref
+from helpers import ALL_SIGS, theta_of
+
+RELATIONS = ["R1", "R2", "R3"]
+
+STANDARD = {
+    **{name: build() for name, build in ALL_SIGS.items()},
+    "rest_core_degree2": FragmentSignature.from_dict({"connectives": {
+        "ae_imp": "forall[R2] exists[R1]{ ~p1 | p2 }",
+        "ea_butnot": "exists[R2] forall[R1]{ p2 & ~p1 }",
+    }}),
+    "two_step_special": FragmentSignature.from_dict({"connectives": {
+        "deep_guard": "forall[R1,R2]{ p2 & ~p1 }",
+        "dia": "exists[R3]{ p1 }",
+    }}),
+    "exists_special": FragmentSignature.from_dict({"connectives": {
+        "ex_imp": "exists[R2]{ ~p1 | p2 }",
+        "box": "forall[R1]{ p1 }",
+    }}),
+    # The degree-0 negation forces the symmetric part every round.
+    "negation": FragmentSignature.from_dict({"connectives": {
+        "not": "{ ~p1 }",
+        "dia2": "exists[R1,R3]{ p1 }",
+    }}),
+    # No model below interprets R4; some lack R2 or R3 as well.
+    "missing_symbol": FragmentSignature.from_dict({"connectives": {
+        "box4": "forall[R4]{ p1 }",
+        "dia14": "exists[R1,R4]{ p1 }",
+        "imp2": "forall[R2]{ ~p1 | p2 }",
+        "ae_neg": "forall[R1] exists[R4]{ ~p1 }",
+    }}),
+    # Constant cores take every relation as their target.
+    "constant_cores": FragmentSignature.from_dict({"connectives": {
+        "some": "exists[R1]{ T }",
+        "none": "forall[R2]{ F }",
+        "dia": "exists[R3]{ p1 }",
+    }}),
+}
+# Not regular: only strict=False runs them.
+NON_STANDARD = {
+    "irregular_degree2": FragmentSignature.from_dict({"connectives": {
+        "odd": "exists[R2] forall[R1]{ ~p1 | p2 }",
+        "const2": "forall[R1] exists[R2]{ T }",
+        "box": "forall[R3]{ p1 }",
+    }}),
+}
+
+
+def model_pairs(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        rels2 = [r for r in RELATIONS if rng.random() < 0.8]
+        m1 = random_model(rng.randint(1, 12), RELATIONS, ["P1", "P2"], rng.uniform(0.05, 0.35),
+                          0.5, rng.randrange(1 << 30))
+        m2 = random_model(rng.randint(1, 12), rels2, ["P1", "P2"], rng.uniform(0.05, 0.35),
+                          0.5, rng.randrange(1 << 30))
+        yield rng, m1, m2
+
+
+def random_relation(rng, m1, m2, density):
+    return CrossRelation(
+        fwd=frozenset((x, y) for x in m1.domain for y in m2.domain if rng.random() < density),
+        bwd=frozenset((y, x) for y in m2.domain for x in m1.domain if rng.random() < density),
+    )
+
+
+def perturbed(rng, big, m1, m2):
+    """Relations near the largest asimulation: a random part of it, and all
+    of it with a few outside pairs."""
+    part = CrossRelation(
+        fwd=frozenset(p for p in big.fwd if rng.random() < 0.7),
+        bwd=frozenset(p for p in big.bwd if rng.random() < 0.7),
+    )
+    return [part, big | random_relation(rng, m1, m2, 0.05)]
+
+
+CASES = [(name, sig, strict) for name, sig in STANDARD.items() for strict in (True, False)]
+CASES += [(name, sig, False) for name, sig in NON_STANDARD.items()]
+
+
+@pytest.mark.parametrize("name,sig,strict", CASES, ids=[f"{c[0]}-strict={c[2]}" for c in CASES])
+def test_solver_and_verifier_match_reference(name, sig, strict):
+    seed = sum(map(ord, name)) * 7 + strict
+    for rng, m1, m2 in model_pairs(seed, 12):
+        theta = theta_of(m1, m2)
+        big = asim.largest_asimulation(sig, theta, m1, m2, strict=strict)
+        assert big == ref.largest_asimulation(sig, theta, m1, m2, strict=strict)
+        relations = [big, random_relation(rng, m1, m2, 0.3), random_relation(rng, m1, m2, 0.8)]
+        relations += perturbed(rng, big, m1, m2)
+        for a in relations:
+            got = asim.is_asimulation(sig, theta, m1, m2, a, strict=strict)
+            assert got == ref.is_asimulation(sig, theta, m1, m2, a, strict=strict), a.to_doc()
+            for mu in sig:
+                assert asim.connective_condition(mu, a, m1, m2, strict=strict) == \
+                    ref.connective_condition(mu, a, m1, m2, strict=strict)
+
+
+def test_verifier_reports_violations_on_most_relations():
+    # Guards the comparison above against vacuity: report lists are compared
+    # mostly on relations that break some condition.
+    sig = STANDARD["modal_intuitionistic"]
+    broken = 0
+    for rng, m1, m2 in model_pairs(5, 20):
+        a = random_relation(rng, m1, m2, 0.5)
+        reports = asim.is_asimulation(sig, theta_of(m1, m2), m1, m2, a)
+        broken += any(r.condition in ("back", "forth", "s-back", "s-forth") for r in reports)
+    assert broken >= 10
+
+
+def test_strict_rejects_non_standard_in_both():
+    sig = NON_STANDARD["irregular_degree2"]
+    for _, m1, m2 in model_pairs(3, 2):
+        theta = theta_of(m1, m2)
+        with pytest.raises(NonStandardFragmentError):
+            asim.largest_asimulation(sig, theta, m1, m2)
+        with pytest.raises(NonStandardFragmentError):
+            ref.largest_asimulation(sig, theta, m1, m2)
+
+
+def degree1_connectives():
+    for sig in list(STANDARD.values()) + list(NON_STANDARD.values()):
+        for mu in sig:
+            if mu.degree == 1:
+                yield mu
+            elif mu.degree == 2:
+                yield ancestor(mu, 1)
+
+
+def test_max_inner_target_matches_reference():
+    inner = list(degree1_connectives())
+    for rng, m1, m2 in model_pairs(11, 40):
+        mu = rng.choice(inner)
+        a1 = random_relation(rng, m1, m2, rng.random())
+        a = random_relation(rng, m1, m2, rng.random())
+        assert asim.max_inner_target(mu, a1, a, m1, m2) == ref.max_inner_target(mu, a1, a, m1, m2)
+
+
+@pytest.mark.parametrize("check", ["back_holds", "forth_holds", "sback_holds", "sforth_holds"])
+def test_pair_checks_match_reference(check):
+    guard_choices = [("R1",), ("R2",), ("R1", "R2"), ("R3", "R1", "R3"), ("R4",), ("R2", "R4")]
+    for rng, m1, m2 in model_pairs(sum(map(ord, check)), 60):
+        guards = rng.choice(guard_choices)
+        outer = random_relation(rng, m1, m2, rng.random())
+        target = random_relation(rng, m1, m2, rng.random())
+        got = getattr(asim, check)(outer, target, guards, m1, m2)
+        assert got == getattr(ref, check)(outer, target, guards, m1, m2)

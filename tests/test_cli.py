@@ -3,6 +3,8 @@
 import json
 import os
 
+import pytest
+
 from guardasim.cli import main
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -134,6 +136,39 @@ class TestCheck:
             "--relation", data("rel_empty.json"),
         )
         assert code == 2 and "ghost" in err
+
+    @pytest.mark.parametrize("fwd", [["ab"], [5], [["a"]], [["a", "b", "a2"]], [["a", 5]], [{"a": "b"}]])
+    def test_malformed_relation_pair_exits_2(self, capsys, tmp_path, fwd):
+        relation = tmp_path / "rel.json"
+        relation.write_text(json.dumps({"fwd": fwd, "bwd": []}))
+        code, out, err = run(
+            capsys, "check", "--fragment", data("sig_intuitionistic.json"),
+            "--m1", data("m_chain.json"), "--m2", data("m_single.json"),
+            "--relation", str(relation),
+        )
+        assert code == 2 and out == ""
+        assert "input error: fwd[0]: expected a pair of element names" in err
+
+    @pytest.mark.parametrize("doc,where", [
+        ({"relations": {"R1": ["ab"]}}, "relations.R1[0]"),
+        ({"relations": {"R1": [5]}}, "relations.R1[0]"),
+        ({"relations": {"R1": [["a", "b", "a"]]}}, "relations.R1[0]"),
+        ({"relations": {"R1": 5}}, "relations.R1"),
+        ({"relations": {"R1": "ab"}}, "relations.R1"),
+        ({"predicates": {"P1": "ab"}}, "predicates.P1"),
+        ({"predicates": {"P1": [["a"]]}}, "predicates.P1[0]"),
+        ({"predicates": {"P1": 5}}, "predicates.P1"),
+    ])
+    def test_malformed_model_shapes_exit_2(self, capsys, tmp_path, doc, where):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"domain": ["a", "b"], **doc}))
+        code, out, err = run(
+            capsys, "check", "--fragment", data("sig_modal.json"),
+            "--m1", str(bad), "--m2", data("m_single.json"),
+            "--relation", data("rel_empty.json"),
+        )
+        assert code == 2 and out == ""
+        assert f"input error: {where}: expected" in err
 
 
 class TestLargest:
