@@ -25,6 +25,7 @@ from typing import Sequence
 from .bitrows import bits, transpose, union
 from .boolfn import BoolClass
 from .connective import (
+    ConnectiveClass,
     ConnectiveError,
     FragmentSignature,
     GuardedConnective,
@@ -32,7 +33,7 @@ from .connective import (
     classify_connective,
     validate_standard_fragment,
 )
-from .formula import eval_fo, semantic_classes
+from .formula import SemanticClass, eval_fo, semantic_classes
 from .model import Model
 from .syntax import FoFormula, free_vars
 
@@ -318,10 +319,12 @@ class _Condition:
         return None
 
 
-def _compile(mu: GuardedConnective) -> _Condition:
-    cls = classify_connective(mu)
+def _compile(mu: GuardedConnective, cls: ConnectiveClass) -> _Condition:
     block = mu.blocks[0]
-    inner = _compile(ancestor(mu, 1)) if mu.degree == 2 else None
+    inner = None
+    if mu.degree == 2:
+        mu1 = ancestor(mu, 1)
+        inner = _compile(mu1, classify_connective(mu1))
     return _Condition(block.guards, block.quantifier == "forall", cls.is_special,
                       core_candidate_kind(cls.core_class), inner)
 
@@ -369,7 +372,7 @@ def max_inner_target(
     (special case)."""
     if mu_minus.degree != 1:
         raise ConnectiveError(f"{mu_minus.name}: inner target needs a degree-1 connective")
-    cond = _compile(mu_minus)
+    cond = _compile(mu_minus, classify_connective(mu_minus))
     rows = _rows(a_for_special if cond.special else a1, m1, m2)
     witnesses = [rows, _inverse(rows, m1, m2)] if cond.special else [rows]
     return _relation(cond.passing(_full(m1, m2), witnesses, m1, m2), m1, m2)
@@ -408,7 +411,7 @@ def connective_condition(
         got = _degree0_violation(mu, a)
         return True if got is None else got
 
-    cond = _compile(mu)
+    cond = _compile(mu, cls)
     rows = _rows(a, m1, m2)
     got = cond.violation(rows, cond.witnesses(rows, _inverse(rows, m1, m2), m1, m2), m1, m2)
     return True if got is None else replace(got, connective=mu.name)
@@ -476,7 +479,7 @@ def largest_asimulation(
     needs_symmetric = any(
         mu.degree == 0 and not classify_connective(mu).core_class.is_monotone for mu in connectives
     )
-    conditions = [_compile(mu) for mu in connectives if mu.degree > 0]
+    conditions = [_compile(mu, classify_connective(mu)) for mu in connectives if mu.degree > 0]
 
     a = _atom_rows(m1, m2, theta_preds)
     while True:
@@ -514,7 +517,11 @@ def preservation_relation(
 ) -> CrossRelation:
     """Pairs along which every fragment formula up to the given nesting depth
     transfers truth, computed from the deduplicated enumeration."""
-    classes = semantic_classes(sig, preds, depth, m1, m2, budget)
+    return class_preorder(semantic_classes(sig, preds, depth, m1, m2, budget), m1, m2)
+
+
+def class_preorder(classes: Sequence[SemanticClass], m1: Model, m2: Model) -> CrossRelation:
+    """Pairs (x, y) such that every listed class true at x is true at y."""
     # profile[i]: the classes true at element i
     profile1 = transpose([c.vec1 for c in classes], len(m1))
     profile2 = transpose([c.vec2 for c in classes], len(m2))

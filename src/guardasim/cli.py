@@ -10,12 +10,13 @@ under --json; a human-readable summary always goes to stderr.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import bisect
 import json
 import sys
 
 from . import asim, boolfn, connective, formula, model
 from .asim import NonStandardFragmentError
-from .syntax import fo_text, fragment_text, free_vars
+from .syntax import fo_text, fragment_depth, fragment_text, free_vars
 from .boolfn import BoolExprError
 from .connective import ConnectiveError
 from .formula import BudgetExceeded, FormulaError
@@ -221,23 +222,45 @@ def cmd_distinguish(args) -> int:
     return OK
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+_INT = ("an integer", _is_int)
+_NUMBER = ("a number", lambda v: _is_int(v) or isinstance(v, float))
+_NAMES = ("a list of strings", lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v))
+_BUDGET = ("an integer or null", lambda v: v is None or _is_int(v))
+_PATH = ("a signature file path", lambda v: isinstance(v, str))
+
+
+def _setting(conf: dict, key: str, default, kind) -> object:
+    """A config value, or the flag's default, checked against its type."""
+    value = conf.get(key, default)
+    what, ok = kind
+    if not ok(value):
+        raise ValueError(f"experiment setting {key!r} must be {what}, got {json.dumps(value)}")
+    return value
+
+
 def cmd_experiment(args) -> int:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             conf = json.load(fh)
+        if not isinstance(conf, dict):
+            raise ValueError("experiment config: expected an object")
     else:
         conf = {}
-    seed = conf.get("seed", args.seed)
-    trials = conf.get("trials", args.trials)
-    size_min = conf.get("size_min", args.size_min)
-    size_max = conf.get("size_max", args.size_max)
-    edge_prob = conf.get("edge_prob", args.edge_prob)
-    pred_prob = conf.get("pred_prob", args.pred_prob)
-    depth = conf.get("depth", args.depth)
-    budget = conf.get("budget", args.budget)
-    fragment_path = conf.get("fragment", args.fragment)
-    rel_symbols = conf.get("relations", ["R1"])
-    pred_symbols = conf.get("predicates", ["P1", "P2"])
+    seed = _setting(conf, "seed", args.seed, _INT)
+    trials = _setting(conf, "trials", args.trials, _INT)
+    size_min = _setting(conf, "size_min", args.size_min, _INT)
+    size_max = _setting(conf, "size_max", args.size_max, _INT)
+    edge_prob = _setting(conf, "edge_prob", args.edge_prob, _NUMBER)
+    pred_prob = _setting(conf, "pred_prob", args.pred_prob, _NUMBER)
+    depth = _setting(conf, "depth", args.depth, _INT)
+    budget = _setting(conf, "budget", args.budget, _BUDGET)
+    fragment_path = _setting(conf, "fragment", args.fragment, _PATH)
+    rel_symbols = _setting(conf, "relations", ["R1"], _NAMES)
+    pred_symbols = _setting(conf, "predicates", ["P1", "P2"], _NAMES)
     if trials < 1 or size_min < 1 or size_max < size_min:
         raise ValueError("need trials >= 1 and 1 <= size_min <= size_max")
 
@@ -276,7 +299,11 @@ def cmd_experiment(args) -> int:
             record["invariance_violations"] = violations
             sandwich_depth = None
             for d in range(depth + 1):
-                pres = asim.preservation_relation(sig, theta, m1, m2, d, budget)
+                # The classes come out ordered by depth, and those of depth
+                # <= d are the depth-d enumeration, so one enumeration serves
+                # every d.
+                end = bisect.bisect_right(classes, d, key=lambda c: fragment_depth(c.formula))
+                pres = asim.class_preorder(classes[:end], m1, m2)
                 if not rel.subset_of(pres):
                     record["containment_failure"] = d
                     break

@@ -180,6 +180,8 @@ _BLOCK_RE = re.compile(r"\s*(forall|exists)\s*\[([^\[\]]*)\]")
 
 def parse_connective(text: str, name: str = "mu") -> GuardedConnective:
     """Parse ``QBLOCK* "{" boolexpr "}"``, e.g. ``forall[R1] exists[R3]{ p1 }``."""
+    if not isinstance(text, str):
+        raise ConnectiveError(f"{name}: expected a connective string, got {type(text).__name__}")
     pos = 0
     blocks: list[GuardBlock] = []
     while True:
@@ -258,7 +260,7 @@ class FragmentSignature:
 
     @classmethod
     def from_dict(cls, doc: Mapping, include_builtins: bool = True) -> "FragmentSignature":
-        specs = doc.get("connectives")
+        specs = doc.get("connectives") if isinstance(doc, Mapping) else None
         if not isinstance(specs, Mapping):
             raise ConnectiveError('signature document needs a "connectives" object')
         conns = {name: parse_connective(spec, name=name) for name, spec in specs.items()}

@@ -1,12 +1,21 @@
 """Parsing, evaluation, translation and enumeration of formulas.
 
 First-order formulas are evaluated Tarskian-style with quantifiers ranging
-over the model domain.  Fragment formulas are evaluated directly over
-guard paths, computing the truth set of every subformula bottom-up; the
-first-order route through the standard translation is the reference the
-direct route is tested against.  The enumeration engine generates all
-fragment formulas up to a nesting depth, deduplicated either syntactically
-or by their joint truth vector on a model pair.
+over the model domain.  Fragment formulas are evaluated bit-parallel: each
+connective is compiled once into an evaluator on whole truth vectors (its
+Boolean core as an OR over literal patterns of the argument vectors, its
+guard blocks through the models' guard-chain source rows), and the truth
+set of every subformula is computed bottom-up.  The first-order route
+through the standard translation is the reference the direct route is
+tested against.
+
+The enumeration engine generates all fragment formulas up to a nesting
+depth, deduplicated either syntactically or by their truth vector on a
+model pair.  The two models of the pair share one joint vector (the first
+model's elements in the low bits), so each candidate is evaluated once.
+Layer l applies each connective only to the argument lists that use a
+class of layer l-1, in ``itertools.product`` order, so the classes of
+depth <= d are a prefix of every deeper enumeration.
 """
 
 from __future__ import annotations
@@ -14,7 +23,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .bitrows import union
 from .connective import FragmentSignature, GuardedConnective, std_translation
@@ -311,10 +320,77 @@ def parse_fragment(text: str, sig: FragmentSignature) -> FragmentFormula:
     return _FragParser(text, sig).parse()
 
 
-# -- fragment evaluation over guard paths ---------------------------------------------
+# -- the joint bit-parallel evaluator ---------------------------------------------------
+
+class _Joint:
+    """Models laid side by side in one bit vector: the first model's elements
+    take bits 0..n1-1, the next model's the following bits, and so on.
+    Guard edges never cross models, so one source row per element, with the
+    later models' rows shifted past the earlier ones, serves them all."""
+
+    def __init__(self, models: Sequence[Model]):
+        self.models = tuple(models)
+        self.full = (1 << sum(len(m) for m in self.models)) - 1
+        self._sources: dict[tuple[str, ...], list[int]] = {}
+
+    def atom(self, pred: str) -> int:
+        vec = shift = 0
+        for m in self.models:
+            vec |= sum(1 << m.index_of(u) for u in m.pred_elements(pred)) << shift
+            shift += len(m)
+        return vec
+
+    def sources(self, guards: tuple[str, ...]) -> list[int]:
+        """Row i: the elements with a guard-path endpoint at element i."""
+        rows = self._sources.get(guards)
+        if rows is None:
+            rows = self._sources[guards] = []
+            shift = 0
+            for m in self.models:
+                rows.extend(row << shift for row in m.chain_rows(guards)[1])
+                shift += len(m)
+        return rows
+
+    def connective(self, mu: GuardedConnective) -> Callable[[Sequence[int]], int]:
+        """Compile ``mu`` into a function from the argument truth vectors to
+        the truth vector of the application.
+
+        The core is the OR, over its true rows (or its false rows, then
+        complemented, when those are fewer), of the AND of each argument
+        vector or its complement.  The blocks then act innermost first:
+        ``union(sources, S)`` holds the elements with a guard-path endpoint
+        in S.
+        """
+        full = self.full
+        core = mu.core
+        rows = [r for r in range(core.size) if core.value_at(r)]
+        negate = 2 * len(rows) > core.size
+        if negate:
+            rows = [r for r in range(core.size) if not core.value_at(r)]
+        # Row r sets argument i (p1 first) iff bit arity-1-i of r is set.
+        patterns = [[(r >> (mu.arity - 1 - i)) & 1 for i in range(mu.arity)] for r in rows]
+        blocks = [(b.quantifier == "forall", self.sources(b.guards)) for b in reversed(mu.blocks)]
+
+        def apply(args: Sequence[int]) -> int:
+            vec = 0
+            for pattern in patterns:
+                term = full
+                for v, positive in zip(args, pattern):
+                    term &= v if positive else ~v
+                vec |= term
+            if negate:
+                vec ^= full
+            for forall, sources in blocks:
+                vec = full & ~union(sources, full & ~vec) if forall else union(sources, vec)
+            return vec
+
+        return apply
+
 
 def fragment_truth_set(m: Model, f: FragmentFormula, sig: FragmentSignature) -> frozenset[str]:
     """The set of elements satisfying ``f``, memoized over the subformula DAG."""
+    joint = _Joint((m,))
+    compiled: dict[str, Callable[[Sequence[int]], int]] = {}
     memo: dict[FragmentFormula, int] = {}
 
     def walk(node: FragmentFormula) -> int:
@@ -322,14 +398,17 @@ def fragment_truth_set(m: Model, f: FragmentFormula, sig: FragmentSignature) -> 
         if got is not None:
             return got
         if isinstance(node, Atom):
-            out = _pred_vector(m, node.pred)
+            out = joint.atom(node.pred)
         else:
             mu = sig.get(node.name)
             if mu.arity != len(node.args):
                 raise FormulaError(
                     f"connective {node.name!r} has arity {mu.arity}, got {len(node.args)}"
                 )
-            out = _mask_connective(m, mu, [walk(a) for a in node.args])
+            apply = compiled.get(node.name)
+            if apply is None:
+                apply = compiled[node.name] = joint.connective(mu)
+            out = apply([walk(a) for a in node.args])
         memo[node] = out
         return out
 
@@ -363,26 +442,21 @@ class SemanticClass:
     vec2: int
 
 
-def _pred_vector(m: Model, pred: str) -> int:
-    return sum(1 << m.index_of(u) for u in m.pred_elements(pred))
-
-
-def _mask_connective(m: Model, mu: GuardedConnective, child_vecs: Sequence[int]) -> int:
-    """Truth vector of one application from child truth vectors (bit per element)."""
-    n = len(m.domain)
-    vec = 0
-    for i in range(n):
-        if mu.core.evaluate(bool((cv >> i) & 1) for cv in child_vecs):
-            vec |= 1 << i
-    full = (1 << n) - 1
-    for block in reversed(mu.blocks):
-        # union(sources, S): the elements with a guard-path endpoint in S
-        sources = m.chain_rows(block.guards)[1]
-        if block.quantifier == "forall":
-            vec = full & ~union(sources, full & ~vec)
+def _layer_args(arity: int, start: int, count: int) -> Iterator[tuple[int, ...]]:
+    """The argument index tuples of one layer, in ``itertools.product(range(count),
+    repeat=arity)`` order: those that use at least one index >= start, i.e. a
+    class of the previous layer."""
+    if arity == 1:
+        for i in range(start, count):
+            yield (i,)
+        return
+    for i in range(count):
+        if i >= start:
+            tails = itertools.product(range(count), repeat=arity - 1)
         else:
-            vec = union(sources, vec)
-    return vec
+            tails = _layer_args(arity - 1, start, count)
+        for tail in tails:
+            yield (i, *tail)
 
 
 def semantic_classes(
@@ -396,57 +470,57 @@ def semantic_classes(
     """All truth-vector classes of fragment formulas of nesting depth <= depth
     on the pair (m1, m2), each with its first witnessing formula.
 
-    Generation is layered and deterministic; a layer that adds no new
-    vector closes the enumeration early, because vectors compose through
-    connectives.  Raises BudgetExceeded past the candidate budget.
+    Each candidate is evaluated once over the joint vector of both models.
+    Generation is layered and deterministic: layer l applies every connective
+    to the argument lists that use a class of layer l-1, so the classes come
+    out ordered by depth and those of depth <= d are exactly the classes of
+    the depth-d enumeration.  A layer that adds no new vector closes the
+    enumeration early, because vectors compose through connectives.  Raises
+    BudgetExceeded past the candidate budget.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    seen: dict[tuple[int, int], int] = {}
-    classes: list[SemanticClass] = []
-    layer_of: list[int] = []
-    checked = 0
+    joint = _Joint((m1, m2))
+    formulas: list[FragmentFormula] = []
+    vecs: list[int] = []
+    seen: set[int] = set()
 
-    def admit(formula: FragmentFormula, v1: int, v2: int, layer: int) -> bool:
-        key = (v1, v2)
-        if key in seen:
-            return False
-        seen[key] = len(classes)
-        classes.append(SemanticClass(formula, v1, v2))
-        layer_of.append(layer)
-        return True
+    def admit(formula: FragmentFormula, vec: int) -> None:
+        if vec not in seen:
+            seen.add(vec)
+            vecs.append(vec)
+            formulas.append(formula)
 
     for p in preds:
-        admit(Atom(p), _pred_vector(m1, p), _pred_vector(m2, p), 0)
+        admit(Atom(p), joint.atom(p))
+    connectives = []
     for name in sig.names():
         mu = sig.get(name)
         if mu.arity == 0:
-            v1 = _mask_connective(m1, mu, [])
-            v2 = _mask_connective(m2, mu, [])
-            admit(Apply(name, ()), v1, v2, 0)
+            admit(Apply(name, ()), joint.connective(mu)(()))
+        else:
+            connectives.append((name, mu.arity, joint.connective(mu)))
 
-    for layer in range(1, depth + 1):
-        start = len(classes)
-        prev_count = start
-        grew = False
-        for name in sig.names():
-            mu = sig.get(name)
-            if mu.arity == 0:
-                continue
-            for combo in itertools.product(range(prev_count), repeat=mu.arity):
-                if max(layer_of[i] for i in combo) != layer - 1:
-                    continue
+    checked = 0
+    start = 0
+    for _layer in range(depth):
+        count = len(vecs)
+        for name, arity, apply in connectives:
+            for args in _layer_args(arity, start, count):
                 if budget is not None and checked >= budget:
                     raise BudgetExceeded(checked)
                 checked += 1
-                kids = [classes[i] for i in combo]
-                v1 = _mask_connective(m1, mu, [k.vec1 for k in kids])
-                v2 = _mask_connective(m2, mu, [k.vec2 for k in kids])
-                if admit(Apply(name, tuple(k.formula for k in kids)), v1, v2, layer):
-                    grew = True
-        if not grew:
+                vec = apply([vecs[i] for i in args])
+                if vec not in seen:
+                    seen.add(vec)
+                    vecs.append(vec)
+                    formulas.append(Apply(name, tuple(formulas[i] for i in args)))
+        if len(vecs) == count:
             break
-    return classes
+        start = count
+    n1 = len(m1)
+    low = (1 << n1) - 1
+    return [SemanticClass(f, v & low, v >> n1) for f, v in zip(formulas, vecs)]
 
 
 def enumerate_fragment(
@@ -468,38 +542,22 @@ def enumerate_fragment(
 
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    seen: set[FragmentFormula] = set()
-    out: list[FragmentFormula] = []
-    layer_of: dict[FragmentFormula, int] = {}
+    out: list[FragmentFormula] = list(dict.fromkeys(Atom(p) for p in preds))
+    out += [Apply(name, ()) for name in sig.names() if sig.get(name).arity == 0]
+    connectives = [(name, sig.get(name).arity) for name in sig.names() if sig.get(name).arity]
     checked = 0
-
-    def admit(f: FragmentFormula, layer: int) -> bool:
-        if f in seen:
-            return False
-        seen.add(f)
-        out.append(f)
-        layer_of[f] = layer
-        return True
-
-    for p in preds:
-        admit(Atom(p), 0)
-    for name in sig.names():
-        if sig.get(name).arity == 0:
-            admit(Apply(name, ()), 0)
-
-    for layer in range(1, depth + 1):
-        prev = list(out)
-        for name in sig.names():
-            mu = sig.get(name)
-            if mu.arity == 0:
-                continue
-            for combo in itertools.product(prev, repeat=mu.arity):
-                if max(layer_of[c] for c in combo) != layer - 1:
-                    continue
+    start = 0
+    for _layer in range(depth):
+        count = len(out)
+        for name, arity in connectives:
+            # Distinct argument lists over distinct formulas give distinct
+            # formulas, so no later layer needs a syntactic check.
+            for args in _layer_args(arity, start, count):
                 if budget is not None and checked >= budget:
                     raise BudgetExceeded(checked)
                 checked += 1
-                admit(Apply(name, tuple(combo)), layer)
+                out.append(Apply(name, tuple(out[i] for i in args)))
+        start = count
     return out
 
 

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -171,6 +173,15 @@ class TestCheck:
         assert f"input error: {where}: expected" in err
 
 
+@pytest.mark.parametrize("doc", [{"connectives": {"box": 5}}, {"connectives": {"box": ["forall[R1]{ p1 }"]}}, [1]])
+def test_malformed_signature_exits_2(capsys, tmp_path, doc):
+    sig = tmp_path / "sig.json"
+    sig.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "classify-connective", "--fragment", str(sig), "--name", "box")
+    assert code == 2 and out == ""
+    assert err.startswith("input error: ")
+
+
 class TestLargest:
     def test_distinguishable_points_not_related(self, capsys):
         code, out, _ = run(
@@ -285,6 +296,24 @@ class TestExperiment:
         assert all("budget_exhausted" in rec for rec in lines)
         assert code == 1
 
+    @pytest.mark.parametrize("setting,value", [
+        ("trials", "3"), ("depth", "3"), ("size_max", 2.5), ("seed", "1"), ("seed", True),
+        ("edge_prob", "0.3"), ("budget", "5"), ("relations", "R1"), ("predicates", ["P1", 2]),
+        ("fragment", 5),
+    ])
+    def test_config_value_of_wrong_type_exits_2(self, capsys, tmp_path, setting, value):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"fragment": data("sig_modal.json"), "trials": 1, setting: value}))
+        code, out, err = run(capsys, "experiment", "--config", str(config))
+        assert code == 2 and out == ""
+        assert f"input error: experiment setting {setting!r} must be" in err
+
+    def test_config_not_an_object_exits_2(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text("[1, 2]")
+        code, _, err = run(capsys, "experiment", "--config", str(config))
+        assert code == 2 and "input error: experiment config: expected an object" in err
+
     def test_allow_nonstandard_runs_degree2_experiments(self, capsys, tmp_path):
         sig = tmp_path / "sig.json"
         sig.write_text(json.dumps({
@@ -315,3 +344,14 @@ def test_largest_is_deterministic(capsys):
     code2 = main(argv)
     out2 = capsys.readouterr().out
     assert code1 == code2 and out1 == out2
+
+
+def test_runs_as_python_module():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "guardasim", "--json", "classify-bool", "--expr", "p1 & p2"]
+    done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0
+    assert json.loads(done.stdout)["is_monotone"]
+    bad = subprocess.run(argv[:-1] + ["p1 &"], capture_output=True, text=True, env=env, timeout=60)
+    assert bad.returncode == 2 and "input error" in bad.stderr
