@@ -13,7 +13,10 @@ computed by enumeration.
 Frozenset ``CrossRelation``s are the API edge only: inside, a relation is one
 bit row per carrier element, each back/forth check is compiled once per
 connective into row algebra serving the solver, ``max_inner_target`` and the
-verifier, and witness paths are built only for violation reports.
+verifier, and witness paths are built only for violation reports.  The
+verifier turns its relation into rows and inverse rows once per call and every
+connective's check reads those; atom transfer is row algebra too, the pairs
+outside the atom-preserving rows.
 """
 
 from __future__ import annotations
@@ -95,15 +98,16 @@ def relation_from_doc(doc: object, m1: Model, m2: Model) -> CrossRelation:
             raise RelationError(f"{key}: expected a list of pairs")
         pairs = set()
         for i, entry in enumerate(entries):
-            if not (isinstance(entry, (list, tuple)) and len(entry) == 2
-                    and all(isinstance(el, str) for el in entry)):
-                raise RelationError(f"{key}[{i}]: expected a pair of element names")
-            x, y = pair = tuple(entry)
-            if x not in first:
-                raise RelationError(f"{key}[{i}]: unknown element {x!r}")
-            if y not in second:
-                raise RelationError(f"{key}[{i}]: unknown element {y!r}")
-            pairs.add(pair)
+            if isinstance(entry, (list, tuple)) and len(entry) == 2:
+                x, y = pair = tuple(entry)
+                if isinstance(x, str) and isinstance(y, str):
+                    if x not in first:
+                        raise RelationError(f"{key}[{i}]: unknown element {x!r}")
+                    if y not in second:
+                        raise RelationError(f"{key}[{i}]: unknown element {y!r}")
+                    pairs.add(pair)
+                    continue
+            raise RelationError(f"{key}[{i}]: expected a pair of element names")
         sides[key] = frozenset(pairs)
     return CrossRelation(fwd=sides[FWD], bwd=sides[BWD])
 
@@ -144,8 +148,9 @@ def _rows(a: CrossRelation, m1: Model, m2: Model) -> dict[str, list[int]]:
     out = {}
     for d, mx, my in _directions(m1, m2):
         rows = out[d] = [0] * len(mx)
+        ix, iy = mx.index_of, my.index_of
         for x, y in a.pairs(d):
-            rows[mx.index_of(x)] |= 1 << my.index_of(y)
+            rows[ix(x)] |= 1 << iy(y)
     return out
 
 
@@ -169,18 +174,39 @@ def _full(m1: Model, m2: Model) -> dict[str, list[int]]:
     return {d: [(1 << len(my)) - 1] * len(mx) for d, mx, my in _directions(m1, m2)}
 
 
+def _first_pair(rows: list[int], mx: Model, my: Model) -> tuple[int, int] | None:
+    """The indices of the pair of ``rows`` that comes first in sorted name order."""
+    if not any(rows):
+        return None
+    i = min((i for i, row in enumerate(rows) if row), key=mx.domain.__getitem__)
+    return i, min(bits(rows[i]), key=my.domain.__getitem__)
+
+
 def _atom_rows(m1: Model, m2: Model, theta_preds: Sequence[str]) -> dict[str, list[int]]:
     out = {}
     for d, mx, my in _directions(m1, m2):
-        holders = {p: sum(1 << j for j, y in enumerate(my.domain) if my.has_pred(p, y)) for p in theta_preds}
-        rows = out[d] = []
-        for x in mx.domain:
-            row = (1 << len(my)) - 1
-            for p in theta_preds:
-                if mx.has_pred(p, x):
-                    row &= holders[p]
-            rows.append(row)
+        rows = out[d] = [(1 << len(my)) - 1] * len(mx)
+        for p in theta_preds:
+            holders = my.pred_row(p)
+            for i in bits(mx.pred_row(p)):
+                rows[i] &= holders
     return out
+
+
+def _atom_violations(theta_preds: Sequence[str], rows, m1: Model, m2: Model) -> list[ViolationReport]:
+    """The pairs of ``rows`` outside the atom-preserving rows, sorted by pair
+    within each direction, each with its first untransferred predicate."""
+    reports = []
+    preds = sorted(theta_preds)
+    allowed = _atom_rows(m1, m2, preds)
+    for d, mx, my in _directions(m1, m2):
+        failing = [row & ~ok for row, ok in zip(rows[d], allowed[d])]
+        for i in sorted((i for i, row in enumerate(failing) if row), key=mx.domain.__getitem__):
+            x = mx.domain[i]
+            for y in sorted(my.domain[j] for j in bits(failing[i])):
+                p = next(p for p in preds if mx.has_pred(p, x) and not my.has_pred(p, y))
+                reports.append(ViolationReport("", "atom", (x, y), d, (), f"{p} not transferred"))
+    return reports
 
 
 def atom_preserving(m1: Model, m2: Model, theta_preds: Sequence[str]) -> CrossRelation:
@@ -295,11 +321,10 @@ class _Condition:
         unmatched endpoint in sorted order and its witness path."""
         ok = self.passing(cand, witnesses, m1, m2)
         for d, mx, my in _directions(m1, m2):
-            failing = [c & ~o for c, o in zip(cand[d], ok[d])]
-            if not any(failing):
+            first = _first_pair([c & ~o for c, o in zip(cand[d], ok[d])], mx, my)
+            if first is None:
                 continue
-            i = min((i for i, row in enumerate(failing) if row), key=mx.domain.__getitem__)
-            j = min(bits(failing[i]), key=my.domain.__getitem__)
+            i, j = first
             x_ends, y_ends = mx.chain_rows(self.guards)[0][i], my.chain_rows(self.guards)[0][j]
             ws = [w[d] for w in witnesses]
             if self.back:
@@ -378,14 +403,35 @@ def max_inner_target(
     return _relation(cond.passing(_full(m1, m2), witnesses, m1, m2), m1, m2)
 
 
-def _degree0_violation(mu: GuardedConnective, a: CrossRelation) -> ViolationReport | None:
+def _degree0_violation(mu: GuardedConnective, rows, inv, m1: Model, m2: Model) -> ViolationReport | None:
     """Anti-monotone and rest degree-0 cores force the relation to equal its
     inverse; returns a witness asymmetric pair if not."""
-    inv = a.inverse()
-    for d in (FWD, BWD):
-        for pair in sorted(a.pairs(d) - inv.pairs(d)):
+    for d, mx, my in _directions(m1, m2):
+        first = _first_pair([r & ~s for r, s in zip(rows[d], inv[d])], mx, my)
+        if first is not None:
+            pair = (mx.domain[first[0]], my.domain[first[1]])
             return ViolationReport(mu.name, "degree0", pair, d, (), "pair lacks its mirror")
     return None
+
+
+def _violation(mu: GuardedConnective, rows, inv, m1: Model, m2: Model, strict: bool) -> ViolationReport | None:
+    """The first violation of the condition ``mu`` imposes on the relation
+    with the given rows and inverse rows, or None."""
+    cls = classify_connective(mu)
+    if mu.degree > 2:
+        raise NonStandardFragmentError(f"{mu.name}: degree {mu.degree} is not supported")
+    if strict and not cls.is_standard:
+        raise NonStandardFragmentError(f"{mu.name}: not a standard connective")
+
+    if mu.degree == 0:
+        cc = cls.core_class
+        if cc.is_constant or cc.is_monotone:
+            return None
+        return _degree0_violation(mu, rows, inv, m1, m2)
+
+    cond = _compile(mu, cls)
+    got = cond.violation(rows, cond.witnesses(rows, inv, m1, m2), m1, m2)
+    return None if got is None else replace(got, connective=mu.name)
 
 
 def connective_condition(
@@ -398,23 +444,9 @@ def connective_condition(
     connective is constrained pointwise, so the largest candidates decide
     membership.  Returns True or the first ViolationReport.
     """
-    cls = classify_connective(mu)
-    if mu.degree > 2:
-        raise NonStandardFragmentError(f"{mu.name}: degree {mu.degree} is not supported")
-    if strict and not cls.is_standard:
-        raise NonStandardFragmentError(f"{mu.name}: not a standard connective")
-
-    if mu.degree == 0:
-        cc = cls.core_class
-        if cc.is_constant or cc.is_monotone:
-            return True
-        got = _degree0_violation(mu, a)
-        return True if got is None else got
-
-    cond = _compile(mu, cls)
     rows = _rows(a, m1, m2)
-    got = cond.violation(rows, cond.witnesses(rows, _inverse(rows, m1, m2), m1, m2), m1, m2)
-    return True if got is None else replace(got, connective=mu.name)
+    got = _violation(mu, rows, _inverse(rows, m1, m2), m1, m2, strict)
+    return True if got is None else got
 
 
 def is_asimulation(
@@ -428,7 +460,8 @@ def is_asimulation(
     """All violations keeping ``a`` from being an asimulation; empty means ok.
 
     Emptiness of the relation is itself a violation, atom transfer is
-    checked pairwise, and every connective contributes its condition.
+    checked pairwise, and every connective contributes its condition.  The
+    relation becomes rows and inverse rows once, shared by every check.
     """
     if strict:
         problems = validate_standard_fragment(sig)
@@ -436,18 +469,12 @@ def is_asimulation(
             raise NonStandardFragmentError("; ".join(problems))
     if a.is_empty:
         return [ViolationReport("", "empty", None, "", (), "the empty relation is not an asimulation")]
-    reports = []
-    for d, mx, my in _directions(m1, m2):
-        for x, y in sorted(a.pairs(d)):
-            for p in sorted(theta_preds):
-                if mx.has_pred(p, x) and not my.has_pred(p, y):
-                    reports.append(
-                        ViolationReport("", "atom", (x, y), d, (), f"{p} not transferred")
-                    )
-                    break
+    rows = _rows(a, m1, m2)
+    inv = _inverse(rows, m1, m2)
+    reports = _atom_violations(theta_preds, rows, m1, m2)
     for mu in sig:
-        got = connective_condition(mu, a, m1, m2, strict=strict)
-        if got is not True:
+        got = _violation(mu, rows, inv, m1, m2, strict)
+        if got is not None:
             reports.append(got)
     return reports
 

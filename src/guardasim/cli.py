@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import bisect
+import functools
 import json
 import sys
 
@@ -45,6 +46,12 @@ def _theta(*models: model.Model) -> list[str]:
     for m in models:
         preds |= set(m.predicates)
     return sorted(preds)
+
+
+def _require(value, message: str) -> None:
+    """A missing flag is malformed input."""
+    if value is None:
+        raise ValueError(message)
 
 
 def _require_standard(sig: connective.FragmentSignature) -> None:
@@ -111,6 +118,7 @@ def cmd_classify_connective(args) -> int:
     if args.spec:
         mu = connective.parse_connective(args.spec, name=args.name or "mu")
     else:
+        _require(args.fragment, "classify-connective needs --spec or --fragment")
         sig = _load_sig(args.fragment)
         mu = sig.get(args.name)
     cls = connective.classify_connective(mu)
@@ -145,10 +153,12 @@ def cmd_translate(args) -> int:
 def cmd_eval(args) -> int:
     m = model.load_file(args.model)
     if args.formula:
+        _require(args.fragment, "eval --formula needs --fragment")
         sig = _load_sig(args.fragment)
         frag = formula.parse_fragment(args.formula, sig)
         value = formula.eval_fragment(m, args.world, frag, sig)
     else:
+        _require(args.fo_formula, "eval needs --formula or --fo-formula")
         phi = formula.parse_fo(args.fo_formula)
         fv = sorted(free_vars(phi))
         if len(fv) > 1:
@@ -400,9 +410,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on its first call and reused: parsing
+    leaves no state in it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except NonStandardFragmentError as e:

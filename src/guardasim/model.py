@@ -38,10 +38,10 @@ class Model:
     ):
         if not domain:
             raise ModelError("domain: must be non-empty")
-        if len(set(domain)) != len(domain):
-            raise ModelError("domain: duplicate element names")
         self.domain: tuple[str, ...] = tuple(domain)
-        members = set(self.domain)
+        self._index = members = {el: i for i, el in enumerate(self.domain)}
+        if len(members) != len(self.domain):
+            raise ModelError("domain: duplicate element names")
 
         rels: dict[str, frozenset[tuple[str, str]]] = {}
         for name, pairs in (relations or {}).items():
@@ -51,13 +51,16 @@ class Model:
                 raise ModelError(f"relations.{name}: expected a list of pairs")
             pair_set = set()
             for i, pair in enumerate(pairs):
-                if not (isinstance(pair, (list, tuple)) and len(pair) == 2
-                        and all(isinstance(el, str) for el in pair)):
-                    raise ModelError(f"relations.{name}[{i}]: expected a pair of element names")
-                for el in pair:
-                    if el not in members:
-                        raise ModelError(f"relations.{name}[{i}]: unknown element {el!r}")
-                pair_set.add(tuple(pair))
+                if isinstance(pair, (list, tuple)) and len(pair) == 2:
+                    a, b = pair = tuple(pair)
+                    if isinstance(a, str) and isinstance(b, str):
+                        if a not in members:
+                            raise ModelError(f"relations.{name}[{i}]: unknown element {a!r}")
+                        if b not in members:
+                            raise ModelError(f"relations.{name}[{i}]: unknown element {b!r}")
+                        pair_set.add(pair)
+                        continue
+                raise ModelError(f"relations.{name}[{i}]: expected a pair of element names")
             rels[name] = frozenset(pair_set)
         self.relations: dict[str, frozenset[tuple[str, str]]] = rels
 
@@ -77,7 +80,6 @@ class Model:
             preds[name] = frozenset(elem_set)
         self.predicates: dict[str, frozenset[str]] = preds
 
-        self._index = {el: i for i, el in enumerate(self.domain)}
         self._chains: dict[tuple[str, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
 
     def __len__(self) -> int:
@@ -102,6 +104,10 @@ class Model:
 
     def pred_elements(self, name: str) -> frozenset[str]:
         return self.predicates.get(name, frozenset())
+
+    def pred_row(self, name: str) -> int:
+        """The elements holding the predicate, as a bit row over element indices."""
+        return sum(1 << self._index[el] for el in self.predicates.get(name, ()))
 
     def chain_rows(self, guards: Sequence[str]) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The guard chain as bit rows over element indices: ``ends[i]`` holds

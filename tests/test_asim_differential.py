@@ -1,7 +1,8 @@
 """The bit-row asimulation kernel against the original set-based checks and
 solver, kept in reference_asim.py, on seeded random model pairs of 1-12
 elements: equal largest asimulations, inner targets, pair-check verdicts and
-violation reports."""
+violation reports, atom reports included; and the loaders' exact error
+messages for malformed pairs and lists."""
 
 import random
 
@@ -10,7 +11,7 @@ import pytest
 from guardasim import asim
 from guardasim.asim import CrossRelation, NonStandardFragmentError
 from guardasim.connective import FragmentSignature, ancestor
-from guardasim.model import random_model
+from guardasim.model import Model, ModelError, load, random_model
 
 import reference_asim as ref
 from helpers import ALL_SIGS, theta_of
@@ -158,3 +159,83 @@ def test_pair_checks_match_reference(check):
         target = random_relation(rng, m1, m2, rng.random())
         got = getattr(asim, check)(outer, target, guards, m1, m2)
         assert got == getattr(ref, check)(outer, target, guards, m1, m2)
+
+
+# Element names whose sorted order differs from their index order.
+SHUFFLED_NAMES = (["b", "a10", "a2", "c"], ["a2", "b", "a10"])
+
+
+def atom_model_pairs(seed, count):
+    """Pairs over SHUFFLED_NAMES where P1-P3 hold densely in the first model
+    and sparsely in the second (P3 only in the first), so many pairs fail
+    several predicates at once."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        models = []
+        for names, preds, density in ((SHUFFLED_NAMES[0], ["P1", "P2", "P3"], 0.8),
+                                      (SHUFFLED_NAMES[1], ["P1", "P2"], 0.3)):
+            rels = {r: [(x, y) for x in names for y in names if rng.random() < 0.3] for r in RELATIONS}
+            holders = {p: [x for x in names if rng.random() < density] for p in preds}
+            models.append(Model(names, rels, holders))
+        yield rng, models[0], models[1]
+
+
+# P3 is only in the first model and P9 in neither; the lists are unsorted.
+THETAS = (["P3", "P1", "P2"], ["P9", "P2", "P1"], ["P2", "P3", "P9", "P1"])
+
+
+def test_atom_reports_match_reference():
+    several = 0
+    for rng, m1, m2 in atom_model_pairs(17, 30):
+        theta = rng.choice(THETAS)
+        for name, sig in STANDARD.items():
+            for a in (random_relation(rng, m1, m2, 0.6), full_relation_of(m1, m2)):
+                got = asim.is_asimulation(sig, theta, m1, m2, a, strict=False)
+                assert got == ref.is_asimulation(sig, theta, m1, m2, a, strict=False), (name, a.to_doc())
+        for d, mx, my in ((asim.FWD, m1, m2), (asim.BWD, m2, m1)):
+            for x in mx.domain:
+                for y in my.domain:
+                    several += sum(mx.has_pred(p, x) and not my.has_pred(p, y) for p in theta) >= 2
+    assert several >= 100  # guards against vacuity: many pairs fail several predicates
+
+
+def full_relation_of(m1, m2):
+    return CrossRelation(
+        fwd=frozenset((x, y) for x in m1.domain for y in m2.domain),
+        bwd=frozenset((y, x) for y in m2.domain for x in m1.domain),
+    )
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({"relations": {"R1": ["ab"]}}, "relations.R1[0]: expected a pair of element names"),
+    ({"relations": {"R1": [5]}}, "relations.R1[0]: expected a pair of element names"),
+    ({"relations": {"R1": [["a", "b", "a"]]}}, "relations.R1[0]: expected a pair of element names"),
+    ({"relations": {"R1": 5}}, "relations.R1: expected a list of pairs"),
+    ({"relations": {"R1": "ab"}}, "relations.R1: expected a list of pairs"),
+    ({"relations": {"R1": [["a", "b"], ["a", "ghost"]]}}, "relations.R1[1]: unknown element 'ghost'"),
+    ({"relations": {"R1": [["ghost", 5]]}}, "relations.R1[0]: expected a pair of element names"),
+    ({"predicates": {"P1": "ab"}}, "predicates.P1: expected a list of element names"),
+    ({"predicates": {"P1": [["a"]]}}, "predicates.P1[0]: expected an element name"),
+    ({"predicates": {"P1": 5}}, "predicates.P1: expected a list of element names"),
+    ({"predicates": {"P1": ["a", "ghost"]}}, "predicates.P1[1]: unknown element 'ghost'"),
+])
+def test_model_error_messages(doc, message):
+    with pytest.raises(ModelError) as caught:
+        load({"domain": ["a", "b"], **doc})
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("doc,message", [
+    *[({"fwd": fwd, "bwd": []}, "fwd[0]: expected a pair of element names")
+      for fwd in (["ab"], [5], [["a"]], [["a", "b", "a2"]], [["a", 5]], [{"a": "b"}])],
+    ({"fwd": [], "bwd": [["b", "a"], ("b", "zz")]}, "bwd[1]: unknown element 'zz'"),
+    ({"fwd": [["zz", "b"]]}, "fwd[0]: unknown element 'zz'"),
+    ({"fwd": [["a", "zz"]]}, "fwd[0]: unknown element 'zz'"),
+    ({"fwd": "ab"}, "fwd: expected a list of pairs"),
+    ([["a", "b"]], "document: expected an object"),
+])
+def test_relation_error_messages(doc, message):
+    m1, m2 = Model(["a", "a2"], {"R1": [("a", "a2")]}, {"P1": ["a2"]}), Model(["b"])
+    with pytest.raises(asim.RelationError) as caught:
+        asim.relation_from_doc(doc, m1, m2)
+    assert str(caught.value) == message

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from guardasim import cli
 from guardasim.cli import main
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -66,6 +67,11 @@ class TestClassifyConnective:
         assert code == 0
         assert json.loads(out)["is_modality"]
 
+    def test_neither_spec_nor_fragment_exits_2(self, capsys):
+        code, out, err = run(capsys, "classify-connective", "--name", "box")
+        assert code == 2 and out == ""
+        assert "input error: classify-connective needs --spec or --fragment" in err
+
 
 class TestTranslate:
     def test_modal_box(self, capsys):
@@ -98,6 +104,15 @@ class TestEval:
             "--fo-formula", "forall y (R1(x,y) -> F)",
         )
         assert code == 0 and json.loads(out)["value"] is True
+
+    @pytest.mark.parametrize("flags,missing", [
+        (["--formula", "P1"], "eval --formula needs --fragment"),
+        ([], "eval needs --formula or --fo-formula"),
+    ])
+    def test_missing_formula_flag_exits_2(self, capsys, flags, missing):
+        code, out, err = run(capsys, "eval", "--model", data("m_chain.json"), "--world", "a", *flags)
+        assert code == 2 and out == ""
+        assert f"input error: {missing}" in err
 
 
 class TestCheck:
@@ -344,6 +359,33 @@ def test_largest_is_deterministic(capsys):
     code2 = main(argv)
     out2 = capsys.readouterr().out
     assert code1 == code2 and out1 == out2
+
+
+def test_reused_parser_carries_no_state(capsys, tmp_path):
+    # main parses with one parser per process; each call must behave as on a
+    # freshly built parser, whichever flags the previous call set.
+    relation = tmp_path / "rel.json"
+    relation.write_text(json.dumps({"fwd": [["a", "b"]], "bwd": []}))
+    check = ["check", "--fragment", data("sig_intuitionistic.json"),
+             "--m1", data("m_chain.json"), "--m2", data("m_single.json")]
+    largest = ["largest", "--fragment", data("sig_modal.json"),
+               "--m1", data("m_chain.json"), "--m2", data("m_single.json")]
+    argvs = [
+        ["--json", *check, "--relation", data("rel_empty.json")],
+        [*check, "--relation", str(relation)],
+        [*largest, "--point1", "a", "--point2", "b"],
+        largest,
+        ["experiment", "--fragment", data("sig_modal.json"), "--seed", "7", "--trials", "2",
+         "--size-min", "2", "--size-max", "3", "--depth", "2", "--budget", "900"],
+        ["experiment", "--fragment", data("sig_modal.json")],
+    ]
+    reused = [run(capsys, *argv)[:2] for argv in argvs]
+    assert cli._parser() is cli._parser()
+    for argv, got in zip(argvs, reused):
+        cli._parser.cache_clear()
+        assert run(capsys, *argv)[:2] == got, argv
+        assert vars(cli._parser().parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
+    assert [code for code, _ in reused] == [1, 0, 1, 1, 0, 0]
 
 
 def test_runs_as_python_module():
