@@ -223,7 +223,10 @@ def cmd_distinguish(args) -> int:
     m2 = model.load_file(args.m2)
     pm1 = model.PointedModel(m1, args.point1)
     pm2 = model.PointedModel(m2, args.point2)
-    found = formula.distinguishing_formula(sig, pm1, pm2, args.depth, budget=args.budget)
+    try:
+        found = formula.distinguishing_formula(sig, pm1, pm2, args.depth, budget=args.budget)
+    except BudgetExceeded as e:
+        raise ValueError(f"--budget {args.budget} exhausted after {e.checked} candidates") from None
     if found is None:
         _emit(args, {"formula": None}, f"none within depth {args.depth}")
         return NEGATIVE

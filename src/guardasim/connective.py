@@ -146,7 +146,13 @@ def _weakly_q_special(cc: BoolClass, quantifier: str) -> bool:
     return cc.weakly_forall_special if quantifier == "forall" else cc.weakly_exists_special
 
 
+# Classes by connective, each computed once per process (equality ignores names).
+_CLASSES: dict[GuardedConnective, ConnectiveClass] = {}
+
+
 def classify_connective(mu: GuardedConnective) -> ConnectiveClass:
+    if mu in _CLASSES:
+        return _CLASSES[mu]
     cc = classify(mu.core)
     d = mu.degree
     prefix = "".join("A" if b.quantifier == "forall" else "E" for b in mu.blocks)
@@ -160,7 +166,7 @@ def classify_connective(mu: GuardedConnective) -> ConnectiveClass:
         and _weakly_q_special(cc, mu.blocks[-1].quantifier)
     )
     flat = d <= 1
-    return ConnectiveClass(
+    got = _CLASSES[mu] = ConnectiveClass(
         degree=d,
         nu_prefix=prefix,
         core_class=cc,
@@ -171,6 +177,7 @@ def classify_connective(mu: GuardedConnective) -> ConnectiveClass:
         is_regular=regular,
         is_standard=flat or (d == 2 and regular),
     )
+    return got
 
 
 # -- parsing the connective syntax ------------------------------------------------

@@ -2,28 +2,27 @@
 
 First-order formulas are evaluated Tarskian-style with quantifiers ranging
 over the model domain.  Fragment formulas are evaluated bit-parallel: each
-connective is compiled once into an evaluator on whole truth vectors (its
-Boolean core as an OR over literal patterns of the argument vectors, its
-guard blocks through the models' guard-chain source rows), and the truth
-set of every subformula is computed bottom-up.  The first-order route
-through the standard translation is the reference the direct route is
-tested against.
+connective is compiled once into a kernel on whole truth vectors that folds
+the arguments one at a time into the core's cofactor masks and applies the
+guard blocks through the models' guard-chain source rows, and the truth set
+of every subformula is computed bottom-up.  The first-order route through
+the standard translation is the reference the direct route is tested against.
 
 The enumeration engine generates all fragment formulas up to a nesting
-depth, deduplicated either syntactically or by their truth vector on a
-model pair.  The two models of the pair share one joint vector (the first
-model's elements in the low bits), so each candidate is evaluated once.
-Layer l applies each connective only to the argument lists that use a
-class of layer l-1, in ``itertools.product`` order, so the classes of
-depth <= d are a prefix of every deeper enumeration.
+depth, deduplicated syntactically or by the truth vector on a model pair,
+whose two models share one joint vector (the first one in the low bits).
+Layer l applies each connective to the argument lists that use a class of
+layer l-1, in ``itertools.product`` order, so the classes of depth <= d are
+a prefix of every deeper enumeration.  It runs row by row: a row folds one
+prefix of all but the last argument into two masks, ``on`` and ``off``, and
+each last argument v of the row then costs ``on & v | off & ~v``.
 """
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .bitrows import union
 from .connective import FragmentSignature, GuardedConnective, std_translation
@@ -351,46 +350,47 @@ class _Joint:
                 shift += len(m)
         return rows
 
-    def connective(self, mu: GuardedConnective) -> Callable[[Sequence[int]], int]:
-        """Compile ``mu`` into a function from the argument truth vectors to
-        the truth vector of the application.
 
-        The core is the OR, over its true rows (or its false rows, then
-        complemented, when those are fewer), of the AND of each argument
-        vector or its complement.  The blocks then act innermost first:
-        ``union(sources, S)`` holds the elements with a guard-path endpoint
-        in S.
-        """
-        full = self.full
-        core = mu.core
-        rows = [r for r in range(core.size) if core.value_at(r)]
-        negate = 2 * len(rows) > core.size
-        if negate:
-            rows = [r for r in range(core.size) if not core.value_at(r)]
-        # Row r sets argument i (p1 first) iff bit arity-1-i of r is set.
-        patterns = [[(r >> (mu.arity - 1 - i)) & 1 for i in range(mu.arity)] for r in rows]
-        blocks = [(b.quantifier == "forall", self.sources(b.guards)) for b in reversed(mu.blocks)]
+def _fold(masks: list[int], v: int) -> list[int]:
+    """Fix the first remaining core argument to the truth vector ``v``."""
+    half = len(masks) >> 1
+    return [v & hi | ~v & lo for lo, hi in zip(masks[:half], masks[half:])]
 
-        def apply(args: Sequence[int]) -> int:
-            vec = 0
-            for pattern in patterns:
-                term = full
-                for v, positive in zip(args, pattern):
-                    term &= v if positive else ~v
-                vec |= term
-            if negate:
-                vec ^= full
-            for forall, sources in blocks:
-                vec = full & ~union(sources, full & ~vec) if forall else union(sources, vec)
-            return vec
 
-        return apply
+class _Kernel(dict):
+    """``mu`` compiled over one joint vector.  ``masks`` is the core's cofactor
+    table: entry s holds the elements where the core is true when its other
+    arguments take the values s (big-endian, like its rows).  ``_fold`` fixes
+    one argument and halves it, so after arity-1 arguments it is ``[off, on]``
+    and a last argument v costs ``on & v | off & ~v``.  As a dict the kernel
+    maps a core vector to the vector after the blocks, innermost first
+    (``union(sources, S)`` holds the elements with a guard-path endpoint in
+    S), and computes each entry once."""
+
+    def __init__(self, joint: _Joint, mu: GuardedConnective):
+        self.full = joint.full
+        self.arity = mu.arity
+        self.masks = [self.full if mu.core.value_at(r) else 0 for r in range(mu.core.size)]
+        self.blocks = [(b.quantifier == "forall", joint.sources(b.guards)) for b in reversed(mu.blocks)]
+
+    def __missing__(self, vec: int) -> int:
+        full, core = self.full, vec
+        for forall, sources in self.blocks:
+            vec = full & ~union(sources, full & ~vec) if forall else union(sources, vec)
+        self[core] = vec
+        return vec
+
+    def apply(self, args: Sequence[int]) -> int:
+        masks = self.masks
+        for v in args:
+            masks = _fold(masks, v)
+        return self[masks[0]]
 
 
 def fragment_truth_set(m: Model, f: FragmentFormula, sig: FragmentSignature) -> frozenset[str]:
     """The set of elements satisfying ``f``, memoized over the subformula DAG."""
     joint = _Joint((m,))
-    compiled: dict[str, Callable[[Sequence[int]], int]] = {}
+    kernels = {name: _Kernel(joint, sig.get(name)) for name in sig.names()}
     memo: dict[FragmentFormula, int] = {}
 
     def walk(node: FragmentFormula) -> int:
@@ -405,10 +405,7 @@ def fragment_truth_set(m: Model, f: FragmentFormula, sig: FragmentSignature) -> 
                 raise FormulaError(
                     f"connective {node.name!r} has arity {mu.arity}, got {len(node.args)}"
                 )
-            apply = compiled.get(node.name)
-            if apply is None:
-                apply = compiled[node.name] = joint.connective(mu)
-            out = apply([walk(a) for a in node.args])
+            out = kernels[node.name].apply([walk(a) for a in node.args])
         memo[node] = out
         return out
 
@@ -442,21 +439,24 @@ class SemanticClass:
     vec2: int
 
 
-def _layer_args(arity: int, start: int, count: int) -> Iterator[tuple[int, ...]]:
-    """The argument index tuples of one layer, in ``itertools.product(range(count),
-    repeat=arity)`` order: those that use at least one index >= start, i.e. a
-    class of the previous layer."""
-    if arity == 1:
-        for i in range(start, count):
-            yield (i,)
-        return
-    for i in range(count):
-        if i >= start:
-            tails = itertools.product(range(count), repeat=arity - 1)
-        else:
-            tails = _layer_args(arity - 1, start, count)
-        for tail in tails:
-            yield (i, *tail)
+def _rows(items: Sequence, count: int, start: int, width: int, fold: Callable, state) -> Iterable:
+    """The rows of one layer: each prefix of ``width`` indices into
+    ``items[:count]`` in ``itertools.product`` order, ``state`` folded over its
+    items, and ``lo``: ``start``, or 0 once the prefix uses an index >= start.
+    Candidates (*prefix, i) for i in range(lo, count), row after row, are the
+    product order of the argument lists that use a class of the previous layer."""
+    rows: Iterable = [((), state, start)]
+    for _ in range(width):
+        rows = (((*prefix, i), fold(state, items[i]), 0 if i >= start else lo)
+                for prefix, state, lo in rows for i in range(count))
+    return rows
+
+
+def _charge(checked: int, row: int, budget: int | None) -> int:
+    """Count one row, raising as a check before each candidate would."""
+    if budget is not None and row and checked + row > budget:
+        raise BudgetExceeded(max(checked, budget))
+    return checked + row
 
 
 def semantic_classes(
@@ -470,7 +470,7 @@ def semantic_classes(
     """All truth-vector classes of fragment formulas of nesting depth <= depth
     on the pair (m1, m2), each with its first witnessing formula.
 
-    Each candidate is evaluated once over the joint vector of both models.
+    Candidates are evaluated a row at a time over one joint vector of both models.
     Generation is layered and deterministic: layer l applies every connective
     to the argument lists that use a class of layer l-1, so the classes come
     out ordered by depth and those of depth <= d are exactly the classes of
@@ -493,28 +493,29 @@ def semantic_classes(
 
     for p in preds:
         admit(Atom(p), joint.atom(p))
-    connectives = []
+    kernels = []
     for name in sig.names():
-        mu = sig.get(name)
-        if mu.arity == 0:
-            admit(Apply(name, ()), joint.connective(mu)(()))
+        kernel = _Kernel(joint, sig.get(name))
+        if kernel.arity == 0:
+            admit(Apply(name, ()), kernel.apply(()))
         else:
-            connectives.append((name, mu.arity, joint.connective(mu)))
+            kernels.append((name, kernel))
 
     checked = 0
     start = 0
     for _layer in range(depth):
         count = len(vecs)
-        for name, arity, apply in connectives:
-            for args in _layer_args(arity, start, count):
-                if budget is not None and checked >= budget:
-                    raise BudgetExceeded(checked)
-                checked += 1
-                vec = apply([vecs[i] for i in args])
-                if vec not in seen:
-                    seen.add(vec)
-                    vecs.append(vec)
-                    formulas.append(Apply(name, tuple(formulas[i] for i in args)))
+        for name, kernel in kernels:
+            rows = _rows(vecs, count, start, kernel.arity - 1, _fold, kernel.masks)
+            for prefix, (off, on), lo in rows:
+                checked = _charge(checked, count - lo, budget)
+                out = [kernel[on & v | off & ~v] for v in vecs[lo:count]]
+                if seen.issuperset(out):
+                    continue
+                args = tuple(formulas[i] for i in prefix)
+                for last, vec in zip(formulas[lo:count], out):
+                    if vec not in seen:
+                        admit(Apply(name, (*args, last)), vec)
         if len(vecs) == count:
             break
         start = count
@@ -552,11 +553,10 @@ def enumerate_fragment(
         for name, arity in connectives:
             # Distinct argument lists over distinct formulas give distinct
             # formulas, so no later layer needs a syntactic check.
-            for args in _layer_args(arity, start, count):
-                if budget is not None and checked >= budget:
-                    raise BudgetExceeded(checked)
-                checked += 1
-                out.append(Apply(name, tuple(out[i] for i in args)))
+            rows = _rows(out, count, start, arity - 1, lambda args, f: (*args, f), ())
+            for _prefix, args, lo in rows:
+                checked = _charge(checked, count - lo, budget)
+                out.extend([Apply(name, (*args, last)) for last in out[lo:count]])
         start = count
     return out
 

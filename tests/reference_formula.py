@@ -56,7 +56,10 @@ def semantic_classes(
     m1: Model,
     m2: Model,
     budget: int | None = 1_000_000,
+    layer_checked: list[int] | None = None,
 ) -> list[SemanticClass]:
+    """``layer_checked``, when given, receives the running candidate count at
+    the end of each layer run."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     seen: dict[tuple[int, int], int] = {}
@@ -101,6 +104,8 @@ def semantic_classes(
                 v2 = mask_connective(m2, mu, [k.vec2 for k in kids])
                 if admit(Apply(name, tuple(k.formula for k in kids)), v1, v2, layer):
                     grew = True
+        if layer_checked is not None:
+            layer_checked.append(checked)
         if not grew:
             break
     return classes

@@ -267,6 +267,16 @@ class TestDistinguish:
         )
         assert code == 0 and json.loads(out)["formula"] == "P1"
 
+    @pytest.mark.parametrize("budget, checked", [("3", 3), ("-1", 0)])
+    def test_exhausted_budget_is_input_error(self, capsys, budget, checked):
+        code, out, err = run(
+            capsys, "distinguish", "--fragment", data("sig_modal.json"),
+            "--m1", data("m_chain.json"), "--point1", "a",
+            "--m2", data("m_chain.json"), "--point2", "a", "--budget", budget,
+        )
+        assert code == 2 and out == ""
+        assert f"--budget {budget} exhausted after {checked} candidates" in err
+
 
 class TestExperiment:
     ARGS = (

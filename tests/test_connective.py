@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from guardasim.boolfn import from_expr
+from guardasim.boolfn import classify, from_expr
 from guardasim.connective import (
     ConnectiveError,
     FragmentSignature,
@@ -112,6 +112,16 @@ class TestClassification:
         assert classify_connective(good).is_standard
         bad = parse_connective("exists[R2] forall[R1]{ ~p1 | p2 }", "nope")
         assert not classify_connective(bad).is_standard
+
+    def test_same_name_different_cores_classify_apart(self):
+        # Classes are computed once per connective; the name is not part of
+        # a connective's identity, the blocks and the core are.
+        a = parse_connective("exists[R1]{ p1 }", "mu")
+        b = parse_connective("exists[R1]{ ~p1 | p2 }", "mu")
+        ca, cb = classify_connective(a), classify_connective(b)
+        assert ca != cb
+        assert ca.core_class == classify(a.core) and cb.core_class == classify(b.core)
+        assert classify_connective(parse_connective("exists[R1]{ p1 }", "other")) == ca
 
 
 class TestNormalize:

@@ -1,7 +1,8 @@
-"""The joint bit-parallel enumeration against the per-element one it
+"""The row-wise bit-parallel enumeration against the per-element one it
 replaced, kept in reference_formula.py, on seeded random model pairs of 1-6
 elements: equal (formula, vec1, vec2) lists, equal syntactic lists, equal
-budget exhaustion, and preservation preorders read off the depth-3 prefix."""
+budget exhaustion (also at each layer's boundary), equal distinguishing
+formulas, and preservation preorders read off the depth-3 prefix."""
 
 import random
 
@@ -11,11 +12,12 @@ from guardasim import asim
 from guardasim.connective import FragmentSignature
 from guardasim.formula import (
     BudgetExceeded,
+    distinguishing_formula,
     enumerate_fragment,
     fragment_truth_set,
     semantic_classes,
 )
-from guardasim.model import random_model
+from guardasim.model import PointedModel, random_model
 from guardasim.syntax import fragment_depth
 
 import reference_formula as ref
@@ -42,6 +44,18 @@ SIGS = {
     "arity3": FragmentSignature.from_dict({"connectives": {
         "maj": "forall[R1]{ (p1 & p2) | (p1 & p3) | (p2 & p3) }",
         "sel": "exists[R2] forall[R1]{ (p1 & ~p3) | (p2 & p3) }",
+    }}),
+    # A binary core that ignores its last argument, so the two masks a row
+    # folds its prefix into are equal.
+    "last_arg_ignored": FragmentSignature.from_dict({"connectives": {
+        "first": "forall[R1]{ p1 & (p2 | ~p2) }",
+        "dia": "exists[R1]{ p1 }",
+    }}),
+    # Constant binary cores, with and without a block.
+    "constant_core2": FragmentSignature.from_dict({"connectives": {
+        "never": "{ (p1 & ~p1) | (p2 & ~p2) }",
+        "always": "exists[R2]{ p1 | ~p1 | p2 }",
+        "box": "forall[R1]{ p1 }",
     }}),
     # No model below interprets R4.
     "missing_symbol": FragmentSignature.from_dict({"connectives": {
@@ -95,6 +109,41 @@ def test_semantic_classes_match_reference(sig_name):
 
 
 @pytest.mark.parametrize("sig_name", sorted(SIGS))
+def test_budget_boundaries_match_reference(sig_name):
+    """Budgets of -1 and 0, and the reference's candidate count through each
+    layer, one less and one more: a row that crosses the budget raises with
+    the count a check before each candidate stops at, and a budget spent
+    exactly by the last layer does not raise."""
+    sig = SIGS[sig_name]
+    depth = FULL_DEPTH.get(sig_name, 3)
+    for k, m1, m2 in _pairs(4000 + len(sig_name), 4):
+        theta = theta_of(m1, m2)
+        through: list[int] = []
+        ref.semantic_classes(sig, theta, depth, m1, m2, None, through)
+        budgets = sorted({-1, 0} | {c + e for c in through for e in (-1, 0, 1)})
+        for budget in budgets:
+            got = _outcome(semantic_classes, sig, theta, depth, m1, m2, budget)
+            want = _outcome(ref.semantic_classes, sig, theta, depth, m1, m2, budget)
+            assert _triples(got) == _triples(want), (sig_name, k, budget)
+
+
+@pytest.mark.parametrize("sig_name", sorted(SIGS))
+def test_distinguishing_formulas_match_reference(sig_name):
+    """For every pair of points: the first reference class true at the first
+    point and false at the second, or None."""
+    sig = SIGS[sig_name]
+    depth = FULL_DEPTH.get(sig_name, 3)
+    for k, m1, m2 in _pairs(5000 + len(sig_name), 4):
+        classes = ref.semantic_classes(sig, theta_of(m1, m2), depth, m1, m2, None)
+        for i1, a in enumerate(m1.domain):
+            for i2, b in enumerate(m2.domain):
+                want = next((c.formula for c in classes
+                             if (c.vec1 >> i1) & 1 and not (c.vec2 >> i2) & 1), None)
+                got = distinguishing_formula(sig, PointedModel(m1, a), PointedModel(m2, b), depth, None)
+                assert got == want, (sig_name, k, a, b)
+
+
+@pytest.mark.parametrize("sig_name", sorted(SIGS))
 def test_truth_sets_match_reference(sig_name):
     sig = SIGS[sig_name]
     for k, m1, m2 in _pairs(2000 + len(sig_name), 4):
@@ -110,7 +159,7 @@ def test_syntactic_enumeration_matches_reference(sig_name):
     sig = SIGS[sig_name]
     preds = ["P1", "P2", "P1"]  # a repeated atom is listed once
     for depth in range(3):
-        for budget in (None, 1, 30, 300, 5000):
+        for budget in (None, -1, 0, 1, 30, 300, 5000):
             if budget is None and depth > FULL_SYNTACTIC_DEPTH.get(sig_name, 2):
                 continue
             got = _outcome(enumerate_fragment, sig, preds, depth, None, budget)
