@@ -18,6 +18,8 @@ from enum import Enum
 from functools import lru_cache
 from typing import Iterable, Iterator
 
+from .syntax import _climb, _parse
+
 MAX_ARITY = 16
 
 
@@ -115,116 +117,15 @@ TABLE_NOT_P1_2 = TruthTable(2, 0b0011)
 
 # -- expression parsing -------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*(?:(p[0-9]+)|(T|F)|(<->|->|[~&|()]))")
+_TOKEN_RE = re.compile(r"\s*(?:(?P<var>p[0-9]+)|(?P<const>T|F)|(?P<op><->|->|[~&|()]))")
 
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise BoolExprError(f"unexpected character {stripped[0]!r}", pos)
-        if m.group(1):
-            tokens.append(("var", m.group(1), m.start(1)))
-        elif m.group(2):
-            tokens.append(("const", m.group(2), m.start(2)))
-        else:
-            tokens.append(("op", m.group(3), m.start(3)))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
-
-
-class _ExprParser:
-    """Recursive descent for: iff > imp (right-assoc) > or > and > unary > atom."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, op: str):
-        kind, val, pos = self.peek()
-        if kind != "op" or val != op:
-            raise BoolExprError(f"expected {op!r}", pos)
-        self.next()
-
-    def parse(self):
-        node = self.iff()
-        kind, val, pos = self.peek()
-        if kind != "end":
-            raise BoolExprError(f"unexpected trailing input {val!r}", pos)
-        return node
-
-    def iff(self):
-        node = self.imp()
-        while self.peek()[:2] == ("op", "<->"):
-            self.next()
-            node = ("iff", node, self.imp())
-        return node
-
-    def imp(self):
-        node = self.or_()
-        if self.peek()[:2] == ("op", "->"):
-            self.next()
-            return ("imp", node, self.imp())
-        return node
-
-    def or_(self):
-        node = self.and_()
-        while self.peek()[:2] == ("op", "|"):
-            self.next()
-            node = ("or", node, self.and_())
-        return node
-
-    def and_(self):
-        node = self.unary()
-        while self.peek()[:2] == ("op", "&"):
-            self.next()
-            node = ("and", node, self.unary())
-        return node
-
-    def unary(self):
-        kind, val, pos = self.peek()
-        if kind == "op" and val == "~":
-            self.next()
-            return ("not", self.unary())
-        return self.atom()
-
-    def atom(self):
-        kind, val, pos = self.next()
-        if kind == "var":
-            return ("var", int(val[1:]))
-        if kind == "const":
-            return ("const", val == "T")
-        if kind == "op" and val == "(":
-            node = self.iff()
-            self.expect_op(")")
-            return node
-        raise BoolExprError(f"expected an atom, found {val!r}", pos)
-
-
-def _max_var(node) -> int:
-    tag = node[0]
-    if tag == "var":
-        return node[1]
-    if tag == "const":
-        return 0
-    if tag == "not":
-        return _max_var(node[1])
-    return max(_max_var(node[1]), _max_var(node[2]))
+_NODES = {
+    "<->": lambda a, b: ("iff", a, b),
+    "->": lambda a, b: ("imp", a, b),
+    "|": lambda a, b: ("or", a, b),
+    "&": lambda a, b: ("and", a, b),
+    "~": lambda a: ("not", a),
+}
 
 
 def _eval_node(node, values: tuple[int, ...]) -> bool:
@@ -249,13 +150,34 @@ def _eval_node(node, values: tuple[int, ...]) -> bool:
 def from_expr(text: str) -> TruthTable:
     """Parse an ASCII Boolean expression over p1..pn into its truth table.
 
-    The highest variable index fixes the arity; ``T``/``F`` alone give the
-    arity-0 constants.
+    Variables are numbered from p1 and the highest index fixes the arity;
+    ``T``/``F`` alone give the arity-0 constants.
     """
-    node = _ExprParser(text).parse()
-    n = _max_var(node)
+    n = 0
+    zero = None  # position of the first p0, p00, ...
+
+    def atom(cur):
+        nonlocal n, zero
+        kind, val, pos = cur.next()
+        if kind == "var":
+            k = int(val[1:])
+            n = max(n, k)
+            if k == 0 and zero is None:
+                zero = pos
+            return ("var", k)
+        if kind == "const":
+            return ("const", val == "T")
+        if (kind, val) == ("op", "("):
+            node = _climb(cur, atom, _NODES)
+            cur.expect("op", ")")
+            return node
+        raise BoolExprError(f"expected an atom, found {val!r}", pos)
+
+    node = _parse(text, _TOKEN_RE, lambda cur: _climb(cur, atom, _NODES), BoolExprError)
     if n > MAX_ARITY:
         raise BoolExprError(f"variable p{n} exceeds the arity cap {MAX_ARITY}", 0)
+    if zero is not None:
+        raise BoolExprError("variables are numbered from p1", zero)
     bits = 0
     table = TruthTable(n, 0)
     for i in range(1 << n):

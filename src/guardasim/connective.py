@@ -39,15 +39,14 @@ from .syntax import (
     Not,
     RelAtom,
     TOP,
+    _NAME,
+    _PRED_NAME,
+    _REL_NAME,
     all_vars,
     conjoin,
     disjoin,
     rename_free,
 )
-
-_REL_NAME = re.compile(r"^R[0-9]+$")
-_NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
-_PRED_SHAPE = re.compile(r"^P[0-9]+$")
 
 
 class ConnectiveError(ValueError):
@@ -65,7 +64,7 @@ class GuardBlock:
         if not self.guards:
             raise ConnectiveError("guard list must be non-empty")
         for g in self.guards:
-            if not _REL_NAME.match(g):
+            if not _REL_NAME.fullmatch(g):
                 raise ConnectiveError(f"{g!r} is not a relation symbol (expected R<digits>)")
 
 
@@ -241,6 +240,10 @@ BUILTIN_SPECS = {
 }
 
 
+# Parsed once: a connective is immutable, so every signature can share them.
+_BUILTINS = {name: parse_connective(spec, name=name) for name, spec in BUILTIN_SPECS.items()}
+
+
 class FragmentSignature:
     """A finite named set of guarded connectives.
 
@@ -250,14 +253,11 @@ class FragmentSignature:
     """
 
     def __init__(self, connectives: Mapping[str, GuardedConnective], include_builtins: bool = True):
-        table: dict[str, GuardedConnective] = {}
-        if include_builtins:
-            for bname, spec in BUILTIN_SPECS.items():
-                table[bname] = parse_connective(spec, name=bname)
+        table: dict[str, GuardedConnective] = dict(_BUILTINS) if include_builtins else {}
         for cname, mu in connectives.items():
-            if not _NAME.match(cname):
+            if not _NAME.fullmatch(cname):
                 raise ConnectiveError(f"{cname!r} is not a valid connective name")
-            if _PRED_SHAPE.match(cname):
+            if _PRED_NAME.fullmatch(cname):
                 raise ConnectiveError(f"{cname!r} clashes with predicate-atom syntax")
             table[cname] = normalize(
                 mu if mu.name == cname

@@ -42,6 +42,11 @@ from .syntax import (
     PredAtom,
     RelAtom,
     Top,
+    _NAME,
+    _PRED_NAME,
+    _REL_NAME,
+    _climb,
+    _parse,
 )
 
 
@@ -60,135 +65,61 @@ class BudgetExceeded(RuntimeError):
 
 # -- first-order parsing -----------------------------------------------------------
 
+def _error(message: str, pos: int) -> FormulaError:
+    return FormulaError(f"{message} (at position {pos})")
+
+
 _FO_TOKEN = re.compile(
-    r"\s*(?:(?P<kw>forall|exists)\b|(?P<const>[TF])\b|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
+    rf"\s*(?:(?P<kw>forall|exists)\b|(?P<const>[TF])\b|(?P<name>{_NAME.pattern})"
     r"|(?P<op><->|->|[~&|(),]))"
 )
 
-
-def _fo_tokens(text: str):
-    pos = 0
-    out = []
-    while pos < len(text):
-        m = _FO_TOKEN.match(text, pos)
-        if not m:
-            if not text[pos:].strip():
-                break
-            raise FormulaError(f"unexpected character {text[pos:].lstrip()[0]!r} (at position {pos})")
-        if m.group("kw"):
-            out.append(("kw", m.group("kw"), m.start("kw")))
-        elif m.group("const"):
-            out.append(("const", m.group("const"), m.start("const")))
-        elif m.group("name"):
-            out.append(("name", m.group("name"), m.start("name")))
-        else:
-            out.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
-    out.append(("end", "", len(text)))
-    return out
+_FO_NODES = {
+    "<->": lambda a, b: And(Implies(a, b), Implies(b, a)),
+    "->": Implies,
+    "|": Or,
+    "&": And,
+    "~": Not,
+}
 
 
-_PRED_TOKEN = re.compile(r"^P[0-9]+$")
-_REL_TOKEN = re.compile(r"^R[0-9]+$")
+def _fo_formula(cur) -> FoFormula:
+    """A quantifier scopes as far right as it can, so it may stand only at
+    the start of a formula or after ``(``."""
+    k, v, _ = cur.peek()
+    if k == "kw":
+        cur.next()
+        var = cur.expect("name")
+        body = _fo_formula(cur)
+        return Forall(var, body) if v == "forall" else Exists(var, body)
+    return _climb(cur, _fo_atom, _FO_NODES)
 
 
-class _FoParser:
-    def __init__(self, text: str):
-        self.tokens = _fo_tokens(text)
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, kind, value=None):
-        k, v, pos = self.peek()
-        if k != kind or (value is not None and v != value):
-            raise FormulaError(f"expected {value or kind!r} (at position {pos})")
-        return self.next()
-
-    def parse(self) -> FoFormula:
-        phi = self.formula()
-        k, v, pos = self.peek()
-        if k != "end":
-            raise FormulaError(f"unexpected trailing input {v!r} (at position {pos})")
-        return phi
-
-    def formula(self) -> FoFormula:
-        k, v, pos = self.peek()
-        if k == "kw":
-            self.next()
-            _, var, _ = self.expect("name")
-            body = self.formula()
-            return Forall(var, body) if v == "forall" else Exists(var, body)
-        return self.iff()
-
-    def iff(self) -> FoFormula:
-        node = self.imp()
-        while self.peek()[:2] == ("op", "<->"):
-            self.next()
-            rhs = self.imp()
-            node = And(Implies(node, rhs), Implies(rhs, node))
+def _fo_atom(cur) -> FoFormula:
+    k, v, pos = cur.next()
+    if k == "const":
+        return Top() if v == "T" else Bot()
+    if (k, v) == ("op", "("):
+        node = _fo_formula(cur)
+        cur.expect("op", ")")
         return node
-
-    def imp(self) -> FoFormula:
-        node = self.or_()
-        if self.peek()[:2] == ("op", "->"):
-            self.next()
-            return Implies(node, self.imp())
-        return node
-
-    def or_(self) -> FoFormula:
-        node = self.and_()
-        while self.peek()[:2] == ("op", "|"):
-            self.next()
-            node = Or(node, self.and_())
-        return node
-
-    def and_(self) -> FoFormula:
-        node = self.unary()
-        while self.peek()[:2] == ("op", "&"):
-            self.next()
-            node = And(node, self.unary())
-        return node
-
-    def unary(self) -> FoFormula:
-        if self.peek()[:2] == ("op", "~"):
-            self.next()
-            return Not(self.unary())
-        return self.atom()
-
-    def atom(self) -> FoFormula:
-        k, v, pos = self.next()
-        if k == "const":
-            return Top() if v == "T" else Bot()
-        if k == "op" and v == "(":
-            node = self.formula()
-            self.expect("op", ")")
-            return node
-        if k == "name":
-            if _PRED_TOKEN.match(v) and self.peek()[:2] == ("op", "("):
-                self.next()
-                _, var, _ = self.expect("name")
-                self.expect("op", ")")
-                return PredAtom(v, var)
-            if _REL_TOKEN.match(v) and self.peek()[:2] == ("op", "("):
-                self.next()
-                _, v1, _ = self.expect("name")
-                self.expect("op", ",")
-                _, v2, _ = self.expect("name")
-                self.expect("op", ")")
-                return RelAtom(v, v1, v2)
-            raise FormulaError(f"bare variable {v!r} is not a formula (at position {pos})")
-        raise FormulaError(f"expected an atom (at position {pos})")
+    if k == "name":
+        if _PRED_NAME.fullmatch(v) and cur.accept("("):
+            var = cur.expect("name")
+            cur.expect("op", ")")
+            return PredAtom(v, var)
+        if _REL_NAME.fullmatch(v) and cur.accept("("):
+            v1 = cur.expect("name")
+            cur.expect("op", ",")
+            v2 = cur.expect("name")
+            cur.expect("op", ")")
+            return RelAtom(v, v1, v2)
+        raise _error(f"bare variable {v!r} is not a formula", pos)
+    raise _error("expected an atom", pos)
 
 
 def parse_fo(text: str) -> FoFormula:
-    return _FoParser(text).parse()
+    return _parse(text, _FO_TOKEN, _fo_formula, _error)
 
 
 # -- Tarskian evaluation -------------------------------------------------------------
@@ -249,74 +180,32 @@ def eval_fo(m: Model, assignment: Mapping[str, str], phi: FoFormula) -> bool:
 
 # -- fragment parsing ----------------------------------------------------------------
 
-_FRAG_TOKEN = re.compile(r"\s*(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[(),]))")
-
-
-class _FragParser:
-    def __init__(self, text: str, sig: FragmentSignature):
-        self.sig = sig
-        self.tokens = []
-        pos = 0
-        while pos < len(text):
-            m = _FRAG_TOKEN.match(text, pos)
-            if not m:
-                if not text[pos:].strip():
-                    break
-                raise FormulaError(
-                    f"unexpected character {text[pos:].lstrip()[0]!r} (at position {pos})"
-                )
-            if m.group("name"):
-                self.tokens.append(("name", m.group("name"), m.start("name")))
-            else:
-                self.tokens.append(("op", m.group("op"), m.start("op")))
-            pos = m.end()
-        self.tokens.append(("end", "", len(text)))
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def parse(self) -> FragmentFormula:
-        node = self.term()
-        k, v, pos = self.peek()
-        if k != "end":
-            raise FormulaError(f"unexpected trailing input {v!r} (at position {pos})")
-        return node
-
-    def term(self) -> FragmentFormula:
-        k, v, pos = self.next()
-        if k != "name":
-            raise FormulaError(f"expected a predicate or connective (at position {pos})")
-        if _PRED_TOKEN.match(v) and v not in self.sig:
-            return Atom(v)
-        if v not in self.sig:
-            raise FormulaError(f"unknown connective {v!r} (at position {pos})")
-        mu = self.sig.get(v)
-        args: list[FragmentFormula] = []
-        if self.peek()[:2] == ("op", "("):
-            self.next()
-            if self.peek()[:2] != ("op", ")"):
-                args.append(self.term())
-                while self.peek()[:2] == ("op", ","):
-                    self.next()
-                    args.append(self.term())
-            k2, v2, pos2 = self.next()
-            if (k2, v2) != ("op", ")"):
-                raise FormulaError(f"expected ')' (at position {pos2})")
-        if len(args) != mu.arity:
-            raise FormulaError(
-                f"connective {v!r} has arity {mu.arity}, got {len(args)} arguments (at position {pos})"
-            )
-        return Apply(v, tuple(args))
+_FRAG_TOKEN = re.compile(rf"\s*(?:(?P<name>{_NAME.pattern})|(?P<op>[(),]))")
 
 
 def parse_fragment(text: str, sig: FragmentSignature) -> FragmentFormula:
-    return _FragParser(text, sig).parse()
+    def term(cur) -> FragmentFormula:
+        k, v, pos = cur.next()
+        if k != "name":
+            raise _error("expected a predicate or connective", pos)
+        if v not in sig:
+            if _PRED_NAME.fullmatch(v):
+                return Atom(v)
+            raise _error(f"unknown connective {v!r}", pos)
+        mu = sig.get(v)
+        args: list[FragmentFormula] = []
+        if cur.accept("(") and not cur.accept(")"):
+            args.append(term(cur))
+            while cur.accept(","):
+                args.append(term(cur))
+            cur.expect("op", ")")
+        if len(args) != mu.arity:
+            raise _error(
+                f"connective {v!r} has arity {mu.arity}, got {len(args)} arguments", pos
+            )
+        return Apply(v, tuple(args))
+
+    return _parse(text, _FRAG_TOKEN, term, _error)
 
 
 # -- the joint bit-parallel evaluator ---------------------------------------------------

@@ -6,14 +6,11 @@ from __future__ import annotations
 
 import json
 import random
-import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .bitrows import bits, transpose, union
-
-_REL_NAME = re.compile(r"^R[0-9]+$")
-_PRED_NAME = re.compile(r"^P[0-9]+$")
+from .syntax import _PRED_NAME, _REL_NAME
 
 
 class ModelError(ValueError):
@@ -45,7 +42,7 @@ class Model:
 
         rels: dict[str, frozenset[tuple[str, str]]] = {}
         for name, pairs in (relations or {}).items():
-            if not _REL_NAME.match(name):
+            if not _REL_NAME.fullmatch(name):
                 raise ModelError(f"relations.{name}: not a relation symbol (expected R<digits>)")
             if not isinstance(pairs, (list, tuple, set, frozenset)):
                 raise ModelError(f"relations.{name}: expected a list of pairs")
@@ -66,7 +63,7 @@ class Model:
 
         preds: dict[str, frozenset[str]] = {}
         for name, elems in (predicates or {}).items():
-            if not _PRED_NAME.match(name):
+            if not _PRED_NAME.fullmatch(name):
                 raise ModelError(f"predicates.{name}: not a predicate symbol (expected P<digits>)")
             if not isinstance(elems, (list, tuple, set, frozenset)):
                 raise ModelError(f"predicates.{name}: expected a list of element names")

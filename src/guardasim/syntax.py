@@ -1,15 +1,116 @@
-"""Syntax trees for the correspondence language and for fragment formulas.
+"""Syntax trees for the correspondence language and for fragment formulas,
+and the front end every written form is read through.
 
 First-order formulas are built from predicate and relation atoms with the
 classical connectives and single-variable quantifiers; there is no
 identity.  Fragment formulas are application trees: atoms P<n> and named
 connective applications, resolved against a signature elsewhere.
+
+The front end serves Boolean cores, first-order formulas and fragment
+formulas alike: one tokenizer driven by a language's token pattern, one
+cursor over the tokens, and one precedence climber for the ladder the
+cores and first-order formulas share.  Each language supplies its atom
+rule, its node constructors and its error type.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Iterator, Union
+
+# Symbol shapes, always matched whole: relation and predicate symbols, and
+# the names connectives may take.
+_REL_NAME = re.compile(r"R[0-9]+")
+_PRED_NAME = re.compile(r"P[0-9]+")
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+# -- the front end ----------------------------------------------------------------
+
+def _tokens(text: str, pattern: re.Pattern[str], error: Callable) -> Iterator[tuple[str, str, int]]:
+    """``(kind, value, pos)`` per token, the kind being the name of the
+    pattern's group that matched, then ``("end", "", len(text))``."""
+    pos = 0
+    while pos < len(text):
+        m = pattern.match(text, pos)
+        if m is None:
+            rest = text[pos:].lstrip()
+            if not rest:
+                break
+            raise error(f"unexpected character {rest[0]!r}", pos)
+        yield m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)
+        pos = m.end()
+    yield "end", "", len(text)
+
+
+class _Cursor:
+    """The tokens of one text, read left to right with one token of lookahead.
+    ``error(message, pos)`` builds the language's exception."""
+
+    def __init__(self, text: str, pattern: re.Pattern[str], error: Callable):
+        self.tokens = list(_tokens(text, pattern, error))
+        self.i = 0
+        self.error = error
+
+    def peek(self) -> tuple[str, str, int]:
+        return self.tokens[self.i]
+
+    def next(self) -> tuple[str, str, int]:
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def accept(self, op: str) -> bool:
+        """Consume the operator ``op`` if it comes next; say whether it did."""
+        if self.tokens[self.i][:2] == ("op", op):
+            self.i += 1
+            return True
+        return False
+
+    def expect(self, kind: str, value: str | None = None) -> str:
+        k, v, pos = self.peek()
+        if k != kind or (value is not None and v != value):
+            raise self.error(f"expected {value or kind!r}", pos)
+        self.i += 1
+        return v
+
+
+def _parse(text: str, pattern: re.Pattern[str], start: Callable, error: Callable):
+    """Read all of ``text`` with the rule ``start``.  Input nested too deeply
+    for the interpreter's stack is the language's error like any other,
+    placed at the last token read."""
+    cur = _Cursor(text, pattern, error)
+    try:
+        node = start(cur)
+    except RecursionError:
+        raise error("nesting too deep", cur.tokens[cur.i - 1][2]) from None
+    kind, val, pos = cur.peek()
+    if kind != "end":
+        raise error(f"unexpected trailing input {val!r}", pos)
+    return node
+
+
+# Binary operators, loosest first, with their level and whether they
+# associate to the right; ``~`` binds tighter than all of them.
+_LADDER = {"<->": (1, False), "->": (2, True), "|": (3, False), "&": (4, False)}
+
+
+def _climb(cur: _Cursor, atom: Callable, nodes: dict, level: int = 1):
+    """The operators binding at least as tightly as ``level`` around atoms
+    read by ``atom``; ``nodes`` maps each operator, ``~`` included, to the
+    constructor of its node."""
+    if cur.accept("~"):
+        left = nodes["~"](_climb(cur, atom, nodes, len(_LADDER) + 1))
+    else:
+        left = atom(cur)
+    while True:
+        kind, op, _ = cur.peek()
+        if kind != "op" or op not in _LADDER or _LADDER[op][0] < level:
+            return left
+        cur.next()
+        tight, right_assoc = _LADDER[op]
+        left = nodes[op](left, _climb(cur, atom, nodes, tight if right_assoc else tight + 1))
 
 
 # -- first-order formulas -------------------------------------------------------
@@ -182,9 +283,7 @@ def _fo_text(phi: FoFormula) -> tuple[str, str]:
         rt, rl = _fo_text(phi.right)
         if _PRECEDENCE[ll] < _PRECEDENCE[lvl]:
             lt = f"({lt})"
-        if _PRECEDENCE[rl] <= _PRECEDENCE[lvl] and rl != lvl:
-            rt = f"({rt})"
-        if rl == lvl:
+        if _PRECEDENCE[rl] <= _PRECEDENCE[lvl]:
             rt = f"({rt})"
         return f"{lt} {op} {rt}", lvl
     if isinstance(phi, Implies):

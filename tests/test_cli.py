@@ -49,6 +49,13 @@ class TestClassifyBool:
         assert code == 2 and "input error" in err
 
 
+    @pytest.mark.parametrize("expr,pos", [("p0", 0), ("p0 | ~p1", 0), ("p1 & (p00 | p0)", 6)])
+    def test_zero_indexed_variable_exits_2(self, capsys, expr, pos):
+        code, out, err = run(capsys, "classify-bool", "--expr", expr)
+        assert code == 2 and out == ""
+        assert err == f"input error: variables are numbered from p1 (at position {pos})\n"
+
+
 class TestClassifyConnective:
     def test_inline_spec(self, capsys):
         code, out, _ = run(
@@ -195,6 +202,31 @@ def test_malformed_signature_exits_2(capsys, tmp_path, doc):
     code, out, err = run(capsys, "classify-connective", "--fragment", str(sig), "--name", "box")
     assert code == 2 and out == ""
     assert err.startswith("input error: ")
+
+
+def test_zero_indexed_variable_in_signature_exits_2(capsys, tmp_path):
+    sig = tmp_path / "sig.json"
+    sig.write_text(json.dumps({"connectives": {"box": "forall[R1]{ p0 }"}}))
+    code, out, err = run(capsys, "classify-connective", "--fragment", str(sig), "--name", "box")
+    assert code == 2 and out == ""
+    assert err == "input error: variables are numbered from p1 (at position 1)\n"
+
+
+DEEP = 5000
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify-bool", "--expr", "~" * DEEP + "p1"],
+    ["classify-bool", "--expr", "(" * DEEP + "p1" + ")" * DEEP],
+    ["eval", "--model", data("m_chain.json"), "--world", "a",
+     "--fo-formula", "(" * DEEP + "P1(x)" + ")" * DEEP],
+    ["eval", "--model", data("m_chain.json"), "--world", "a", "--fragment", data("sig_modal.json"),
+     "--formula", "box(" * DEEP + "P1" + ")" * DEEP],
+], ids=["core-negations", "core-brackets", "first-order", "fragment"])
+def test_deep_nesting_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("input error: nesting too deep (at position ")
 
 
 class TestLargest:

@@ -1,12 +1,13 @@
 """Fuzzing the CLI loaders: JSON values in place of the model, relation,
-signature and experiment config documents.
+signature and experiment config documents, and strings drawn from each
+language's tokens in place of the text flags.
 
 Whatever the document, ``main`` returns an exit code in {0, 1, 2, 3} and
 prints no traceback (an exception escaping ``main`` would end the process
 with one and exit 1, the NEGATIVE code).  A malformed document, built by
 putting a wrongly typed or unknown value into one slot of a valid document,
-always exits 2.  The data is derandomized, so every run checks the same
-documents.
+always exits 2.  Whatever the text, a text flag exits 0, 1 or 2.  The data
+is derandomized, so every run checks the same documents and texts.
 """
 
 import contextlib
@@ -154,3 +155,60 @@ test_model_any, test_model_malformed = fuzz("model")
 test_relation_any, test_relation_malformed = fuzz("relation")
 test_signature_any, test_signature_malformed = fuzz("signature")
 test_config_any, test_config_malformed = fuzz("config")
+
+
+# Per text flag: the command around it, the language's tokens (with a
+# zero-indexed variable, a symbol with a trailing newline and unbalanced
+# brackets among them), the openers that nest, and a frame for the text.
+TEXT_FLAGS = {
+    "expr": (
+        ["classify-bool"],
+        ["p1", "p2", "p0", "p00", "p17", "T", "F", "~", "&", "|", "->", "<->", "(", ")", " ", "$"],
+        ["~", "("], "{}",
+    ),
+    "fo-formula": (
+        ["eval", "--model", data("m_chain.json"), "--world", "a"],
+        ["forall", "exists", " ", "x", "y", "P1", "P1\n", "R1", "T", "F", "(", ")", ",", "~", "&",
+         "|", "->", "<->", "$"],
+        ["~", "(", "forall y "], "{}",
+    ),
+    "formula": (
+        ["eval", "--model", data("m_chain.json"), "--world", "a", "--fragment", data("sig_modal.json")],
+        ["box", "dia", "not", "and", "top", "P1", "P1\n", "p0", "(", ")", ",", " ", "$"],
+        ["box(", "not(", "and(P1,"], "{}",
+    ),
+    "spec": (
+        ["classify-connective"],
+        ["forall", "exists", "[", "]", "R1", "R1\n", ",", "{", "}", "p1", "p0", "~", "&", "(", ")",
+         " "],
+        ["~", "("], "forall[R1]{{ {} }}",
+    ),
+}
+
+
+def texts(tokens, openers, frame):
+    glued = st.lists(st.sampled_from(tokens), max_size=10).map("".join)
+    deep = st.tuples(st.sampled_from(openers), st.sampled_from([1, 50, 5000]), glued).map(
+        lambda t: frame.format(t[0] * t[1] + t[2]))
+    return glued | deep
+
+
+def fuzz_text(flag):
+    command, tokens, openers, frame = TEXT_FLAGS[flag]
+
+    @FUZZ
+    @given(text=texts(tokens, openers, frame))
+    def any_text(text):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*command, f"--{flag}={text}"])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+
+    return any_text
+
+
+test_expr_any = fuzz_text("expr")
+test_fo_formula_any = fuzz_text("fo-formula")
+test_formula_any = fuzz_text("formula")
+test_spec_any = fuzz_text("spec")

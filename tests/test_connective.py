@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from guardasim import connective
 from guardasim.boolfn import classify, from_expr
 from guardasim.connective import (
     ConnectiveError,
@@ -322,6 +323,21 @@ class TestSignatureIO:
             FragmentSignature({"P1": LAM1})
         with pytest.raises(ConnectiveError):
             FragmentSignature({"no spaces": LAM1})
+
+    def test_names_with_trailing_newline_rejected(self):
+        with pytest.raises(ConnectiveError) as err:
+            FragmentSignature.from_dict({"connectives": {"box\n": "forall[R1]{ p1 }"}})
+        assert str(err.value) == "'box\\n' is not a valid connective name"
+        with pytest.raises(ConnectiveError) as err:
+            GuardBlock("forall", ("R1\n",))
+        assert str(err.value) == "'R1\\n' is not a relation symbol (expected R<digits>)"
+
+    def test_builtins_parsed_once(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a built-in was parsed again")
+
+        monkeypatch.setattr(connective, "parse_connective", refuse)
+        assert FragmentSignature({}).names() == ["and", "bot", "or", "top"]
 
     def test_doc_round_trip_preserves_semantics(self):
         sig = sig_modal_intuitionistic()

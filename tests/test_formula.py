@@ -4,6 +4,7 @@ distinguishing-formula search."""
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from guardasim.formula import (
     BudgetExceeded,
@@ -25,9 +26,13 @@ from guardasim.syntax import (
     Atom,
     Bot,
     Exists,
+    Forall,
     Implies,
+    Not,
+    Or,
     PredAtom,
     RelAtom,
+    Top,
     fo_text,
     fragment_depth,
     fragment_text,
@@ -83,6 +88,49 @@ class TestParseFo:
         for text in texts:
             phi = parse_fo(text)
             assert parse_fo(fo_text(phi)) == phi
+
+
+ROUND_TRIP = settings(derandomize=True, max_examples=150, deadline=None, database=None)
+VARS = st.sampled_from(["x", "y", "x2"])
+FO_TREES = st.recursive(
+    st.one_of(
+        st.builds(PredAtom, st.sampled_from(["P1", "P2"]), VARS),
+        st.builds(RelAtom, st.sampled_from(["R1", "R2"]), VARS, VARS),
+        st.sampled_from([Top(), Bot()]),
+    ),
+    lambda inner: st.one_of(
+        st.builds(Not, inner),
+        *(st.builds(op, inner, inner) for op in (And, Or, Implies)),
+        *(st.builds(q, VARS, inner) for q in (Forall, Exists)),
+    ),
+    max_leaves=8,
+)
+
+
+@ROUND_TRIP
+@given(phi=FO_TREES)
+def test_fo_printer_round_trip_on_random_trees(phi):
+    assert parse_fo(fo_text(phi)) == phi
+
+
+SIG_MI = sig_modal_intuitionistic()
+
+
+def fragment_trees(sig):
+    return st.recursive(
+        st.builds(Atom, st.sampled_from(["P1", "P2"])),
+        lambda inner: st.one_of(*(
+            st.tuples(*[inner] * sig.get(name).arity).map(lambda args, name=name: Apply(name, args))
+            for name in sig.names()
+        )),
+        max_leaves=8,
+    )
+
+
+@ROUND_TRIP
+@given(f=fragment_trees(SIG_MI))
+def test_fragment_printer_round_trip_on_random_trees(f):
+    assert parse_fragment(fragment_text(f), SIG_MI) == f
 
 
 class TestEvalFo:

@@ -47,6 +47,14 @@ class TestLoadSave:
         with pytest.raises(ModelError, match="not a predicate symbol"):
             load({"domain": ["w"], "relations": {}, "predicates": {"Q1": []}})
 
+    def test_symbol_names_with_trailing_newline(self):
+        with pytest.raises(ModelError) as err:
+            load({"domain": ["a"], "relations": {"R1\n": [["a", "a"]]}, "predicates": {}})
+        assert str(err.value) == "relations.R1\n: not a relation symbol (expected R<digits>)"
+        with pytest.raises(ModelError) as err:
+            load({"domain": ["a"], "relations": {}, "predicates": {"P1\n": ["a"]}})
+        assert str(err.value) == "predicates.P1\n: not a predicate symbol (expected P<digits>)"
+
     def test_malformed_documents(self):
         with pytest.raises(ModelError):
             load(["not", "an", "object"])
