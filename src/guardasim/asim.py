@@ -16,7 +16,10 @@ connective into row algebra serving the solver, ``max_inner_target`` and the
 verifier, and witness paths are built only for violation reports.  The
 verifier turns its relation into rows and inverse rows once per call and every
 connective's check reads those; atom transfer is row algebra too, the pairs
-outside the atom-preserving rows.
+outside the atom-preserving rows.  A relation document is read straight into
+rows and inverse rows by the one pass that validates it, so the verifier
+builds no ``CrossRelation`` for it; ``relation_from_doc`` builds one from the
+same pass.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Sequence
 
-from .bitrows import bits, transpose, union
+from .bitrows import bits, identity, transpose, union
 from .boolfn import BoolClass
 from .connective import (
     ConnectiveClass,
@@ -89,27 +92,9 @@ class CrossRelation:
 
 
 def relation_from_doc(doc: object, m1: Model, m2: Model) -> CrossRelation:
-    if not isinstance(doc, dict):
-        raise RelationError("document: expected an object")
-    sides = {}
-    for key, first, second in _directions(m1, m2):
-        entries = doc.get(key, [])
-        if not isinstance(entries, list):
-            raise RelationError(f"{key}: expected a list of pairs")
-        pairs = set()
-        for i, entry in enumerate(entries):
-            if isinstance(entry, (list, tuple)) and len(entry) == 2:
-                x, y = pair = tuple(entry)
-                if isinstance(x, str) and isinstance(y, str):
-                    if x not in first:
-                        raise RelationError(f"{key}[{i}]: unknown element {x!r}")
-                    if y not in second:
-                        raise RelationError(f"{key}[{i}]: unknown element {y!r}")
-                    pairs.add(pair)
-                    continue
-            raise RelationError(f"{key}[{i}]: expected a pair of element names")
-        sides[key] = frozenset(pairs)
-    return CrossRelation(fwd=sides[FWD], bwd=sides[BWD])
+    """The relation a document ``{"fwd": [[x, y], ...], "bwd": [[y, x], ...]}``
+    lists; a missing direction is empty."""
+    return _relation(_doc_rows(doc, m1, m2)[0], m1, m2)
 
 
 def full_relation(m1: Model, m2: Model) -> CrossRelation:
@@ -152,6 +137,39 @@ def _rows(a: CrossRelation, m1: Model, m2: Model) -> dict[str, list[int]]:
         for x, y in a.pairs(d):
             rows[ix(x)] |= 1 << iy(y)
     return out
+
+
+def _doc_rows(doc: object, m1: Model, m2: Model) -> tuple[dict[str, list[int]], dict[str, list[int]]]:
+    """The rows and inverse rows of a relation document, read in the pass that
+    validates it: entries are checked in order, fwd before bwd, and the first
+    malformed one raises ``RelationError`` naming it."""
+    if not isinstance(doc, dict):
+        raise RelationError("document: expected an object")
+    rows = {FWD: [0] * len(m1), BWD: [0] * len(m2)}
+    inv = {FWD: [0] * len(m1), BWD: [0] * len(m2)}
+    for key, first, second in _directions(m1, m2):
+        entries = doc.get(key, [])
+        if not isinstance(entries, list):
+            raise RelationError(f"{key}: expected a list of pairs")
+        # a pair (x, y) of one direction is the pair (y, x) of the other's inverse
+        out, mirror = rows[key], inv[BWD if key == FWD else FWD]
+        ix, iy = first.index, second.index
+        bit_x, bit_y = identity(len(first)), identity(len(second))
+        for n, entry in enumerate(entries):
+            if isinstance(entry, (list, tuple)) and len(entry) == 2:
+                x, y = entry
+                if isinstance(x, str) and isinstance(y, str):
+                    i = ix.get(x)
+                    if i is None:
+                        raise RelationError(f"{key}[{n}]: unknown element {x!r}")
+                    j = iy.get(y)
+                    if j is None:
+                        raise RelationError(f"{key}[{n}]: unknown element {y!r}")
+                    out[i] |= bit_y[j]
+                    mirror[j] |= bit_x[i]
+                    continue
+            raise RelationError(f"{key}[{n}]: expected a pair of element names")
+    return rows, inv
 
 
 def _relation(rows: dict[str, list[int]], m1: Model, m2: Model) -> CrossRelation:
@@ -454,11 +472,13 @@ def is_asimulation(
     theta_preds: Sequence[str],
     m1: Model,
     m2: Model,
-    a: CrossRelation,
+    a: CrossRelation | dict,
     strict: bool = True,
 ) -> list[ViolationReport]:
     """All violations keeping ``a`` from being an asimulation; empty means ok.
 
+    ``a`` is a ``CrossRelation`` or a relation document as
+    ``relation_from_doc`` takes it; a document is read straight into rows.
     Emptiness of the relation is itself a violation, atom transfer is
     checked pairwise, and every connective contributes its condition.  The
     relation becomes rows and inverse rows once, shared by every check.
@@ -467,10 +487,13 @@ def is_asimulation(
         problems = validate_standard_fragment(sig)
         if problems:
             raise NonStandardFragmentError("; ".join(problems))
-    if a.is_empty:
+    if isinstance(a, CrossRelation):
+        rows = _rows(a, m1, m2)
+        inv = _inverse(rows, m1, m2)
+    else:
+        rows, inv = _doc_rows(a, m1, m2)
+    if not any(rows[FWD]) and not any(rows[BWD]):
         return [ViolationReport("", "empty", None, "", (), "the empty relation is not an asimulation")]
-    rows = _rows(a, m1, m2)
-    inv = _inverse(rows, m1, m2)
     reports = _atom_violations(theta_preds, rows, m1, m2)
     for mu in sig:
         got = _violation(mu, rows, inv, m1, m2, strict)

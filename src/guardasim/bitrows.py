@@ -14,6 +14,11 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def identity(n: int) -> tuple[int, ...]:
+    """The identity relation on ``n`` indices: row i is bit i alone."""
+    return tuple(1 << i for i in range(n))
+
+
 def union(rows: Sequence[int], mask: int) -> int:
     """OR of the rows picked by the set bits of ``mask``."""
     out = 0

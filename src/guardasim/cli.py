@@ -48,6 +48,14 @@ def _theta(*models: model.Model) -> list[str]:
     return sorted(preds)
 
 
+def _load_models(args) -> tuple[model.Model, model.Model]:
+    """The models of ``--m1`` and ``--m2``, one model when both name the same
+    path, so a model checked against itself is read once and its guard chains
+    are built once."""
+    m1 = model.load_file(args.m1)
+    return m1, m1 if args.m2 == args.m1 else model.load_file(args.m2)
+
+
 def _require(value, message: str) -> None:
     """A missing flag is malformed input."""
     if value is None:
@@ -172,12 +180,11 @@ def cmd_eval(args) -> int:
 def cmd_check(args) -> int:
     sig = _load_sig(args.fragment)
     _require_standard(sig)
-    m1 = model.load_file(args.m1)
-    m2 = model.load_file(args.m2)
+    m1, m2 = _load_models(args)
     with open(args.relation, "r", encoding="utf-8") as fh:
-        rel = asim.relation_from_doc(json.load(fh), m1, m2)
+        doc = json.load(fh)
     theta = _theta(m1, m2)
-    reports = asim.is_asimulation(sig, theta, m1, m2, rel)
+    reports = asim.is_asimulation(sig, theta, m1, m2, doc)
     for rep in reports:
         print(json.dumps(rep.to_doc(), sort_keys=True))
     summary = "ok: the relation is an asimulation" if not reports else (
@@ -188,10 +195,13 @@ def cmd_check(args) -> int:
 
 
 def cmd_largest(args) -> int:
+    if args.point1 is not None:
+        _require(args.point2, "largest --point1 needs --point2")
+    if args.point2 is not None:
+        _require(args.point1, "largest --point2 needs --point1")
     sig = _load_sig(args.fragment)
     _require_standard(sig)
-    m1 = model.load_file(args.m1)
-    m2 = model.load_file(args.m2)
+    m1, m2 = _load_models(args)
     theta = _theta(m1, m2)
     rel = asim.largest_asimulation(sig, theta, m1, m2)
     record = rel.to_doc()
@@ -219,8 +229,7 @@ def cmd_largest(args) -> int:
 def cmd_distinguish(args) -> int:
     sig = _load_sig(args.fragment)
     _require_standard(sig)
-    m1 = model.load_file(args.m1)
-    m2 = model.load_file(args.m2)
+    m1, m2 = _load_models(args)
     pm1 = model.PointedModel(m1, args.point1)
     pm2 = model.PointedModel(m2, args.point2)
     try:

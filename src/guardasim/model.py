@@ -1,6 +1,10 @@
 """Finite models of the correspondence vocabulary: binary relations R<n> and
 unary predicates P<n> over a named domain, with guard-chain traversal,
-JSON (de)serialization, and seeded random generation."""
+JSON (de)serialization, and seeded random generation.
+
+The pass that validates a relation's pairs also reads them into step rows,
+one bit row over element indices per element, and guard chains are composed
+from those rows; the frozenset ``relations`` stay the public form."""
 
 from __future__ import annotations
 
@@ -9,7 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .bitrows import bits, transpose, union
+from .bitrows import bits, identity, transpose, union
 from .syntax import _PRED_NAME, _REL_NAME
 
 
@@ -25,7 +29,7 @@ class Model:
     completion with empty interpretations.
     """
 
-    __slots__ = ("domain", "relations", "predicates", "_index", "_chains")
+    __slots__ = ("domain", "index", "relations", "predicates", "_steps", "_chains")
 
     def __init__(
         self,
@@ -36,26 +40,34 @@ class Model:
         if not domain:
             raise ModelError("domain: must be non-empty")
         self.domain: tuple[str, ...] = tuple(domain)
-        self._index = members = {el: i for i, el in enumerate(self.domain)}
+        # index[el]: the position of el in the domain, its bit in every row
+        self.index = members = {el: i for i, el in enumerate(self.domain)}
         if len(members) != len(self.domain):
             raise ModelError("domain: duplicate element names")
 
         rels: dict[str, frozenset[tuple[str, str]]] = {}
+        # _steps[name][i]: the elements one step from element i through name
+        self._steps: dict[str, list[int]] = {}
+        bit = identity(len(members))
         for name, pairs in (relations or {}).items():
             if not _REL_NAME.fullmatch(name):
                 raise ModelError(f"relations.{name}: not a relation symbol (expected R<digits>)")
             if not isinstance(pairs, (list, tuple, set, frozenset)):
                 raise ModelError(f"relations.{name}: expected a list of pairs")
             pair_set = set()
+            step = self._steps[name] = [0] * len(members)
             for i, pair in enumerate(pairs):
                 if isinstance(pair, (list, tuple)) and len(pair) == 2:
-                    a, b = pair = tuple(pair)
+                    a, b = pair
                     if isinstance(a, str) and isinstance(b, str):
-                        if a not in members:
+                        ia = members.get(a)
+                        if ia is None:
                             raise ModelError(f"relations.{name}[{i}]: unknown element {a!r}")
-                        if b not in members:
+                        ib = members.get(b)
+                        if ib is None:
                             raise ModelError(f"relations.{name}[{i}]: unknown element {b!r}")
-                        pair_set.add(pair)
+                        step[ia] |= bit[ib]
+                        pair_set.add((a, b))
                         continue
                 raise ModelError(f"relations.{name}[{i}]: expected a pair of element names")
             rels[name] = frozenset(pair_set)
@@ -83,16 +95,16 @@ class Model:
         return len(self.domain)
 
     def __contains__(self, element: str) -> bool:
-        return element in self._index
+        return element in self.index
 
     def index_of(self, element: str) -> int:
-        return self._index[element]
+        return self.index[element]
 
     def rel_pairs(self, name: str) -> frozenset[tuple[str, str]]:
         return self.relations.get(name, frozenset())
 
     def successors(self, name: str, element: str) -> tuple[str, ...]:
-        i = self._index.get(element)
+        i = self.index.get(element)
         row = 0 if i is None else self.chain_rows((name,))[0][i]
         return tuple(sorted(self.domain[j] for j in bits(row)))
 
@@ -104,33 +116,32 @@ class Model:
 
     def pred_row(self, name: str) -> int:
         """The elements holding the predicate, as a bit row over element indices."""
-        return sum(1 << self._index[el] for el in self.predicates.get(name, ()))
+        return sum(1 << self.index[el] for el in self.predicates.get(name, ()))
 
     def chain_rows(self, guards: Sequence[str]) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The guard chain as bit rows over element indices: ``ends[i]`` holds
         the elements reachable from element i by one step through each listed
-        relation in order, and ``sources`` is its transpose.  Built once per
-        guard tuple and kept, which is safe because the model is immutable."""
+        relation in order, and ``sources`` is its transpose.  Built from the
+        step rows read with the model, once per guard tuple on first use, and
+        kept, which is safe because the model is immutable."""
         guards = tuple(guards)
         got = self._chains.get(guards)
         if got is None:
             n = len(self.domain)
             if guards:
-                step = [0] * n
-                for a, b in self.rel_pairs(guards[-1]):
-                    step[self._index[a]] |= 1 << self._index[b]
+                step = self._steps.get(guards[-1]) or [0] * n
                 ends = tuple(union(step, row) for row in self.chain_rows(guards[:-1])[0])
             else:
-                ends = tuple(1 << i for i in range(n))
+                ends = identity(n)
             got = self._chains[guards] = (ends, tuple(transpose(ends, n)))
         return got
 
     def guard_endpoints(self, guards: Sequence[str], start: str) -> frozenset[str]:
         """Elements reachable from ``start`` along the guard chain: one step
         through each listed relation in order."""
-        if start not in self._index:
+        if start not in self.index:
             raise ModelError(f"unknown element {start!r}")
-        row = self.chain_rows(guards)[0][self._index[start]]
+        row = self.chain_rows(guards)[0][self.index[start]]
         return frozenset(self.domain[j] for j in bits(row))
 
     def guard_path(self, guards: Sequence[str], start: str, end: str) -> tuple[str, ...] | None:

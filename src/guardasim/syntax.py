@@ -76,10 +76,18 @@ class _Cursor:
         return v
 
 
+# The most levels a parsed tree may have.  The walks over trees (evaluation,
+# printing, translation, free variables) recurse once or twice per level, and
+# translating a fragment formula adds several first-order levels per level,
+# so this keeps every walk far inside the interpreter's recursion limit.
+MAX_DEPTH = 200
+
+
 def _parse(text: str, pattern: re.Pattern[str], start: Callable, error: Callable):
     """Read all of ``text`` with the rule ``start``.  Input nested too deeply
     for the interpreter's stack is the language's error like any other,
-    placed at the last token read."""
+    placed at the last token read; so is a tree of more than ``MAX_DEPTH``
+    levels, such as a long chain of one operator, placed at the end."""
     cur = _Cursor(text, pattern, error)
     try:
         node = start(cur)
@@ -88,7 +96,28 @@ def _parse(text: str, pattern: re.Pattern[str], start: Callable, error: Callable
     kind, val, pos = cur.peek()
     if kind != "end":
         raise error(f"unexpected trailing input {val!r}", pos)
+    if _height(node) > MAX_DEPTH:
+        raise error("nesting too deep", pos)
     return node
+
+
+def _height(root) -> int:
+    """The levels of a parsed tree, counted with an explicit stack.  Boolean
+    core nodes are tuples ``(tag, operand, ...)``; formula nodes are
+    dataclasses whose subtrees are their formula fields or application
+    arguments."""
+    height, stack = 0, [(root, 1)]
+    while stack:
+        node, level = stack.pop()
+        height = max(height, level)
+        if isinstance(node, tuple):
+            subtrees = [c for c in node[1:] if isinstance(c, tuple)]
+        elif isinstance(node, Apply):
+            subtrees = node.args
+        else:
+            subtrees = [c for c in vars(node).values() if isinstance(c, FoFormula)]
+        stack.extend((c, level + 1) for c in subtrees)
+    return height
 
 
 # Binary operators, loosest first, with their level and whether they

@@ -1,8 +1,9 @@
 """The bit-row asimulation kernel against the original set-based checks and
 solver, kept in reference_asim.py, on seeded random model pairs of 1-12
 elements: equal largest asimulations, inner targets, pair-check verdicts and
-violation reports, atom reports included; and the loaders' exact error
-messages for malformed pairs and lists."""
+violation reports, atom reports included; the loaders' exact error messages
+for malformed pairs and lists; and relation documents read straight into rows
+against the rows of the relation they list."""
 
 import random
 
@@ -225,7 +226,7 @@ def test_model_error_messages(doc, message):
     assert str(caught.value) == message
 
 
-@pytest.mark.parametrize("doc,message", [
+RELATION_ERRORS = [
     *[({"fwd": fwd, "bwd": []}, "fwd[0]: expected a pair of element names")
       for fwd in (["ab"], [5], [["a"]], [["a", "b", "a2"]], [["a", 5]], [{"a": "b"}])],
     ({"fwd": [], "bwd": [["b", "a"], ("b", "zz")]}, "bwd[1]: unknown element 'zz'"),
@@ -233,9 +234,74 @@ def test_model_error_messages(doc, message):
     ({"fwd": [["a", "zz"]]}, "fwd[0]: unknown element 'zz'"),
     ({"fwd": "ab"}, "fwd: expected a list of pairs"),
     ([["a", "b"]], "document: expected an object"),
-])
+]
+
+
+def error_models():
+    return Model(["a", "a2"], {"R1": [("a", "a2")]}, {"P1": ["a2"]}), Model(["b"])
+
+
+@pytest.mark.parametrize("doc,message", RELATION_ERRORS)
 def test_relation_error_messages(doc, message):
-    m1, m2 = Model(["a", "a2"], {"R1": [("a", "a2")]}, {"P1": ["a2"]}), Model(["b"])
+    m1, m2 = error_models()
     with pytest.raises(asim.RelationError) as caught:
         asim.relation_from_doc(doc, m1, m2)
     assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("doc,message", RELATION_ERRORS)
+def test_relation_error_messages_through_the_verifier(doc, message):
+    m1, m2 = error_models()
+    with pytest.raises(asim.RelationError) as caught:
+        asim.is_asimulation(STANDARD["modal"], ["P1"], m1, m2, doc)
+    assert str(caught.value) == message
+
+
+def renamed(rng, m):
+    """``m`` with its elements renamed so that sorted order differs from
+    index order."""
+    names = dict(zip(m.domain, (f"e{k}" for k in rng.sample(range(100), len(m)))))
+    return Model([names[x] for x in m.domain],
+                 {r: [(names[a], names[b]) for a, b in pairs] for r, pairs in m.relations.items()},
+                 {p: [names[x] for x in xs] for p, xs in m.predicates.items()})
+
+
+def relation_doc(rng, a):
+    """A document listing ``a``: entries shuffled, some repeated, pairs given
+    as lists or tuples."""
+    doc = {}
+    for key, pairs in (("fwd", a.fwd), ("bwd", a.bwd)):
+        entries = [rng.choice((list, tuple))(p) for p in sorted(pairs)]
+        entries += [list(p) for p in rng.sample(sorted(pairs), min(3, len(pairs)))]
+        rng.shuffle(entries)
+        doc[key] = entries
+    return doc
+
+
+def renamed_documents(seed, count):
+    """(m1, m2, the relation, its document) on renamed model pairs, for the
+    largest asimulation, random relations and the empty relation."""
+    sig = STANDARD["modal_intuitionistic"]
+    for rng, m1, m2 in model_pairs(seed, count):
+        m1, m2 = renamed(rng, m1), renamed(rng, m2)
+        big = asim.largest_asimulation(sig, theta_of(m1, m2), m1, m2)
+        for a in (big, random_relation(rng, m1, m2, 0.3), *perturbed(rng, big, m1, m2),
+                  CrossRelation(frozenset(), frozenset())):
+            yield m1, m2, a, relation_doc(rng, a)
+
+
+def test_document_reader_matches_relation_rows():
+    for m1, m2, a, doc in renamed_documents(23, 15):
+        assert asim.relation_from_doc(doc, m1, m2) == a
+        rows = asim._rows(a, m1, m2)
+        assert asim._doc_rows(doc, m1, m2) == (rows, asim._inverse(rows, m1, m2))
+
+
+@pytest.mark.parametrize("name", sorted(STANDARD))
+def test_verifier_reads_documents_like_relations(name):
+    sig = STANDARD[name]
+    for m1, m2, _, doc in renamed_documents(sum(map(ord, name)), 6):
+        theta = theta_of(m1, m2)
+        for d in (doc, {}):
+            got = asim.is_asimulation(sig, theta, m1, m2, d)
+            assert got == asim.is_asimulation(sig, theta, m1, m2, asim.relation_from_doc(d, m1, m2))

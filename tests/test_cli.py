@@ -229,6 +229,33 @@ def test_deep_nesting_exits_2(capsys, argv):
     assert err.startswith("input error: nesting too deep (at position ")
 
 
+# Chains of one operator parse without recursion but make trees as deep as
+# they are long; a fragment formula nested 600 deep parses but is too deep to
+# translate or evaluate.
+@pytest.mark.parametrize("argv", [
+    ["classify-bool", "--expr", "p1" + " & p1" * DEEP],
+    ["classify-connective", "--spec", "forall[R1]{ p1" + " | ~p1" * DEEP + " }"],
+    ["eval", "--model", data("m_chain.json"), "--world", "a", "--fo-formula", "P1(x)" + " & P1(x)" * DEEP],
+    ["eval", "--model", data("m_chain.json"), "--world", "a", "--fragment", data("sig_modal.json"),
+     "--formula", "box(" * 600 + "P1" + ")" * 600],
+    ["translate", "--fragment", data("sig_modal_int.json"), "--formula", "lambda3(" * 600 + "P1" + ")" * 600],
+], ids=["core", "connective", "first-order", "fragment-eval", "fragment-translate"])
+def test_long_chain_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("input error: nesting too deep (at position ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify-bool", "--expr", "p1" + " & p2" * 199],
+    ["eval", "--model", data("m_chain.json"), "--world", "a2", "--fo-formula", "P1(x)" + " & P1(x)" * 199],
+    ["translate", "--fragment", data("sig_modal_int.json"), "--formula", "lambda3(" * 199 + "P1" + ")" * 199],
+], ids=["core", "first-order", "fragment"])
+def test_deepest_accepted_tree_is_answered(capsys, argv):
+    # 200 levels, the most a parsed tree may have, leaves included.
+    assert run(capsys, *argv)[0] == 0
+
+
 class TestLargest:
     def test_distinguishable_points_not_related(self, capsys):
         code, out, _ = run(
@@ -253,6 +280,15 @@ class TestLargest:
         assert code == 0
         rec = json.loads(out)
         assert rec["verdict"] == "related" and rec["fwd"] == [["w", "w"]]
+
+    @pytest.mark.parametrize("given,missing", [("--point1", "--point2"), ("--point2", "--point1")])
+    def test_one_verdict_point_exits_2(self, capsys, given, missing):
+        code, out, err = run(
+            capsys, "largest", "--fragment", data("sig_modal.json"),
+            "--m1", data("m_chain.json"), "--m2", data("m_chain.json"), given, "zz",
+        )
+        assert code == 2 and out == ""
+        assert err == f"input error: largest {given} needs {missing}\n"
 
     def test_asymmetric_relation_without_negation(self, capsys, tmp_path):
         m1 = tmp_path / "m1.json"
@@ -428,6 +464,31 @@ def test_reused_parser_carries_no_state(capsys, tmp_path):
         assert run(capsys, *argv)[:2] == got, argv
         assert vars(cli._parser().parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
     assert [code for code, _ in reused] == [1, 0, 1, 1, 0, 0]
+
+
+def test_same_model_path_matches_a_copy(capsys, tmp_path):
+    # --m2 naming the --m1 file reuses its model; the answers must be those of
+    # a byte-identical copy under another path.
+    copy = tmp_path / "copy.json"
+    copy.write_bytes(open(data("m_chain.json"), "rb").read())
+    identity = tmp_path / "identity.json"
+    identity.write_text(json.dumps({"fwd": [["a", "a"], ["a2", "a2"]], "bwd": [["a", "a"], ["a2", "a2"]]}))
+    wider = tmp_path / "wider.json"
+    wider.write_text(json.dumps({"fwd": [["a", "a"], ["a2", "a2"], ["a2", "a"]], "bwd": []}))
+    commands = [
+        ["check", "--fragment", data("sig_modal.json"), "--relation", str(identity)],
+        ["--json", "check", "--fragment", data("sig_intuitionistic.json"), "--relation", str(wider)],
+        ["--json", "largest", "--fragment", data("sig_modal_int.json")],
+        ["largest", "--fragment", data("sig_intuitionistic.json"), "--point1", "a2", "--point2", "a"],
+        ["--json", "distinguish", "--fragment", data("sig_modal.json"), "--point1", "a", "--point2", "a2"],
+    ]
+    codes = []
+    for command in commands:
+        same = run(capsys, *command, "--m1", data("m_chain.json"), "--m2", data("m_chain.json"))
+        copied = run(capsys, *command, "--m1", data("m_chain.json"), "--m2", str(copy))
+        assert same[:2] == copied[:2], command
+        codes.append(same[0])
+    assert codes == [0, 1, 0, 1, 0]
 
 
 def test_runs_as_python_module():

@@ -159,45 +159,52 @@ test_config_any, test_config_malformed = fuzz("config")
 
 # Per text flag: the command around it, the language's tokens (with a
 # zero-indexed variable, a symbol with a trailing newline and unbalanced
-# brackets among them), the openers that nest, and a frame for the text.
+# brackets among them), the openers that nest, an operand and the links that
+# repeat after it into a long chain, and a frame for the text.
 TEXT_FLAGS = {
     "expr": (
         ["classify-bool"],
         ["p1", "p2", "p0", "p00", "p17", "T", "F", "~", "&", "|", "->", "<->", "(", ")", " ", "$"],
-        ["~", "("], "{}",
+        ["~", "("], ("p1", [" & p1", " | ~p2", " <-> p1", "&p2|p1"]), "{}",
     ),
     "fo-formula": (
         ["eval", "--model", data("m_chain.json"), "--world", "a"],
         ["forall", "exists", " ", "x", "y", "P1", "P1\n", "R1", "T", "F", "(", ")", ",", "~", "&",
          "|", "->", "<->", "$"],
-        ["~", "(", "forall y "], "{}",
+        ["~", "(", "forall y "], ("P1(x)", [" & P1(x)", " | R1(x,y)", " <-> T", "&~F|T"]), "{}",
     ),
     "formula": (
         ["eval", "--model", data("m_chain.json"), "--world", "a", "--fragment", data("sig_modal.json")],
         ["box", "dia", "not", "and", "top", "P1", "P1\n", "p0", "(", ")", ",", " ", "$"],
-        ["box(", "not(", "and(P1,"], "{}",
+        ["box(", "not(", "and(P1,"], ("and(P1", [",P1", ",and(P1"]), "{}",
     ),
     "spec": (
         ["classify-connective"],
         ["forall", "exists", "[", "]", "R1", "R1\n", ",", "{", "}", "p1", "p0", "~", "&", "(", ")",
          " "],
-        ["~", "("], "forall[R1]{{ {} }}",
+        ["~", "("], ("p1", [" & p1", " | ~p2", "&p1|p1"]), "forall[R1]{{ {} }}",
     ),
 }
+# How often an opener or a link repeats: once, in reach of every walk, past
+# the parser's depth bound, and past the interpreter's recursion limit.
+REPEATS = [1, 50, 600, 5000]
 
 
-def texts(tokens, openers, frame):
+def texts(tokens, openers, chain, frame):
     glued = st.lists(st.sampled_from(tokens), max_size=10).map("".join)
-    deep = st.tuples(st.sampled_from(openers), st.sampled_from([1, 50, 5000]), glued).map(
+    deep = st.tuples(st.sampled_from(openers), st.sampled_from(REPEATS), glued).map(
         lambda t: frame.format(t[0] * t[1] + t[2]))
-    return glued | deep
+    operand, links = chain
+    long = st.tuples(st.sampled_from(links), st.sampled_from(REPEATS), glued).map(
+        lambda t: frame.format(operand + t[0] * t[1] + t[2]))
+    return glued | deep | long
 
 
 def fuzz_text(flag):
-    command, tokens, openers, frame = TEXT_FLAGS[flag]
+    command, tokens, openers, chain, frame = TEXT_FLAGS[flag]
 
     @FUZZ
-    @given(text=texts(tokens, openers, frame))
+    @given(text=texts(tokens, openers, chain, frame))
     def any_text(text):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -1,5 +1,7 @@
 """Model construction, serialization, guard chains, random generation."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -124,6 +126,35 @@ def test_guard_chain_composition_law(n, k1, k2, seed):
             c for b in m.guard_endpoints(g1, start) for c in m.guard_endpoints(g2, b)
         )
         assert combined == stepwise
+
+
+def rows_of(m, pairs):
+    """Bit rows rebuilt from element-name pairs."""
+    rows = [0] * len(m)
+    for a, b in pairs:
+        rows[m.index_of(a)] |= 1 << m.index_of(b)
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("container", [list, tuple, set, frozenset])
+def test_chain_rows_match_relations(container):
+    # Names whose sorted order differs from their index order; R3 is absent.
+    names = ["b", "a10", "a2", "c", "a"]
+    rng = random.Random(container.__name__)
+    for _ in range(20):
+        rels = {}
+        for r in ("R1", "R2"):
+            pairs = [(x, y) for x in names for y in names if rng.random() < 0.3]
+            pairs += rng.sample(pairs, min(3, len(pairs)))
+            rels[r] = container(list(p) if container is list else p for p in pairs)
+        m = Model(names, rels)
+        r1, r2 = m.relations["R1"], m.relations["R2"]
+        composed = {(a, c) for a, b in r1 for b2, c in r2 if b == b2}
+        for guards, pairs in ((("R1",), r1), (("R2",), r2), (("R1", "R2"), composed),
+                              (("R3",), ()), (("R1", "R3"), ()), (("R3", "R1"), ())):
+            ends, sources = m.chain_rows(guards)
+            assert ends == rows_of(m, pairs), guards
+            assert sources == rows_of(m, ((b, a) for a, b in pairs)), guards
 
 
 class TestRandomModel:
