@@ -2,10 +2,10 @@
 
 A cross relation holds directed pairs in both orientations between two
 models; a pair (x, y) promises that truth transfers from x to y.  Each
-connective of a fragment imposes a condition on such a relation: degree-0
-connectives constrain symmetry, guarded connectives impose back/forth
-matching of guard paths, and the special (rest-core) flat connectives
-impose the two-witness variants.  On top of the per-connective checks sit
+connective of a fragment imposes one condition on such a relation: back or
+forth matching of guard paths, with two witnesses for the special (rest-core)
+flat connectives.  Degree 0 is matching along the empty guard chain: each
+pair must lie in the relation its core admits.  On top of the checks sit
 the asimulation verifier, the greatest-fixpoint solver for the largest
 asimulation, the invariance checker, and the formula-preservation preorder
 computed by enumeration.
@@ -280,7 +280,8 @@ class _Condition:
     every endpoint of x has, in each witness relation, an endpoint of y it is
     related to.  Special connectives take two separate witnesses, the
     relation and its inverse; a degree-2 connective takes as its one witness
-    the pairs passing its inner block's condition."""
+    the pairs passing its inner block's condition.  With no guards, an
+    element's one endpoint is itself: the pair must lie in the witness."""
 
     guards: tuple[str, ...]
     back: bool
@@ -363,6 +364,9 @@ class _Condition:
 
 
 def _compile(mu: GuardedConnective, cls: ConnectiveClass) -> _Condition:
+    """The connective's condition; degree 0 has the empty guard chain."""
+    if mu.degree == 0:
+        return _Condition((), True, kind=core_candidate_kind(cls.core_class))
     block = mu.blocks[0]
     inner = None
     if mu.degree == 2:
@@ -370,6 +374,35 @@ def _compile(mu: GuardedConnective, cls: ConnectiveClass) -> _Condition:
         inner = _compile(mu1, classify_connective(mu1))
     return _Condition(block.guards, block.quantifier == "forall", cls.is_special,
                       core_candidate_kind(cls.core_class), inner)
+
+
+def _conditions(connectives, strict: bool) -> list[tuple[str, _Condition]]:
+    """Each connective's name with its compiled condition, in order.  A
+    monotone or constant degree-0 core admits every relation, so it gets none."""
+    out = []
+    for mu in connectives:
+        if mu.degree > 2:
+            raise NonStandardFragmentError(f"{mu.name}: degree {mu.degree} is not supported")
+        cls = classify_connective(mu)
+        if strict and not cls.is_standard:
+            raise NonStandardFragmentError(f"{mu.name}: not a standard connective")
+        if mu.degree or not cls.core_class.is_monotone:
+            out.append((mu.name, _compile(mu, cls)))
+    return out
+
+
+def _reports(connectives, rows, inv, m1: Model, m2: Model, strict: bool) -> list[ViolationReport]:
+    """The first violation of each connective's condition on the relation
+    with the given rows and inverse rows, in order."""
+    reports = []
+    for name, cond in _conditions(connectives, strict):
+        got = cond.violation(rows, cond.witnesses(rows, inv, m1, m2), m1, m2)
+        if got is not None and not cond.guards:
+            # along the empty chain, a failing pair is one whose mirror is missing
+            got = replace(got, condition="degree0", path=(), detail="pair lacks its mirror")
+        if got is not None:
+            reports.append(replace(got, connective=name))
+    return reports
 
 
 def _holds(back: bool, special: bool, a_outer, b, guards, m1, m2):
@@ -421,37 +454,6 @@ def max_inner_target(
     return _relation(cond.passing(_full(m1, m2), witnesses, m1, m2), m1, m2)
 
 
-def _degree0_violation(mu: GuardedConnective, rows, inv, m1: Model, m2: Model) -> ViolationReport | None:
-    """Anti-monotone and rest degree-0 cores force the relation to equal its
-    inverse; returns a witness asymmetric pair if not."""
-    for d, mx, my in _directions(m1, m2):
-        first = _first_pair([r & ~s for r, s in zip(rows[d], inv[d])], mx, my)
-        if first is not None:
-            pair = (mx.domain[first[0]], my.domain[first[1]])
-            return ViolationReport(mu.name, "degree0", pair, d, (), "pair lacks its mirror")
-    return None
-
-
-def _violation(mu: GuardedConnective, rows, inv, m1: Model, m2: Model, strict: bool) -> ViolationReport | None:
-    """The first violation of the condition ``mu`` imposes on the relation
-    with the given rows and inverse rows, or None."""
-    cls = classify_connective(mu)
-    if mu.degree > 2:
-        raise NonStandardFragmentError(f"{mu.name}: degree {mu.degree} is not supported")
-    if strict and not cls.is_standard:
-        raise NonStandardFragmentError(f"{mu.name}: not a standard connective")
-
-    if mu.degree == 0:
-        cc = cls.core_class
-        if cc.is_constant or cc.is_monotone:
-            return None
-        return _degree0_violation(mu, rows, inv, m1, m2)
-
-    cond = _compile(mu, cls)
-    got = cond.violation(rows, cond.witnesses(rows, inv, m1, m2), m1, m2)
-    return None if got is None else replace(got, connective=mu.name)
-
-
 def connective_condition(
     mu: GuardedConnective, a: CrossRelation, m1: Model, m2: Model, strict: bool = True
 ):
@@ -463,8 +465,8 @@ def connective_condition(
     membership.  Returns True or the first ViolationReport.
     """
     rows = _rows(a, m1, m2)
-    got = _violation(mu, rows, _inverse(rows, m1, m2), m1, m2, strict)
-    return True if got is None else got
+    got = _reports([mu], rows, _inverse(rows, m1, m2), m1, m2, strict)
+    return got[0] if got else True
 
 
 def is_asimulation(
@@ -494,12 +496,7 @@ def is_asimulation(
         rows, inv = _doc_rows(a, m1, m2)
     if not any(rows[FWD]) and not any(rows[BWD]):
         return [ViolationReport("", "empty", None, "", (), "the empty relation is not an asimulation")]
-    reports = _atom_violations(theta_preds, rows, m1, m2)
-    for mu in sig:
-        got = _violation(mu, rows, inv, m1, m2, strict)
-        if got is not None:
-            reports.append(got)
-    return reports
+    return _atom_violations(theta_preds, rows, m1, m2) + _reports(sig, rows, inv, m1, m2, strict)
 
 
 def largest_asimulation(
@@ -512,29 +509,21 @@ def largest_asimulation(
     """Greatest fixpoint of the condition functional, starting from the
     atom-preserving relation.
 
-    Each round derives the witness relations from the current relation,
-    drops every pair violating its pair-level condition, and restricts to
-    the symmetric part when a degree-0 connective demands it.  The result
-    is empty exactly when no asimulation exists.
+    Each round derives the witness relations from the current relation and
+    drops every pair violating a connective's pair-level condition, the
+    degree-0 cut to the symmetric part included.  The result is empty
+    exactly when no asimulation exists.
     """
     if strict:
         problems = validate_standard_fragment(sig)
         if problems:
             raise NonStandardFragmentError("; ".join(problems))
-    connectives = list(sig)
-    for mu in connectives:
-        if mu.degree > 2:
-            raise NonStandardFragmentError(f"{mu.name}: degree {mu.degree} is not supported")
-    # Degree-0 cores that are not monotone force the relation to equal its inverse.
-    needs_symmetric = any(
-        mu.degree == 0 and not classify_connective(mu).core_class.is_monotone for mu in connectives
-    )
-    conditions = [_compile(mu, classify_connective(mu)) for mu in connectives if mu.degree > 0]
-
+    conditions = [cond for _, cond in _conditions(sig, strict)]
     a = _atom_rows(m1, m2, theta_preds)
     while True:
         inv = _inverse(a, m1, m2)
-        survivors = _meet(a, inv) if needs_symmetric else a
+        # each condition meets cand with a set fixed by the round: order is free
+        survivors = a
         for cond in conditions:
             survivors = cond.passing(survivors, cond.witnesses(a, inv, m1, m2), m1, m2)
         if survivors == a:

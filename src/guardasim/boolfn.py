@@ -57,18 +57,6 @@ class TruthTable:
     def outputs(self) -> tuple[bool, ...]:
         return tuple(bool((self.bits >> i) & 1) for i in range(self.size))
 
-    @staticmethod
-    def from_outputs(outputs: Iterable[bool]) -> "TruthTable":
-        outs = list(outputs)
-        n = (len(outs)).bit_length() - 1
-        if len(outs) != (1 << n):
-            raise ValueError(f"output sequence length {len(outs)} is not a power of two")
-        bits = 0
-        for i, v in enumerate(outs):
-            if v:
-                bits |= 1 << i
-        return TruthTable(n, bits)
-
     def value_at(self, index: int) -> bool:
         return bool((self.bits >> index) & 1)
 
@@ -623,7 +611,6 @@ def non_tft_cnf(f: TruthTable) -> MonotoneDnf:
     if cls.is_constant or cls.is_tft:
         raise ValueError("two-sided CNF needs a non-constant non-TFT function")
     dual_form = non_ftf_dnf(f.dual())
-    result = MonotoneDnf(positive=dual_form.positive, negative=dual_form.negative)
-    if result.cnf_table(f.arity) != f:
+    if dual_form.cnf_table(f.arity) != f:
         raise AssertionError("internal error: two-sided CNF does not reproduce the function")
-    return result
+    return dual_form

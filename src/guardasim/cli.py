@@ -37,17 +37,6 @@ def _emit(args, record: dict, human: str) -> None:
         print(human)
 
 
-def _load_sig(path: str) -> connective.FragmentSignature:
-    return connective.FragmentSignature.from_file(path)
-
-
-def _theta(*models: model.Model) -> list[str]:
-    preds: set[str] = set()
-    for m in models:
-        preds |= set(m.predicates)
-    return sorted(preds)
-
-
 def _load_models(args) -> tuple[model.Model, model.Model]:
     """The models of ``--m1`` and ``--m2``, one model when both name the same
     path, so a model checked against itself is read once and its guard chains
@@ -127,7 +116,7 @@ def cmd_classify_connective(args) -> int:
         mu = connective.parse_connective(args.spec, name=args.name or "mu")
     else:
         _require(args.fragment, "classify-connective needs --spec or --fragment")
-        sig = _load_sig(args.fragment)
+        sig = connective.FragmentSignature.from_file(args.fragment)
         mu = sig.get(args.name)
     cls = connective.classify_connective(mu)
     record = {
@@ -150,7 +139,7 @@ def cmd_classify_connective(args) -> int:
 
 
 def cmd_translate(args) -> int:
-    sig = _load_sig(args.fragment)
+    sig = connective.FragmentSignature.from_file(args.fragment)
     frag = formula.parse_fragment(args.formula, sig)
     fo = formula.std_translate(frag, args.var, sig)
     text = fo_text(fo)
@@ -162,7 +151,7 @@ def cmd_eval(args) -> int:
     m = model.load_file(args.model)
     if args.formula:
         _require(args.fragment, "eval --formula needs --fragment")
-        sig = _load_sig(args.fragment)
+        sig = connective.FragmentSignature.from_file(args.fragment)
         frag = formula.parse_fragment(args.formula, sig)
         value = formula.eval_fragment(m, args.world, frag, sig)
     else:
@@ -178,13 +167,14 @@ def cmd_eval(args) -> int:
 
 
 def cmd_check(args) -> int:
-    sig = _load_sig(args.fragment)
+    sig = connective.FragmentSignature.from_file(args.fragment)
     _require_standard(sig)
     m1, m2 = _load_models(args)
     with open(args.relation, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    theta = _theta(m1, m2)
-    reports = asim.is_asimulation(sig, theta, m1, m2, doc)
+    theta = formula._model_preds(m1, m2)
+    # strict=False: _require_standard above has validated the fragment once
+    reports = asim.is_asimulation(sig, theta, m1, m2, doc, strict=False)
     for rep in reports:
         print(json.dumps(rep.to_doc(), sort_keys=True))
     summary = "ok: the relation is an asimulation" if not reports else (
@@ -199,11 +189,12 @@ def cmd_largest(args) -> int:
         _require(args.point2, "largest --point1 needs --point2")
     if args.point2 is not None:
         _require(args.point1, "largest --point2 needs --point1")
-    sig = _load_sig(args.fragment)
+    sig = connective.FragmentSignature.from_file(args.fragment)
     _require_standard(sig)
     m1, m2 = _load_models(args)
-    theta = _theta(m1, m2)
-    rel = asim.largest_asimulation(sig, theta, m1, m2)
+    theta = formula._model_preds(m1, m2)
+    # strict=False: _require_standard above has validated the fragment once
+    rel = asim.largest_asimulation(sig, theta, m1, m2, strict=False)
     record = rel.to_doc()
     verdict = None
     if args.point1 is not None and args.point2 is not None:
@@ -227,7 +218,7 @@ def cmd_largest(args) -> int:
 
 
 def cmd_distinguish(args) -> int:
-    sig = _load_sig(args.fragment)
+    sig = connective.FragmentSignature.from_file(args.fragment)
     _require_standard(sig)
     m1, m2 = _load_models(args)
     pm1 = model.PointedModel(m1, args.point1)
@@ -286,7 +277,7 @@ def cmd_experiment(args) -> int:
     if trials < 1 or size_min < 1 or size_max < size_min:
         raise ValueError("need trials >= 1 and 1 <= size_min <= size_max")
 
-    sig = _load_sig(fragment_path)
+    sig = connective.FragmentSignature.from_file(fragment_path)
     if not args.allow_nonstandard:
         _require_standard(sig)
 
@@ -300,12 +291,14 @@ def cmd_experiment(args) -> int:
         n2 = rng.randint(size_min, size_max)
         m1 = model.random_model(n1, rel_symbols, pred_symbols, edge_prob, pred_prob, rng.randrange(1 << 30))
         m2 = model.random_model(n2, rel_symbols, pred_symbols, edge_prob, pred_prob, rng.randrange(1 << 30))
-        theta = _theta(m1, m2)
+        theta = formula._model_preds(m1, m2)
         # The enumeration is over this finite atom list, a deliberate
         # restriction of the full predicate vocabulary.
         record = {"trial": t, "seed": trial_seed, "n1": n1, "n2": n2, "atoms": theta}
         try:
-            rel = asim.largest_asimulation(sig, theta, m1, m2, strict=not args.allow_nonstandard)
+            # strict=False: _require_standard above has validated the fragment
+            # once, unless --allow-nonstandard asked for none
+            rel = asim.largest_asimulation(sig, theta, m1, m2, strict=False)
             record["asim_fwd"] = len(rel.fwd)
             record["asim_bwd"] = len(rel.bwd)
             classes = formula.semantic_classes(sig, theta, depth, m1, m2, budget)

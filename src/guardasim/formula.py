@@ -224,7 +224,7 @@ class _Joint:
     def atom(self, pred: str) -> int:
         vec = shift = 0
         for m in self.models:
-            vec |= sum(1 << m.index_of(u) for u in m.pred_elements(pred)) << shift
+            vec |= m.pred_row(pred) << shift
             shift += len(m)
         return vec
 

@@ -38,6 +38,13 @@ STANDARD = {
         "not": "{ ~p1 }",
         "dia2": "exists[R1,R3]{ p1 }",
     }}),
+    # Degree-0 rest and anti-monotone cores: the symmetry cut is matching
+    # along the empty guard chain.
+    "degree0_cores": FragmentSignature.from_dict({"connectives": {
+        "xor": "{ (p1 | p2) & ~(p1 & p2) }",
+        "nor": "{ ~p1 & ~p2 }",
+        "dia": "exists[R1]{ p1 }",
+    }}),
     # No model below interprets R4; some lack R2 or R3 as well.
     "missing_symbol": FragmentSignature.from_dict({"connectives": {
         "box4": "forall[R4]{ p1 }",
@@ -125,12 +132,20 @@ def test_verifier_reports_violations_on_most_relations():
 
 def test_strict_rejects_non_standard_in_both():
     sig = NON_STANDARD["irregular_degree2"]
+    deep = FragmentSignature.from_dict({"connectives": {"deep": "forall[R1] exists[R2] forall[R3]{ p1 }"}})
     for _, m1, m2 in model_pairs(3, 2):
         theta = theta_of(m1, m2)
-        with pytest.raises(NonStandardFragmentError):
-            asim.largest_asimulation(sig, theta, m1, m2)
-        with pytest.raises(NonStandardFragmentError):
-            ref.largest_asimulation(sig, theta, m1, m2)
+        full = asim.full_relation(m1, m2)
+        for lib in (asim, ref):
+            with pytest.raises(NonStandardFragmentError):
+                lib.largest_asimulation(sig, theta, m1, m2)
+            # The degree cap holds without strict too.
+            with pytest.raises(NonStandardFragmentError, match="deep: degree 3 is not supported"):
+                lib.largest_asimulation(deep, theta, m1, m2, strict=False)
+            with pytest.raises(NonStandardFragmentError, match="deep: degree 3 is not supported"):
+                lib.is_asimulation(deep, theta, m1, m2, full, strict=False)
+            with pytest.raises(NonStandardFragmentError, match="deep: degree 3 is not supported"):
+                lib.connective_condition(deep.get("deep"), full, m1, m2, strict=False)
 
 
 def degree1_connectives():

@@ -143,6 +143,21 @@ class TestCheck:
         )
         assert code == 0 and out.strip() == ""
 
+    def test_one_way_pair_reports_degree0(self, capsys, tmp_path):
+        # only the negation fails: the bwd pair has no fwd mirror
+        relation = tmp_path / "rel.json"
+        relation.write_text(json.dumps({"bwd": [["b", "a2"]]}))
+        code, out, _ = run(
+            capsys, "--json", "check", "--fragment", data("sig_modal.json"),
+            "--m1", data("m_chain.json"), "--m2", data("m_single.json"),
+            "--relation", str(relation),
+        )
+        assert code == 1
+        assert out == (
+            '{"condition": "degree0", "connective": "not", "detail": "pair lacks its mirror", '
+            '"direction": "bwd", "pair": ["b", "a2"], "path": []}\n'
+        )
+
     def test_degree3_fragment_exits_3(self, capsys):
         code, _, err = run(
             capsys, "--json", "check", "--fragment", data("sig_degree3.json"),
