@@ -5,8 +5,9 @@ models; a pair (x, y) promises that truth transfers from x to y.  Each
 connective of a fragment imposes one condition on such a relation: back or
 forth matching of guard paths, with two witnesses for the special (rest-core)
 flat connectives.  Degree 0 is matching along the empty guard chain: each
-pair must lie in the relation its core admits.  On top of the checks sit
-the asimulation verifier, the greatest-fixpoint solver for the largest
+pair must lie in the relation its core admits, so the condition is one meet,
+the candidate rows and each witness's rows.  On top of the checks sit the
+asimulation verifier, the greatest-fixpoint solver for the largest
 asimulation, the invariance checker, and the formula-preservation preorder
 computed by enumeration.
 
@@ -49,6 +50,14 @@ BWD = "bwd"
 
 class NonStandardFragmentError(ConnectiveError):
     """The requested operation only covers standard fragments."""
+
+
+def _require_standard(sig: FragmentSignature) -> None:
+    """Raise ``NonStandardFragmentError`` listing every problem that keeps
+    ``sig`` from being a standard fragment."""
+    problems = validate_standard_fragment(sig)
+    if problems:
+        raise NonStandardFragmentError("; ".join(problems))
 
 
 class RelationError(ValueError):
@@ -272,6 +281,18 @@ def core_candidate(core_class: BoolClass, a: CrossRelation, m1: Model, m2: Model
 
 # -- the pair check, compiled once per connective ---------------------------------
 
+def _sparse_cover(row: int, cover: int, missing: int, dead: int, y_ends, y_sources) -> int:
+    """Back matching of the candidates ``row`` when the cover is smaller than
+    both the row and the uncovered set: a candidate passes when it has no
+    endpoint (it lies in ``dead``) or all its endpoints lie in the cover, so
+    only the candidates with an endpoint in the cover are tested."""
+    kept = row & dead
+    for j in bits(union(y_sources, cover) & row):
+        if not y_ends[j] & missing:
+            kept |= 1 << j
+    return kept
+
+
 @dataclass(frozen=True)
 class _Condition:
     """Back (``forall``) or forth (``exists``) matching of the guard paths of
@@ -299,6 +320,12 @@ class _Condition:
 
     def passing(self, cand, witnesses, m1: Model, m2: Model) -> dict[str, list[int]]:
         """The pairs of ``cand`` that satisfy the condition, as rows."""
+        if not self.guards:
+            # each element's one endpoint is itself: the pairs of cand in every witness
+            out = cand
+            for w in witnesses:
+                out = _meet(out, w)
+            return out
         out = {}
         for d, mx, my in _directions(m1, m2):
             x_ends = mx.chain_rows(self.guards)[0]
@@ -308,13 +335,21 @@ class _Condition:
             if self.back:
                 full = (1 << len(my)) - 1
                 failing: dict[int, int] = {}
+                dead = None
                 for i, row in enumerate(rows):
                     if row:
                         cover = full
                         for w in ws:
                             cover &= union(w, x_ends[i])
                         missing = full ^ cover
-                        if row.bit_count() < missing.bit_count():
+                        n_row, n_missing = row.bit_count(), missing.bit_count()
+                        n_cover = len(my) - n_missing
+                        if n_cover < n_row and n_cover < n_missing:
+                            if dead is None:
+                                # the partner elements with no endpoint at all
+                                dead = full ^ union(y_sources, full)
+                            rows[i] = _sparse_cover(row, cover, missing, dead, y_ends, y_sources)
+                        elif n_row < n_missing:
                             # fewer candidates than gaps: test each candidate's endpoints
                             rows[i] = sum(1 << j for j in bits(row) if not y_ends[j] & missing)
                         elif missing:
@@ -486,9 +521,7 @@ def is_asimulation(
     relation becomes rows and inverse rows once, shared by every check.
     """
     if strict:
-        problems = validate_standard_fragment(sig)
-        if problems:
-            raise NonStandardFragmentError("; ".join(problems))
+        _require_standard(sig)
     if isinstance(a, CrossRelation):
         rows = _rows(a, m1, m2)
         inv = _inverse(rows, m1, m2)
@@ -515,9 +548,7 @@ def largest_asimulation(
     exactly when no asimulation exists.
     """
     if strict:
-        problems = validate_standard_fragment(sig)
-        if problems:
-            raise NonStandardFragmentError("; ".join(problems))
+        _require_standard(sig)
     conditions = [cond for _, cond in _conditions(sig, strict)]
     a = _atom_rows(m1, m2, theta_preds)
     while True:

@@ -51,12 +51,6 @@ def _require(value, message: str) -> None:
         raise ValueError(message)
 
 
-def _require_standard(sig: connective.FragmentSignature) -> None:
-    problems = connective.validate_standard_fragment(sig)
-    if problems:
-        raise NonStandardFragmentError("; ".join(problems))
-
-
 def cmd_classify_bool(args) -> int:
     table = boolfn.from_expr(args.expr)
     cls = boolfn.classify(table)
@@ -168,7 +162,7 @@ def cmd_eval(args) -> int:
 
 def cmd_check(args) -> int:
     sig = connective.FragmentSignature.from_file(args.fragment)
-    _require_standard(sig)
+    asim._require_standard(sig)
     m1, m2 = _load_models(args)
     with open(args.relation, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -190,7 +184,7 @@ def cmd_largest(args) -> int:
     if args.point2 is not None:
         _require(args.point1, "largest --point2 needs --point1")
     sig = connective.FragmentSignature.from_file(args.fragment)
-    _require_standard(sig)
+    asim._require_standard(sig)
     m1, m2 = _load_models(args)
     theta = formula._model_preds(m1, m2)
     # strict=False: _require_standard above has validated the fragment once
@@ -219,7 +213,7 @@ def cmd_largest(args) -> int:
 
 def cmd_distinguish(args) -> int:
     sig = connective.FragmentSignature.from_file(args.fragment)
-    _require_standard(sig)
+    asim._require_standard(sig)
     m1, m2 = _load_models(args)
     pm1 = model.PointedModel(m1, args.point1)
     pm2 = model.PointedModel(m2, args.point2)
@@ -279,7 +273,7 @@ def cmd_experiment(args) -> int:
 
     sig = connective.FragmentSignature.from_file(fragment_path)
     if not args.allow_nonstandard:
-        _require_standard(sig)
+        asim._require_standard(sig)
 
     import random as _random
 

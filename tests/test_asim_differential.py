@@ -1,15 +1,16 @@
 """The bit-row asimulation kernel against the original set-based checks and
 solver, kept in reference_asim.py, on seeded random model pairs of 1-12
-elements: equal largest asimulations, inner targets, pair-check verdicts and
-violation reports, atom reports included; the loaders' exact error messages
-for malformed pairs and lists; and relation documents read straight into rows
-against the rows of the relation they list."""
+elements, and of 30-48 for the dense-row kernels: equal largest
+asimulations, inner targets, pair-check verdicts and violation reports, atom
+reports included; the loaders' exact error messages for malformed pairs and
+lists; and relation documents read straight into rows against the rows of the
+relation they list."""
 
 import random
 
 import pytest
 
-from guardasim import asim
+from guardasim import asim, bitrows
 from guardasim.asim import CrossRelation, NonStandardFragmentError
 from guardasim.connective import FragmentSignature, ancestor
 from guardasim.model import Model, ModelError, load, random_model
@@ -320,3 +321,33 @@ def test_verifier_reads_documents_like_relations(name):
         for d in (doc, {}):
             got = asim.is_asimulation(sig, theta, m1, m2, d)
             assert got == asim.is_asimulation(sig, theta, m1, m2, asim.relation_from_doc(d, m1, m2))
+
+
+def test_dense_models_reach_the_row_kernels(monkeypatch):
+    # Models of 30-48 elements with sparse guards and P1/P2 at 70% of the
+    # elements: the relations stay dense, so the solver's inverse rows take
+    # the strided-slice transpose and rest-core back matching meets covers
+    # smaller than its candidate rows.  The counts guard against vacuity.
+    calls = {"slices": 0, "sparse cover": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(bitrows, "_transpose_slices", counted("slices", bitrows._transpose_slices))
+    monkeypatch.setattr(asim, "_sparse_cover", counted("sparse cover", asim._sparse_cover))
+    rng = random.Random(11)
+    for _ in range(3):
+        m1, m2 = (random_model(rng.randint(30, 48), RELATIONS, ["P1", "P2"], 0.06, 0.7,
+                               rng.randrange(1 << 30)) for _ in range(2))
+        theta = theta_of(m1, m2)
+        for build in ALL_SIGS.values():
+            sig = build()
+            big = asim.largest_asimulation(sig, theta, m1, m2)
+            assert big == ref.largest_asimulation(sig, theta, m1, m2)
+            for a in [big, *perturbed(rng, big, m1, m2)]:
+                assert asim.is_asimulation(sig, theta, m1, m2, a) == \
+                    ref.is_asimulation(sig, theta, m1, m2, a), a.to_doc()
+    assert calls["slices"] >= 10 and calls["sparse cover"] >= 100, calls
