@@ -8,6 +8,17 @@ constructive representations: lattice DNF for monotone functions,
 witness substitutions reducing TFT functions to p1 -> p2 and FTF
 functions to p1 & ~p2, projection substitutions for rest functions, and
 the two-sided clause forms for non-FTF / non-TFT functions.
+
+Each de Morgan dual is written once and derived from its counterpart.
+Reading a table from the other end (``_flip``: index i becomes
+i ^ (2^n - 1)) turns the subset order upside down, so ``TruthTable.dual``
+is the flipped complement and the strict-superset closure is the flipped
+strict-subset closure.  The CNF reading of a ``MonotoneDnf`` is the
+complement of its DNF reading with positive and negative clauses swapped,
+and both print through one clause printer given the two joiners.  The TFT
+and FTF witnesses come from one chain walk given the middle value, the
+fallback slots and the target table; the rest projections are segment
+substitutions of the two-point chain x < y = y.
 """
 
 from __future__ import annotations
@@ -76,12 +87,7 @@ class TruthTable:
 
     def dual(self) -> "TruthTable":
         """The de-Morgan dual: negate the output on the negated input."""
-        full = self.size - 1
-        bits = 0
-        for i in range(self.size):
-            if not self.value_at(full ^ i):
-                bits |= 1 << i
-        return TruthTable(self.arity, bits)
+        return TruthTable(self.arity, _flip(self.complement().bits, self.arity))
 
     def coordinates(self, index: int) -> tuple[int, ...]:
         """Input tuple (p1..pn) encoded by ``index``."""
@@ -201,19 +207,17 @@ def _strict_down_or(bits: int, n: int) -> int:
     return out
 
 
+def _flip(bits: int, n: int) -> int:
+    """The packed table read from the other end: bit i moves to the index of
+    the complemented input, i ^ (2^n - 1)."""
+    size = 1 << n
+    return int(format(bits, f"0{size}b")[::-1], 2)
+
+
 def _strict_up_or(bits: int, n: int) -> int:
-    """Mask where bit i is set iff some strict superset j of i has bit j set."""
-    up = bits
-    low = _low_masks(n)
-    full = (1 << (1 << n)) - 1
-    for b in range(n):
-        high = full & ~low[b]
-        up |= (up & high) >> (1 << b)
-    out = 0
-    for b in range(n):
-        high = full & ~low[b]
-        out |= (up & high) >> (1 << b)
-    return out
+    """Mask where bit i is set iff some strict superset j of i has bit j set:
+    the subset closure of the flipped table, flipped back."""
+    return _flip(_strict_down_or(_flip(bits, n), n), n)
 
 
 @dataclass(frozen=True)
@@ -339,72 +343,37 @@ class MonotoneDnf:
     positive: frozenset[frozenset[int]]
     negative: frozenset[frozenset[int]]
 
-    @staticmethod
-    def _var_masks(arity: int) -> tuple[dict[int, int], int]:
-        size = 1 << arity
-        full = (1 << size) - 1
-        var_mask = {}
-        for k in range(1, arity + 1):
-            m = 0
-            for i in range(size):
-                if (i >> (arity - k)) & 1:
-                    m |= 1 << i
-            var_mask[k] = m
-        return var_mask, full
-
     def dnf_table(self, arity: int) -> TruthTable:
-        var_mask, full = self._var_masks(arity)
+        low = _low_masks(arity)
+        full = (1 << (1 << arity)) - 1
+        var_mask = {k: full & ~low[arity - k] for k in range(1, arity + 1)}
         bits = 0
-        for clause in self.positive:
-            m = full
-            for k in clause:
-                m &= var_mask[k]
-            bits |= m
-        for clause in self.negative:
-            m = full
-            for k in clause:
-                m &= full & ~var_mask[k]
-            bits |= m
+        for clauses, sign in ((self.positive, 0), (self.negative, full)):
+            for clause in clauses:
+                m = full
+                for k in clause:
+                    m &= sign ^ var_mask[k]
+                bits |= m
         return TruthTable(arity, bits)
 
     def cnf_table(self, arity: int) -> TruthTable:
-        var_mask, full = self._var_masks(arity)
-        bits = full
-        for clause in self.positive:
-            m = 0
-            for k in clause:
-                m |= var_mask[k]
-            bits &= m
-        for clause in self.negative:
-            m = 0
-            for k in clause:
-                m |= full & ~var_mask[k]
-            bits &= m
-        return TruthTable(arity, bits)
+        """The CNF reading: by de Morgan, the complement of the DNF reading
+        with the positive and negative clauses swapped."""
+        return MonotoneDnf(self.negative, self.positive).dnf_table(arity).complement()
 
-    @staticmethod
-    def _sorted_clauses(clauses: frozenset[frozenset[int]]) -> list[tuple[int, ...]]:
-        return sorted(tuple(sorted(c)) for c in clauses)
+    def _text(self, inner: str, outer: str, empty: str) -> str:
+        parts = []
+        for clauses, sign in ((self.positive, ""), (self.negative, "~")):
+            for clause in sorted(tuple(sorted(c)) for c in clauses):
+                term = inner.join(f"{sign}p{k}" for k in clause)
+                parts.append(f"({term})" if len(clause) > 1 else term)
+        return outer.join(parts) if parts else empty
 
     def dnf_text(self) -> str:
-        parts = []
-        for clause in self._sorted_clauses(self.positive):
-            term = " & ".join(f"p{k}" for k in clause)
-            parts.append(f"({term})" if len(clause) > 1 else term)
-        for clause in self._sorted_clauses(self.negative):
-            term = " & ".join(f"~p{k}" for k in clause)
-            parts.append(f"({term})" if len(clause) > 1 else term)
-        return " | ".join(parts) if parts else "F"
+        return self._text(" & ", " | ", "F")
 
     def cnf_text(self) -> str:
-        parts = []
-        for clause in self._sorted_clauses(self.positive):
-            term = " | ".join(f"p{k}" for k in clause)
-            parts.append(f"({term})" if len(clause) > 1 else term)
-        for clause in self._sorted_clauses(self.negative):
-            term = " | ".join(f"~p{k}" for k in clause)
-            parts.append(f"({term})" if len(clause) > 1 else term)
-        return " & ".join(parts) if parts else "T"
+        return self._text(" | ", " & ", "T")
 
 
 def _indices(bits: int, size: int) -> Iterator[int]:
@@ -415,10 +384,6 @@ def _indices(bits: int, size: int) -> Iterator[int]:
 
 def _coords_set(index: int, n: int) -> frozenset[int]:
     return frozenset(k for k in range(1, n + 1) if (index >> (n - k)) & 1)
-
-
-def _coords_unset(index: int, n: int) -> frozenset[int]:
-    return frozenset(k for k in range(1, n + 1) if not (index >> (n - k)) & 1)
 
 
 def monotone_lattice_expr(f: TruthTable) -> MonotoneDnf:
@@ -503,61 +468,51 @@ def _segment_substitution(
     return Substitution(tuple(entries))
 
 
-def tft_substitution(f: TruthTable) -> Substitution:
-    """Witness substitution composing ``f`` down to p1 -> p2.
+def _chain_substitution(
+    f: TruthTable, middle_value: bool, fallback: tuple[Slot, Slot], target: TruthTable
+) -> Substitution:
+    """Walk the first chain a < b < c whose middle value is ``middle_value``.
 
-    Walks the first true-false-true chain a < b < c.  With d the join of a
-    and the top segment, the two candidate assignments differ on the b\\a
-    segment (p1 versus p1|p2); the p1 variant is valid exactly when f(d)
-    holds and is lexicographically smaller, so the case split on f(d)
-    realizes the tie-break.
+    With d the join of a and the top segment, the slots (p1, p2) on the
+    b\\a and top segments reach ``target`` exactly when f(d) differs from
+    the middle value, and ``fallback`` reaches it otherwise.  (p1, p2) is
+    lexicographically smaller than either fallback, so the case split on
+    f(d) realizes the tie-break.
     """
-    if not classify(f).is_tft:
-        raise ValueError("substitution to p1 -> p2 needs a TFT function")
-    a, b, c = _first_chain(f, middle_value=False)
+    a, b, c = _first_chain(f, middle_value)
     d = a | (c & ~b)
-    if f.value_at(d):
-        sub = _segment_substitution(f, a, b, c, Slot.P1, Slot.P2)
-    else:
-        sub = _segment_substitution(f, a, b, c, Slot.OR, Slot.P2)
-    if apply_substitution(f, sub) != TABLE_IMPLIES:
+    slots = (Slot.P1, Slot.P2) if f.value_at(d) != middle_value else fallback
+    sub = _segment_substitution(f, a, b, c, *slots)
+    if apply_substitution(f, sub) != target:
         raise AssertionError("internal error: chain construction missed the target")
     return sub
+
+
+def tft_substitution(f: TruthTable) -> Substitution:
+    """Witness substitution composing ``f`` down to p1 -> p2, from the first
+    true-false-true chain; the fallback puts p1 | p2 on the b\\a segment."""
+    if not classify(f).is_tft:
+        raise ValueError("substitution to p1 -> p2 needs a TFT function")
+    return _chain_substitution(f, False, (Slot.OR, Slot.P2), TABLE_IMPLIES)
 
 
 def ftf_substitution(f: TruthTable) -> Substitution:
-    """Witness substitution composing ``f`` down to p1 & ~p2 (dual of the TFT case)."""
+    """Witness substitution composing ``f`` down to p1 & ~p2 (dual of the TFT
+    case); the fallback puts p1 & p2 on the top segment."""
     if not classify(f).is_ftf:
         raise ValueError("substitution to p1 & ~p2 needs an FTF function")
-    a, b, c = _first_chain(f, middle_value=True)
-    d = a | (c & ~b)
-    if not f.value_at(d):
-        sub = _segment_substitution(f, a, b, c, Slot.P1, Slot.P2)
-    else:
-        sub = _segment_substitution(f, a, b, c, Slot.P1, Slot.AND)
-    if apply_substitution(f, sub) != TABLE_AND_NOT:
-        raise AssertionError("internal error: chain construction missed the target")
-    return sub
+    return _chain_substitution(f, True, (Slot.P1, Slot.AND), TABLE_AND_NOT)
 
 
 def _interval_projection(f: TruthTable, lo_value: bool) -> Substitution:
-    """Substitution over {p1, T, F} from the first x < y with f(x)=lo_value, f(y)=~lo_value."""
-    n, size = f.arity, f.size
-    for y in range(size):
+    """Substitution over {p1, T, F} from the first x < y with f(x)=lo_value,
+    f(y)=~lo_value: the segment substitution of the chain x < y = y."""
+    for y in range(f.size):
         if f.value_at(y) == lo_value:
             continue
         for x in range(y):
             if x & y == x and f.value_at(x) == lo_value:
-                entries = []
-                for k in range(1, n + 1):
-                    bit = 1 << (n - k)
-                    if x & bit:
-                        entries.append(Slot.TOP)
-                    elif y & bit:
-                        entries.append(Slot.P1)
-                    else:
-                        entries.append(Slot.BOT)
-                return Substitution(tuple(entries))
+                return _segment_substitution(f, x, y, y, Slot.P1, Slot.P1)
     raise ValueError("no order violation found")
 
 
@@ -598,7 +553,7 @@ def non_ftf_dnf(f: TruthTable) -> MonotoneDnf:
     minimal_upper = upper & ~_strict_down_or(upper, n)
     maximal_lower = lower & ~_strict_up_or(lower, n)
     positive = frozenset(_coords_set(i, n) for i in _indices(minimal_upper, size))
-    negative = frozenset(_coords_unset(i, n) for i in _indices(maximal_lower, size))
+    negative = frozenset(_coords_set(i ^ (size - 1), n) for i in _indices(maximal_lower, size))
     result = MonotoneDnf(positive=positive, negative=negative)
     if result.dnf_table(n) != f:
         raise AssertionError("internal error: two-sided DNF does not reproduce the function")

@@ -133,6 +133,11 @@ def cmd_classify_connective(args) -> int:
 
 
 def cmd_translate(args) -> int:
+    # The translation is printed for the first-order parser to read back, so
+    # the variable must be one token of its variable kind.
+    token = formula._FO_TOKEN.fullmatch(args.var)
+    if token is None or token.lastgroup != "name" or token.group("name") != args.var:
+        raise ValueError(f"--var {args.var!r} is not a first-order variable name")
     sig = connective.FragmentSignature.from_file(args.fragment)
     frag = formula.parse_fragment(args.formula, sig)
     fo = formula.std_translate(frag, args.var, sig)
@@ -143,6 +148,8 @@ def cmd_translate(args) -> int:
 
 def cmd_eval(args) -> int:
     m = model.load_file(args.model)
+    if args.world not in m:
+        raise ModelError(f"--world: unknown element {args.world!r}")
     if args.formula:
         _require(args.fragment, "eval --formula needs --fragment")
         sig = connective.FragmentSignature.from_file(args.fragment)

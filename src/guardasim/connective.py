@@ -354,30 +354,22 @@ def core_expr(core: TruthTable, args: Sequence[FoFormula]) -> FoFormula:
     if cc.is_constant:
         return TOP if core.bits else BOT
 
-    def pos_clause(clause, combine):
-        return combine([args[k - 1] for k in sorted(clause)])
-
-    def neg_clause(clause, combine):
-        return combine([Not(args[k - 1]) for k in sorted(clause)])
-
     if not cc.is_ftf:
-        form = non_ftf_dnf(core)
-        parts = [pos_clause(c, conjoin) for c in sorted(form.positive, key=sorted)]
-        parts += [neg_clause(c, conjoin) for c in sorted(form.negative, key=sorted)]
-        return disjoin(parts)
-    if not cc.is_tft:
-        form = non_tft_cnf(core)
-        parts = [pos_clause(c, disjoin) for c in sorted(form.positive, key=sorted)]
-        parts += [neg_clause(c, disjoin) for c in sorted(form.negative, key=sorted)]
-        return conjoin(parts)
-    rows = []
-    for i in range(core.size):
-        if core.value_at(i):
-            coords = core.coordinates(i)
-            rows.append(
-                conjoin([args[k] if v else Not(args[k]) for k, v in enumerate(coords)])
-            )
-    return disjoin(rows)
+        form, inner, outer = non_ftf_dnf(core), conjoin, disjoin
+    elif not cc.is_tft:
+        form, inner, outer = non_tft_cnf(core), disjoin, conjoin
+    else:
+        rows = []
+        for i in range(core.size):
+            if core.value_at(i):
+                coords = core.coordinates(i)
+                rows.append(
+                    conjoin([args[k] if v else Not(args[k]) for k, v in enumerate(coords)])
+                )
+        return disjoin(rows)
+    parts = [inner([args[k - 1] for k in sorted(c)]) for c in sorted(form.positive, key=sorted)]
+    parts += [inner([Not(args[k - 1]) for k in sorted(c)]) for c in sorted(form.negative, key=sorted)]
+    return outer(parts)
 
 
 def std_translation(mu: GuardedConnective, args: Sequence[FoFormula], var: str) -> FoFormula:

@@ -230,7 +230,9 @@ def disjoin(parts: list[FoFormula]) -> FoFormula:
     return out
 
 
-def free_vars(phi: FoFormula) -> frozenset[str]:
+def _vars(phi: FoFormula, bound: bool) -> frozenset[str]:
+    """The variables of ``phi``; a quantified variable is kept when ``bound``
+    and dropped from its body's otherwise."""
     if isinstance(phi, PredAtom):
         return frozenset({phi.var})
     if isinstance(phi, RelAtom):
@@ -238,28 +240,21 @@ def free_vars(phi: FoFormula) -> frozenset[str]:
     if isinstance(phi, (Top, Bot)):
         return frozenset()
     if isinstance(phi, Not):
-        return free_vars(phi.body)
+        return _vars(phi.body, bound)
     if isinstance(phi, (And, Or, Implies)):
-        return free_vars(phi.left) | free_vars(phi.right)
+        return _vars(phi.left, bound) | _vars(phi.right, bound)
     if isinstance(phi, (Forall, Exists)):
-        return free_vars(phi.body) - {phi.var}
+        body = _vars(phi.body, bound)
+        return body | {phi.var} if bound else body - {phi.var}
     raise TypeError(f"not a formula node: {phi!r}")
+
+
+def free_vars(phi: FoFormula) -> frozenset[str]:
+    return _vars(phi, bound=False)
 
 
 def all_vars(phi: FoFormula) -> frozenset[str]:
-    if isinstance(phi, PredAtom):
-        return frozenset({phi.var})
-    if isinstance(phi, RelAtom):
-        return frozenset({phi.var1, phi.var2})
-    if isinstance(phi, (Top, Bot)):
-        return frozenset()
-    if isinstance(phi, Not):
-        return all_vars(phi.body)
-    if isinstance(phi, (And, Or, Implies)):
-        return all_vars(phi.left) | all_vars(phi.right)
-    if isinstance(phi, (Forall, Exists)):
-        return all_vars(phi.body) | {phi.var}
-    raise TypeError(f"not a formula node: {phi!r}")
+    return _vars(phi, bound=True)
 
 
 def rename_free(phi: FoFormula, old: str, new: str) -> FoFormula:

@@ -1,14 +1,19 @@
 """Command-line contract: exit codes, machine output, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from guardasim import cli
 from guardasim.cli import main
+from guardasim.connective import FragmentSignature
+from guardasim.formula import parse_fo, parse_fragment, std_translate
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -89,6 +94,32 @@ class TestTranslate:
         assert code == 0
         assert json.loads(out)["translation"] == "exists x2 (R1(x,x2) & P1(x2))"
 
+    @pytest.mark.parametrize("var", ["", "forall", "exists", "T", "F", "a b", " x", "x\n", "1x", "x-y"])
+    def test_unreadable_var_exits_2(self, capsys, var):
+        code, out, err = run(
+            capsys, "translate", "--fragment", data("sig_modal.json"), "--formula", "box(P1)",
+            f"--var={var}",
+        )
+        assert code == 2 and out == ""
+        assert err == f"input error: --var {var!r} is not a first-order variable name\n"
+
+    @settings(derandomize=True, max_examples=80, deadline=None, database=None)
+    @given(var=st.sampled_from(["x", "y7", "x2", "x9", "_", "Tx", "F_", "forallx", "exists1", "P1", "R1"])
+           | st.text("xyTFPR1_ (,\n", max_size=5))
+    def test_accepted_var_reads_back(self, var):
+        """Every name ``translate`` accepts prints a formula that the
+        first-order parser reads back as the translation itself."""
+        sig = FragmentSignature.from_file(data("sig_modal.json"))
+        text = "and(box(dia(P1)), not(dia(P1)))"
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["translate", "--fragment", data("sig_modal.json"), "--formula", text,
+                         f"--var={var}"])
+        if code == 0:
+            assert parse_fo(out.getvalue()) == std_translate(parse_fragment(text, sig), var, sig)
+        else:
+            assert code == 2 and f"--var {var!r}" in err.getvalue()
+
 
 class TestEval:
     def test_fragment_true(self, capsys):
@@ -120,6 +151,16 @@ class TestEval:
         code, out, err = run(capsys, "eval", "--model", data("m_chain.json"), "--world", "a", *flags)
         assert code == 2 and out == ""
         assert f"input error: {missing}" in err
+
+    @pytest.mark.parametrize("flags", [
+        ["--fo-formula", "T"],
+        ["--fo-formula", "P1(x)"],
+        ["--fragment", data("sig_modal.json"), "--formula", "P1"],
+    ])
+    def test_unknown_world_exits_2(self, capsys, flags):
+        code, out, err = run(capsys, "eval", "--model", data("m_chain.json"), "--world", "nosuch", *flags)
+        assert code == 2 and out == ""
+        assert err == "input error: --world: unknown element 'nosuch'\n"
 
 
 class TestCheck:
