@@ -149,15 +149,18 @@ def from_expr(text: str) -> TruthTable:
     """
     n = 0
     zero = None  # position of the first p0, p00, ...
+    over = None  # (index, position) of the first variable above the cap
 
     def atom(cur):
-        nonlocal n, zero
+        nonlocal n, zero, over
         kind, val, pos = cur.next()
         if kind == "var":
             k = int(val[1:])
             n = max(n, k)
             if k == 0 and zero is None:
                 zero = pos
+            if k > MAX_ARITY and over is None:
+                over = k, pos
             return ("var", k)
         if kind == "const":
             return ("const", val == "T")
@@ -168,8 +171,8 @@ def from_expr(text: str) -> TruthTable:
         raise BoolExprError(f"expected an atom, found {val!r}", pos)
 
     node = _parse(text, _TOKEN_RE, lambda cur: _climb(cur, atom, _NODES), BoolExprError)
-    if n > MAX_ARITY:
-        raise BoolExprError(f"variable p{n} exceeds the arity cap {MAX_ARITY}", 0)
+    if over is not None:
+        raise BoolExprError(f"variable p{over[0]} exceeds the arity cap {MAX_ARITY}", over[1])
     if zero is not None:
         raise BoolExprError("variables are numbered from p1", zero)
     bits = 0
@@ -352,6 +355,8 @@ class MonotoneDnf:
             for clause in clauses:
                 m = full
                 for k in clause:
+                    if k not in var_mask:
+                        raise ValueError(f"clause {sorted(clause)}: variable {k} is outside 1..{arity}")
                     m &= sign ^ var_mask[k]
                 bits |= m
         return TruthTable(arity, bits)

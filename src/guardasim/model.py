@@ -2,9 +2,14 @@
 unary predicates P<n> over a named domain, with guard-chain traversal,
 JSON (de)serialization, and seeded random generation.
 
-The pass that validates a relation's pairs also reads them into step rows,
-one bit row over element indices per element, and guard chains are composed
-from those rows; the frozenset ``relations`` stay the public form."""
+A relation's pairs are read into step rows, one bit row over element
+indices per element, and guard chains are composed from those rows; a
+predicate's elements are read into one bit row.  The frozenset
+``relations`` and ``predicates`` stay the public form.  Each list is read
+by the bulk pass of ``bitrows.read_pairs`` or ``read_names``, which checks
+entry types at once and lets the name lookups do the rest; only when it
+refuses a list is the list read again by the validating loop, which names
+the first malformed entry in the same message as always."""
 
 from __future__ import annotations
 
@@ -13,7 +18,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .bitrows import bits, identity, transpose, union
+from .bitrows import bits, identity, read_names, read_pairs, transpose, union
 from .syntax import _PRED_NAME, _REL_NAME
 
 
@@ -29,7 +34,7 @@ class Model:
     completion with empty interpretations.
     """
 
-    __slots__ = ("domain", "index", "relations", "predicates", "_steps", "_chains")
+    __slots__ = ("domain", "index", "relations", "predicates", "_steps", "_pred_rows", "_chains")
 
     def __init__(
         self,
@@ -48,45 +53,37 @@ class Model:
         rels: dict[str, frozenset[tuple[str, str]]] = {}
         # _steps[name][i]: the elements one step from element i through name
         self._steps: dict[str, list[int]] = {}
-        bit = identity(len(members))
         for name, pairs in (relations or {}).items():
             if not _REL_NAME.fullmatch(name):
                 raise ModelError(f"relations.{name}: not a relation symbol (expected R<digits>)")
             if not isinstance(pairs, (list, tuple, set, frozenset)):
                 raise ModelError(f"relations.{name}: expected a list of pairs")
-            pair_set = set()
             step = self._steps[name] = [0] * len(members)
-            for i, pair in enumerate(pairs):
-                if isinstance(pair, (list, tuple)) and len(pair) == 2:
-                    a, b = pair
-                    if isinstance(a, str) and isinstance(b, str):
-                        ia = members.get(a)
-                        if ia is None:
-                            raise ModelError(f"relations.{name}[{i}]: unknown element {a!r}")
-                        ib = members.get(b)
-                        if ib is None:
-                            raise ModelError(f"relations.{name}[{i}]: unknown element {b!r}")
-                        step[ia] |= bit[ib]
-                        pair_set.add((a, b))
-                        continue
-                raise ModelError(f"relations.{name}[{i}]: expected a pair of element names")
-            rels[name] = frozenset(pair_set)
+            try:
+                read_pairs(pairs, members, members, step)
+                rels[name] = frozenset(map(tuple, pairs))
+                continue
+            except (ValueError, KeyError, TypeError):
+                step[:] = [0] * len(members)
+            rels[name] = _checked_pairs(name, pairs, members, step)
         self.relations: dict[str, frozenset[tuple[str, str]]] = rels
 
         preds: dict[str, frozenset[str]] = {}
+        # _pred_rows[name]: the elements holding name, as a bit row
+        self._pred_rows: dict[str, int] = {}
         for name, elems in (predicates or {}).items():
             if not _PRED_NAME.fullmatch(name):
                 raise ModelError(f"predicates.{name}: not a predicate symbol (expected P<digits>)")
             if not isinstance(elems, (list, tuple, set, frozenset)):
                 raise ModelError(f"predicates.{name}: expected a list of element names")
-            elem_set = set()
-            for i, el in enumerate(elems):
-                if not isinstance(el, str):
-                    raise ModelError(f"predicates.{name}[{i}]: expected an element name")
-                if el not in members:
-                    raise ModelError(f"predicates.{name}[{i}]: unknown element {el!r}")
-                elem_set.add(el)
-            preds[name] = frozenset(elem_set)
+            try:
+                self._pred_rows[name] = read_names(elems, members)
+                preds[name] = frozenset(elems)
+                continue
+            except (KeyError, TypeError):
+                pass
+            preds[name] = _checked_names(name, elems, members)
+            self._pred_rows[name] = sum(1 << members[el] for el in preds[name])
         self.predicates: dict[str, frozenset[str]] = preds
 
         self._chains: dict[tuple[str, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
@@ -116,7 +113,7 @@ class Model:
 
     def pred_row(self, name: str) -> int:
         """The elements holding the predicate, as a bit row over element indices."""
-        return sum(1 << self.index[el] for el in self.predicates.get(name, ()))
+        return self._pred_rows.get(name, 0)
 
     def chain_rows(self, guards: Sequence[str]) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The guard chain as bit rows over element indices: ``ends[i]`` holds
@@ -166,6 +163,42 @@ class Model:
 
     def __repr__(self) -> str:
         return f"Model(|U|={len(self.domain)}, R={sorted(self.relations)}, P={sorted(self.predicates)})"
+
+
+def _checked_pairs(name: str, pairs, members: dict, step: list[int]) -> frozenset[tuple[str, str]]:
+    """The validating loop behind ``read_pairs``: the same rows and pairs,
+    and a ``ModelError`` naming the first entry that is not a pair of
+    element names."""
+    bit = identity(len(members))
+    pair_set = set()
+    for i, pair in enumerate(pairs):
+        if isinstance(pair, (list, tuple)) and len(pair) == 2:
+            a, b = pair
+            if isinstance(a, str) and isinstance(b, str):
+                ia = members.get(a)
+                if ia is None:
+                    raise ModelError(f"relations.{name}[{i}]: unknown element {a!r}")
+                ib = members.get(b)
+                if ib is None:
+                    raise ModelError(f"relations.{name}[{i}]: unknown element {b!r}")
+                step[ia] |= bit[ib]
+                pair_set.add((a, b))
+                continue
+        raise ModelError(f"relations.{name}[{i}]: expected a pair of element names")
+    return frozenset(pair_set)
+
+
+def _checked_names(name: str, elems, members: dict) -> frozenset[str]:
+    """The validating loop behind ``read_names``: a ``ModelError`` names the
+    first entry that is not an element name."""
+    elem_set = set()
+    for i, el in enumerate(elems):
+        if not isinstance(el, str):
+            raise ModelError(f"predicates.{name}[{i}]: expected an element name")
+        if el not in members:
+            raise ModelError(f"predicates.{name}[{i}]: unknown element {el!r}")
+        elem_set.add(el)
+    return frozenset(elem_set)
 
 
 @dataclass(frozen=True)

@@ -76,6 +76,15 @@ class TestParsing:
         with pytest.raises(BoolExprError):
             from_expr("p17")
 
+    @pytest.mark.parametrize("text,var,pos", [
+        ("p1 & p20", 20, 5), ("p17 | p1", 17, 0), ("p2 -> (p1 & p19) | p30", 19, 12),
+    ])
+    def test_arity_cap_names_the_first_variable_above_it(self, text, var, pos):
+        with pytest.raises(BoolExprError) as err:
+            from_expr(text)
+        assert err.value.pos == pos
+        assert str(err.value) == f"variable p{var} exceeds the arity cap 16 (at position {pos})"
+
     def test_vacuous_variable_fixes_arity(self):
         assert from_expr("p2").arity == 2
 

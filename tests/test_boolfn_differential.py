@@ -89,6 +89,14 @@ def test_clause_readings_match_reference(arity):
         assert readings(form, arity) == reference_readings(form, arity), form
 
 
-def test_clause_variable_beyond_arity_raises_as_before():
-    form = MonotoneDnf(positive=frozenset({frozenset({3})}), negative=frozenset())
-    assert readings(form, 2) == reference_readings(form, 2)
+def test_clause_variable_beyond_arity_raises_value_error():
+    """Both texts print the clause as before; both tables refuse it with a
+    ``ValueError`` naming the clause and the arity, where the reference
+    raised a bare ``KeyError``."""
+    for positive, negative in (({frozenset({3})}, set()), (set(), {frozenset({1, 3})})):
+        form = MonotoneDnf(positive=frozenset(positive), negative=frozenset(negative))
+        clause = next(iter(positive or negative))
+        refused = ("raised", ValueError, f"clause {sorted(clause)}: variable 3 is outside 1..2")
+        before = reference_readings(form, 2)
+        assert readings(form, 2) == (*before[:2], refused, refused)
+        assert before[2][1] is before[3][1] is KeyError

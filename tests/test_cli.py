@@ -60,6 +60,15 @@ class TestClassifyBool:
         assert code == 2 and out == ""
         assert err == f"input error: variables are numbered from p1 (at position {pos})\n"
 
+    @pytest.mark.parametrize("expr,var,pos", [
+        ("p1 & p20", "p20", 5), ("p17", "p17", 0), ("(p1 | p18) & p20", "p18", 6),
+        ("p0 & p1 | ~p017", "p17", 11),
+    ])
+    def test_variable_above_the_arity_cap_exits_2(self, capsys, expr, var, pos):
+        code, out, err = run(capsys, "classify-bool", "--expr", expr)
+        assert code == 2 and out == ""
+        assert err == f"input error: variable {var} exceeds the arity cap 16 (at position {pos})\n"
+
 
 class TestClassifyConnective:
     def test_inline_spec(self, capsys):

@@ -48,6 +48,10 @@ ALLOWED = {
             "Implies", "Not", "Or", "PredAtom", "RelAtom", "Top",
         },
     },
+    "reference_readers.py": {
+        "guardasim.asim": {"BWD", "FWD", "RelationError"},
+        "guardasim.model": {"ModelError"},
+    },
 }
 
 

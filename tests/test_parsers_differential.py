@@ -3,16 +3,18 @@
 sides return equal results or raise the same exception type with the same
 message (and, for Boolean cores, the same position).
 
-The one intended difference: a core that parses and has a zero-indexed
-variable (``p0``, ``p00``, ...) used to read it as the last variable or
-fail with ``IndexError``; it is now rejected at the first such leaf.  The
-data is derandomized, so every run checks the same strings.
+Two intended differences in Boolean cores that parse.  A zero-indexed
+variable (``p0``, ``p00``, ...) used to be read as the last variable or to
+fail with ``IndexError``; it is now rejected at the first such leaf.  A
+variable above the arity cap used to be reported as the highest variable at
+position 0; now the first such leaf is named, at its position.  The data is
+derandomized, so every run checks the same strings.
 """
 
 from hypothesis import given, settings, strategies as st
 
 import reference_parsers as reference
-from guardasim.boolfn import BoolExprError, from_expr
+from guardasim.boolfn import MAX_ARITY, BoolExprError, from_expr
 from guardasim.formula import FormulaError, parse_fo, parse_fragment
 
 from helpers import sig_modal
@@ -77,8 +79,12 @@ def outcome(parse, *args):
 
 def bool_outcome(text):
     """The reference's outcome, but for the rejection of a zero-indexed
-    variable in a core that parses."""
+    variable or of a variable above the cap in a core that parses."""
     want = outcome(reference.from_expr, text)
+    if want[0] is BoolExprError and "exceeds the arity cap" in want[1]:
+        k, pos = next((int(val[1:]), pos) for kind, val, pos in reference.bool_tokens(text)
+                      if kind == "var" and int(val[1:]) > MAX_ARITY)
+        want = (BoolExprError, f"variable p{k} exceeds the arity cap {MAX_ARITY} (at position {pos})", pos)
     if want[0] in ("ok", IndexError):
         pos = next((pos for kind, val, pos in reference.bool_tokens(text)
                     if kind == "var" and int(val[1:]) == 0), None)
