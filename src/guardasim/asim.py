@@ -24,6 +24,14 @@ by the bulk pass of ``bitrows.read_pairs``, with the entry types checked at
 once and the name lookups as the only per-pair checks; only a direction it
 refuses is read again by the validating loop, which names the first
 malformed entry in the same message as always.
+
+Within one check of one direction, each distinct set is worked out once.
+The rows of a relation repeat (in the first round of the solver the
+atom-preserving rows take at most 2^|theta| values), so forth matching
+keeps the partner elements with an endpoint in a witness row by the row's
+value, and back matching keeps, per cover, the candidates already tested
+against it and those that passed, and tests a later row's candidates only
+where they are new.
 """
 
 from __future__ import annotations
@@ -348,44 +356,50 @@ class _Condition:
         out = {}
         for d, mx, my in _directions(m1, m2):
             x_ends = mx.chain_rows(self.guards)[0]
-            y_ends, y_sources = my.chain_rows(self.guards)
+            y_ends, y_sources, dead = my.chain_rows(self.guards)
             ws = [w[d] for w in witnesses]
             rows = out[d] = list(cand[d])
             if self.back:
                 full = (1 << len(my)) - 1
-                failing: dict[int, int] = {}
-                dead = None
+                # memo[cover]: the candidates tested against cover so far, and
+                # those of them that passed; whether a candidate passes depends
+                # on the cover alone, so no candidate is tested twice against one
+                memo: dict[int, tuple[int, int]] = {}
                 for i, row in enumerate(rows):
                     if row:
                         cover = full
                         for w in ws:
                             cover &= union(w, x_ends[i])
-                        missing = full ^ cover
-                        n_row, n_missing = row.bit_count(), missing.bit_count()
-                        n_cover = len(my) - n_missing
-                        if n_cover < n_row and n_cover < n_missing:
-                            if dead is None:
-                                # the partner elements with no endpoint at all
-                                dead = full ^ union(y_sources, full)
-                            rows[i] = _sparse_cover(row, cover, missing, dead, y_ends, y_sources)
-                        elif n_row < n_missing:
-                            # fewer candidates than gaps: test each candidate's endpoints
-                            rows[i] = sum(1 << j for j in bits(row) if not y_ends[j] & missing)
-                        elif missing:
-                            bad = failing.get(missing)
-                            if bad is None:
-                                # the partner elements with an endpoint outside the cover
-                                bad = failing[missing] = union(y_sources, missing)
-                            rows[i] = row & ~bad
+                        if cover == full:
+                            continue
+                        tested, passed = memo.get(cover, (0, 0))
+                        todo = row & ~tested
+                        if todo:
+                            missing = full ^ cover
+                            n_todo, n_missing = todo.bit_count(), missing.bit_count()
+                            n_cover = len(my) - n_missing
+                            if n_cover < n_todo and n_cover < n_missing:
+                                kept = _sparse_cover(todo, cover, missing, dead, y_ends, y_sources)
+                            elif n_todo < n_missing:
+                                # fewer candidates than gaps: test each candidate's endpoints
+                                kept = sum(1 << j for j in bits(todo) if not y_ends[j] & missing)
+                            else:
+                                # settle every partner element: those with an
+                                # endpoint outside the cover fail
+                                todo, kept = full, full ^ union(y_sources, missing)
+                            tested, passed = memo[cover] = tested | todo, passed | kept
+                        rows[i] = row & passed
             else:
-                # hits[k][j]: the partner elements with an endpoint in ws[k][j]
-                hits: list[list] = [[None] * len(mx) for _ in ws]
+                # hits[S]: the partner elements with an endpoint in the witness row S
+                hits: dict[int, int] = {}
                 for i, row in enumerate(rows):
                     for j in bits(x_ends[i]) if row else ():
-                        for w, hit in zip(ws, hits):
-                            if hit[j] is None:
-                                hit[j] = union(y_sources, w[j])
-                            row &= hit[j]
+                        for w in ws:
+                            s = w[j]
+                            hit = hits.get(s)
+                            if hit is None:
+                                hit = hits[s] = union(y_sources, s)
+                            row &= hit
                     rows[i] = row
         return out
 

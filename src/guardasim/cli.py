@@ -193,14 +193,14 @@ def cmd_largest(args) -> int:
     sig = connective.FragmentSignature.from_file(args.fragment)
     asim._require_standard(sig)
     m1, m2 = _load_models(args)
+    if args.point1 is not None and (args.point1 not in m1 or args.point2 not in m2):
+        raise ModelError("verdict points must lie in the respective domains")
     theta = formula._model_preds(m1, m2)
     # strict=False: _require_standard above has validated the fragment once
     rel = asim.largest_asimulation(sig, theta, m1, m2, strict=False)
     record = rel.to_doc()
     verdict = None
-    if args.point1 is not None and args.point2 is not None:
-        if args.point1 not in m1 or args.point2 not in m2:
-            raise ModelError("verdict points must lie in the respective domains")
+    if args.point1 is not None:
         related = (args.point1, args.point2) in rel.fwd
         verdict = "related" if related else "not related"
         record["verdict"] = verdict

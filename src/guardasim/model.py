@@ -3,7 +3,8 @@ unary predicates P<n> over a named domain, with guard-chain traversal,
 JSON (de)serialization, and seeded random generation.
 
 A relation's pairs are read into step rows, one bit row over element
-indices per element, and guard chains are composed from those rows; a
+indices per element, and guard chains are composed from those rows (a
+one-guard chain is the step rows themselves); a
 predicate's elements are read into one bit row.  The frozenset
 ``relations`` and ``predicates`` stay the public form.  Each list is read
 by the bulk pass of ``bitrows.read_pairs`` or ``read_names``, which checks
@@ -86,7 +87,7 @@ class Model:
             self._pred_rows[name] = sum(1 << members[el] for el in preds[name])
         self.predicates: dict[str, frozenset[str]] = preds
 
-        self._chains: dict[tuple[str, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
+        self._chains: dict[tuple[str, ...], tuple[tuple[int, ...], tuple[int, ...], int]] = {}
 
     def __len__(self) -> int:
         return len(self.domain)
@@ -115,22 +116,28 @@ class Model:
         """The elements holding the predicate, as a bit row over element indices."""
         return self._pred_rows.get(name, 0)
 
-    def chain_rows(self, guards: Sequence[str]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    def chain_rows(self, guards: Sequence[str]) -> tuple[tuple[int, ...], tuple[int, ...], int]:
         """The guard chain as bit rows over element indices: ``ends[i]`` holds
         the elements reachable from element i by one step through each listed
-        relation in order, and ``sources`` is its transpose.  Built from the
-        step rows read with the model, once per guard tuple on first use, and
-        kept, which is safe because the model is immutable."""
+        relation in order, ``sources`` is its transpose, and ``dead`` is the
+        row of the elements with no endpoint.  A one-guard chain is the step
+        rows read with the model, and a longer one composes the chain without
+        its last guard with that guard's steps.  Built once per guard tuple
+        on first use and kept, which is safe because the model is immutable."""
         guards = tuple(guards)
         got = self._chains.get(guards)
         if got is None:
             n = len(self.domain)
-            if guards:
-                step = self._steps.get(guards[-1]) or [0] * n
-                ends = tuple(union(step, row) for row in self.chain_rows(guards[:-1])[0])
-            else:
+            if not guards:
                 ends = identity(n)
-            got = self._chains[guards] = (ends, tuple(transpose(ends, n)))
+            else:
+                step = self._steps.get(guards[-1]) or [0] * n
+                if len(guards) == 1:
+                    ends = tuple(step)
+                else:
+                    ends = tuple(union(step, row) for row in self.chain_rows(guards[:-1])[0])
+            dead = sum(1 << i for i, row in enumerate(ends) if not row)
+            got = self._chains[guards] = (ends, tuple(transpose(ends, n)), dead)
         return got
 
     def guard_endpoints(self, guards: Sequence[str], start: str) -> frozenset[str]:

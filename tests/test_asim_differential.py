@@ -323,6 +323,13 @@ def test_verifier_reads_documents_like_relations(name):
             assert got == asim.is_asimulation(sig, theta, m1, m2, asim.relation_from_doc(d, m1, m2))
 
 
+def dense_models(rng):
+    """Two independent models of 30-48 elements with sparse guards and P1/P2
+    at 70% of the elements."""
+    return tuple(random_model(rng.randint(30, 48), RELATIONS, ["P1", "P2"], 0.06, 0.7,
+                              rng.randrange(1 << 30)) for _ in range(2))
+
+
 def test_dense_models_reach_the_row_kernels(monkeypatch):
     # Models of 30-48 elements with sparse guards and P1/P2 at 70% of the
     # elements: the relations stay dense, so the solver's inverse rows take
@@ -340,8 +347,7 @@ def test_dense_models_reach_the_row_kernels(monkeypatch):
     monkeypatch.setattr(asim, "_sparse_cover", counted("sparse cover", asim._sparse_cover))
     rng = random.Random(11)
     for _ in range(3):
-        m1, m2 = (random_model(rng.randint(30, 48), RELATIONS, ["P1", "P2"], 0.06, 0.7,
-                               rng.randrange(1 << 30)) for _ in range(2))
+        m1, m2 = dense_models(rng)
         theta = theta_of(m1, m2)
         for build in ALL_SIGS.values():
             sig = build()
@@ -351,3 +357,43 @@ def test_dense_models_reach_the_row_kernels(monkeypatch):
                 assert asim.is_asimulation(sig, theta, m1, m2, a) == \
                     ref.is_asimulation(sig, theta, m1, m2, a), a.to_doc()
     assert calls["slices"] >= 10 and calls["sparse cover"] >= 100, calls
+
+
+def test_forth_matching_unions_each_witness_row_once(monkeypatch):
+    # Whether a partner element has an endpoint in a witness row S depends
+    # on S alone, so within one forth call and direction no S is unioned
+    # against the partner's chain sources twice.  The two models differ, so
+    # each direction has its own sources tuple, which tells them apart.
+    calls = []  # per forth call: the (sources, S) of each union
+    counts = {"forth": 0, "unions": 0}
+    union, passing = asim.union, asim._Condition.passing
+
+    def logged_union(rows, mask):
+        if calls:
+            calls[-1].append((id(rows), mask))
+        return union(rows, mask)
+
+    def logged_passing(self, *args):
+        if self.back or not self.guards:
+            return passing(self, *args)
+        calls.append([])
+        try:
+            return passing(self, *args)
+        finally:
+            log = calls.pop()
+            assert len(log) == len(set(log)), (self, len(log) - len(set(log)))
+            counts["forth"] += 1
+            counts["unions"] += len(log)
+
+    monkeypatch.setattr(asim, "union", logged_union)
+    monkeypatch.setattr(asim._Condition, "passing", logged_passing)
+    rng = random.Random(11)
+    for _ in range(3):
+        m1, m2 = dense_models(rng)
+        theta = theta_of(m1, m2)
+        for build in ALL_SIGS.values():
+            sig = build()
+            big = asim.largest_asimulation(sig, theta, m1, m2)
+            for a in [big, *perturbed(rng, big, m1, m2)]:
+                asim.is_asimulation(sig, theta, m1, m2, a)
+    assert counts["forth"] >= 30 and counts["unions"] >= 500, counts

@@ -10,7 +10,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from guardasim import cli
+from guardasim import asim, cli
 from guardasim.cli import main
 from guardasim.connective import FragmentSignature
 from guardasim.formula import parse_fo, parse_fragment, std_translate
@@ -354,6 +354,20 @@ class TestLargest:
         )
         assert code == 2 and out == ""
         assert err == f"input error: largest {given} needs {missing}\n"
+
+    @pytest.mark.parametrize("point1,point2", [("zz", "a"), ("a", "zz")])
+    def test_unknown_verdict_point_exits_2_before_solving(self, capsys, monkeypatch, point1, point2):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the solver ran before the verdict points were checked")
+
+        monkeypatch.setattr(asim, "largest_asimulation", unreachable)
+        code, out, err = run(
+            capsys, "largest", "--fragment", data("sig_modal.json"),
+            "--m1", data("m_chain.json"), "--m2", data("m_chain.json"),
+            "--point1", point1, "--point2", point2,
+        )
+        assert code == 2 and out == ""
+        assert err == "input error: verdict points must lie in the respective domains\n"
 
     def test_asymmetric_relation_without_negation(self, capsys, tmp_path):
         m1 = tmp_path / "m1.json"

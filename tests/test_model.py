@@ -151,10 +151,13 @@ def test_chain_rows_match_relations(container):
         r1, r2 = m.relations["R1"], m.relations["R2"]
         composed = {(a, c) for a, b in r1 for b2, c in r2 if b == b2}
         for guards, pairs in ((("R1",), r1), (("R2",), r2), (("R1", "R2"), composed),
-                              (("R3",), ()), (("R1", "R3"), ()), (("R3", "R1"), ())):
-            ends, sources = m.chain_rows(guards)
+                              (("R3",), ()), (("R1", "R3"), ()), (("R3", "R1"), ()),
+                              ((), [(x, x) for x in names])):
+            ends, sources, dead = m.chain_rows(guards)
             assert ends == rows_of(m, pairs), guards
             assert sources == rows_of(m, ((b, a) for a, b in pairs)), guards
+            # dead: the elements with no endpoint along the chain
+            assert dead == sum(1 << m.index[x] for x in names if all(a != x for a, _ in pairs)), guards
 
 
 class TestRandomModel:
