@@ -366,7 +366,10 @@ class _Condition:
                 # on the cover alone, so no candidate is tested twice against one
                 memo: dict[int, tuple[int, int]] = {}
                 for i, row in enumerate(rows):
-                    if row:
+                    if row and not x_ends[i]:
+                        # no endpoint, so an empty cover: only candidates with none pass
+                        rows[i] = row & dead
+                    elif row:
                         cover = full
                         for w in ws:
                             cover &= union(w, x_ends[i])
@@ -625,10 +628,31 @@ def preservation_relation(
 
 def class_preorder(classes: Sequence[SemanticClass], m1: Model, m2: Model) -> CrossRelation:
     """Pairs (x, y) such that every listed class true at x is true at y."""
-    # profile[i]: the classes true at element i
-    profile1 = transpose([c.vec1 for c in classes], len(m1))
-    profile2 = transpose([c.vec2 for c in classes], len(m2))
-    rows = {}
-    for d, px, py in ((FWD, profile1, profile2), (BWD, profile2, profile1)):
-        rows[d] = [sum(1 << j for j, q in enumerate(py) if p & ~q == 0) for p in px]
-    return _relation(rows, m1, m2)
+    return _ClassProfiles(classes, m1, m2).preorder()
+
+
+class _ClassProfiles:
+    """The classes true at each element of a model pair, transposed once:
+    bit k of a model's profile row i is ``classes[k]`` at its element i.
+    Depth-d readings mask the rows to the first classes."""
+
+    def __init__(self, classes: Sequence[SemanticClass], m1: Model, m2: Model):
+        p1 = transpose([c.vec1 for c in classes], len(m1))
+        p2 = transpose([c.vec2 for c in classes], len(m2))
+        self.m1, self.m2 = m1, m2
+        self.sides = ((FWD, m1, m2, p1, p2), (BWD, m2, m1, p2, p1))
+
+    def preorder(self, end: int | None = None) -> CrossRelation:
+        """Pairs (x, y) such that each of the first ``end`` classes (all by
+        default) that is true at x is true at y."""
+        mask = -1 if end is None else (1 << end) - 1
+        rows = {}
+        for d, _mx, _my, px, py in self.sides:
+            rows[d] = [sum(1 << j for j, q in enumerate(py) if p & mask & ~q == 0) for p in px]
+        return _relation(rows, self.m1, self.m2)
+
+    def violations(self, a: CrossRelation) -> int:
+        """How many (class, pair of ``a``) have the class true at the pair's
+        first element and false at its second."""
+        return sum((px[mx.index[x]] & ~py[my.index[y]]).bit_count()
+                   for d, mx, my, px, py in self.sides for x, y in a.pairs(d))

@@ -304,22 +304,16 @@ def cmd_experiment(args) -> int:
             record["asim_bwd"] = len(rel.bwd)
             classes = formula.semantic_classes(sig, theta, depth, m1, m2, budget)
             record["classes"] = len(classes)
-            violations = 0
-            for cls in classes:
-                for (x, y) in rel.fwd:
-                    if (cls.vec1 >> m1.index_of(x)) & 1 and not (cls.vec2 >> m2.index_of(y)) & 1:
-                        violations += 1
-                for (y, x) in rel.bwd:
-                    if (cls.vec2 >> m2.index_of(y)) & 1 and not (cls.vec1 >> m1.index_of(x)) & 1:
-                        violations += 1
+            profiles = asim._ClassProfiles(classes, m1, m2)
+            violations = profiles.violations(rel)
             record["invariance_violations"] = violations
             sandwich_depth = None
             for d in range(depth + 1):
                 # The classes come out ordered by depth, and those of depth
-                # <= d are the depth-d enumeration, so one enumeration serves
-                # every d.
+                # <= d are the depth-d enumeration, so one enumeration and
+                # its profiles serve every d.
                 end = bisect.bisect_right(classes, d, key=lambda c: fragment_depth(c.formula))
-                pres = asim.class_preorder(classes[:end], m1, m2)
+                pres = profiles.preorder(end)
                 if not rel.subset_of(pres):
                     record["containment_failure"] = d
                     break

@@ -15,7 +15,13 @@ Layer l applies each connective to the argument lists that use a class of
 layer l-1, in ``itertools.product`` order, so the classes of depth <= d are
 a prefix of every deeper enumeration.  It runs row by row: a row folds one
 prefix of all but the last argument into two masks, ``on`` and ``off``, and
-each last argument v of the row then costs ``on & v | off & ~v``.
+each last argument v of the row then costs ``off ^ (on ^ off) & v``.  A core
+with no guard block needs nothing more; one with blocks looks the core
+vector up in its memo.  When the core is symmetric in its last two
+arguments, a row with prefix (..., i) skips the last arguments below i: the
+mirrored argument list came first in the same layer and gave the same
+vector.  The budget still counts every argument list of the product order,
+evaluated or not, so its exhaustion point does not move.
 """
 
 from __future__ import annotations
@@ -251,16 +257,20 @@ class _Kernel(dict):
     table: entry s holds the elements where the core is true when its other
     arguments take the values s (big-endian, like its rows).  ``_fold`` fixes
     one argument and halves it, so after arity-1 arguments it is ``[off, on]``
-    and a last argument v costs ``on & v | off & ~v``.  As a dict the kernel
-    maps a core vector to the vector after the blocks, innermost first
+    and a last argument v costs ``off ^ (on ^ off) & v``.  As a dict the
+    kernel maps a core vector to the vector after the blocks, innermost first
     (``union(sources, S)`` holds the elements with a guard-path endpoint in
-    S), and computes each entry once."""
+    S), and computes each entry once; with no blocks that map is the
+    identity, so ``row`` skips it.  ``symmetric``: the core does not change
+    when its last two arguments swap, which maps table entry r to r ^ 3."""
 
     def __init__(self, joint: _Joint, mu: GuardedConnective):
         self.full = joint.full
         self.arity = mu.arity
-        self.masks = [self.full if mu.core.value_at(r) else 0 for r in range(mu.core.size)]
+        self.masks = masks = [self.full if mu.core.value_at(r) else 0 for r in range(mu.core.size)]
         self.blocks = [(b.quantifier == "forall", joint.sources(b.guards)) for b in reversed(mu.blocks)]
+        self.symmetric = mu.arity >= 2 and all(
+            masks[r] == masks[r ^ 3] for r in range(len(masks)) if r & 3 == 1)
 
     def __missing__(self, vec: int) -> int:
         full, core = self.full, vec
@@ -268,6 +278,14 @@ class _Kernel(dict):
             vec = full & ~union(sources, full & ~vec) if forall else union(sources, vec)
         self[core] = vec
         return vec
+
+    def row(self, off: int, on: int, vecs: Sequence[int]) -> list[int]:
+        """The vectors of one row, whose prefix folded the masks to ``[off, on]``,
+        for each last argument in ``vecs``."""
+        flip = on ^ off
+        if self.blocks:
+            return [self[off ^ flip & v] for v in vecs]
+        return [off ^ flip & v for v in vecs]
 
     def apply(self, args: Sequence[int]) -> int:
         masks = self.masks
@@ -398,7 +416,11 @@ def semantic_classes(
             rows = _rows(vecs, count, start, kernel.arity - 1, _fold, kernel.masks)
             for prefix, (off, on), lo in rows:
                 checked = _charge(checked, count - lo, budget)
-                out = [kernel[on & v | off & ~v] for v in vecs[lo:count]]
+                if kernel.symmetric:
+                    # (..., i, j) with j < i repeats the vector of its mirror
+                    # (..., j, i), which uses the same classes and came first
+                    lo = max(lo, prefix[-1])
+                out = kernel.row(off, on, vecs[lo:count])
                 if seen.issuperset(out):
                     continue
                 args = tuple(formulas[i] for i in prefix)

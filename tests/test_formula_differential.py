@@ -5,10 +5,11 @@ budget exhaustion (also at each layer's boundary), equal distinguishing
 formulas, and preservation preorders read off the depth-3 prefix."""
 
 import random
+from bisect import bisect_right
 
 import pytest
 
-from guardasim import asim
+from guardasim import asim, formula
 from guardasim.connective import FragmentSignature
 from guardasim.formula import (
     BudgetExceeded,
@@ -57,6 +58,15 @@ SIGS = {
         "always": "exists[R2]{ p1 | ~p1 | p2 }",
         "box": "forall[R1]{ p1 }",
     }}),
+    # Cores symmetric in their last two arguments under guard blocks, so
+    # their rows skip the mirrored argument lists: arity 2, and arity 3
+    # symmetric in p2 and p3 only; "pick" is a non-symmetric arity-3 control.
+    "symmetric_guarded": FragmentSignature.from_dict({"connectives": {
+        "both": "exists[R1]{ p1 & p2 }",
+        "same": "forall[R2]{ p1 <-> p2 }",
+        "guard": "forall[R1]{ p1 & (p2 | p3) }",
+        "pick": "exists[R2]{ p1 | (p2 & ~p3) }",
+    }}),
     # No model below interprets R4.
     "missing_symbol": FragmentSignature.from_dict({"connectives": {
         "box4": "forall[R4]{ p1 }",
@@ -66,10 +76,10 @@ SIGS = {
 }
 
 BUDGETS = (None, 1, 50, 400, 5000)
-# The arity-3 signature's last layers run to 10^5 candidates or more, too
-# many for the reference; there it is compared under the finite budgets only.
-FULL_DEPTH = {"arity3": 2}
-FULL_SYNTACTIC_DEPTH = {"arity3": 1}
+# The arity-3 signatures' last layers run to 10^5 candidates or more, too
+# many for the reference; there they are compared under the finite budgets only.
+FULL_DEPTH = {"arity3": 2, "symmetric_guarded": 2}
+FULL_SYNTACTIC_DEPTH = {"arity3": 1, "symmetric_guarded": 1}
 
 
 def _pairs(seed: int, count: int):
@@ -167,16 +177,90 @@ def test_syntactic_enumeration_matches_reference(sig_name):
             assert got == want, (sig_name, depth, budget)
 
 
-@pytest.mark.parametrize("sig_name", sorted(ALL_SIGS))
+@pytest.mark.parametrize("sig_name", sorted([*ALL_SIGS, "symmetric_guarded"]))
 def test_preservation_relation_is_read_off_the_depth3_prefix(sig_name):
     sig = SIGS[sig_name]
+    depth = FULL_DEPTH.get(sig_name, 3)
     for k, m1, m2 in _pairs(3000 + len(sig_name), 6):
         theta = theta_of(m1, m2)
-        classes = semantic_classes(sig, theta, 3, m1, m2, None)
+        classes = semantic_classes(sig, theta, depth, m1, m2, None)
         layers = [fragment_depth(c.formula) for c in classes]
         assert layers == sorted(layers)
-        for d in range(4):
+        for d in range(depth + 1):
             prefix = [c for c, layer in zip(classes, layers) if layer <= d]
             assert prefix == semantic_classes(sig, theta, d, m1, m2, None), (sig_name, k, d)
             assert asim.preservation_relation(sig, theta, m1, m2, d, None) == \
                 asim.class_preorder(prefix, m1, m2), (sig_name, k, d)
+
+
+def test_symmetric_rows_skip_mirrored_argument_lists(monkeypatch):
+    """A core symmetric in its last two arguments evaluates a row with
+    prefix (..., i) only from max(lo, i), while the budget is still charged
+    the whole row, count - lo; every other core evaluates the whole row."""
+    sig = SIGS["symmetric_guarded"]
+    _k, m1, m2 = next(_pairs(17, 1))
+    rows_seen = []
+    real_rows, real_charge, real_row = formula._rows, formula._charge, formula._Kernel.row
+
+    def rows(*args):
+        for item in real_rows(*args):
+            rows_seen.append([item[0], item[2]])
+            yield item
+
+    def charge(checked, row, budget):
+        rows_seen[-1].append(row)
+        return real_charge(checked, row, budget)
+
+    def row(kernel, off, on, vecs):
+        rows_seen[-1].append((kernel.symmetric, len(vecs)))
+        return real_row(kernel, off, on, vecs)
+
+    monkeypatch.setattr(formula, "_rows", rows)
+    monkeypatch.setattr(formula, "_charge", charge)
+    monkeypatch.setattr(formula._Kernel, "row", row)
+    semantic_classes(sig, theta_of(m1, m2), 2, m1, m2, None)
+    narrowed = 0
+    for prefix, lo, charged, (symmetric, evaluated) in rows_seen:
+        count = lo + charged
+        assert evaluated == (count - max(lo, prefix[-1]) if symmetric else charged)
+        narrowed += evaluated < charged
+    assert narrowed
+
+    joint = formula._Joint((m1, m2))
+    symmetric = {name: formula._Kernel(joint, sig.get(name)).symmetric for name in sig.names()}
+    assert symmetric == {"and": True, "or": True, "top": False, "bot": False,
+                         "both": True, "same": True, "guard": True, "pick": False}
+
+
+@pytest.mark.parametrize("sig_name", sorted(ALL_SIGS))
+def test_class_profiles_match_the_pair_definitions(sig_name):
+    """Invariance violations and each depth's preorder, read off one
+    transpose of the classes, against their per-pair definitions, on
+    relations that are not asimulations."""
+    sig = SIGS[sig_name]
+    total = 0
+    for k, m1, m2 in _pairs(6000 + len(sig_name), 6):
+        theta = theta_of(m1, m2)
+        classes = semantic_classes(sig, theta, 3, m1, m2, None)
+        profiles = asim._ClassProfiles(classes, m1, m2)
+        for rel in (asim.atom_preserving(m1, m2, theta), asim.full_relation(m1, m2)):
+            want = sum(
+                (c.vec1 >> m1.index_of(x)) & 1 and not (c.vec2 >> m2.index_of(y)) & 1
+                for c in classes for x, y in rel.fwd
+            ) + sum(
+                (c.vec2 >> m2.index_of(y)) & 1 and not (c.vec1 >> m1.index_of(x)) & 1
+                for c in classes for y, x in rel.bwd
+            )
+            assert profiles.violations(rel) == want, (sig_name, k)
+            total += want
+        layers = [fragment_depth(c.formula) for c in classes]
+        # each depth's prefix, as the experiment reads it, and two cuts inside layers
+        for end in sorted({1, len(classes) // 2} | {bisect_right(layers, d) for d in range(4)}):
+            holds = [(x, y) for i, x in enumerate(m1.domain) for j, y in enumerate(m2.domain)
+                     if all(not (c.vec1 >> i) & 1 or (c.vec2 >> j) & 1 for c in classes[:end])]
+            holds_back = [(y, x) for j, y in enumerate(m2.domain) for i, x in enumerate(m1.domain)
+                          if all(not (c.vec2 >> j) & 1 or (c.vec1 >> i) & 1 for c in classes[:end])]
+            assert profiles.preorder(end) == asim.CrossRelation(
+                frozenset(holds), frozenset(holds_back)), (sig_name, k, end)
+        assert profiles.preorder() == profiles.preorder(len(classes))
+    assert total, sig_name
