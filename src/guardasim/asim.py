@@ -26,18 +26,23 @@ refuses is read again by the validating loop, which names the first
 malformed entry in the same message as always.
 
 Within one check of one direction, each distinct set is worked out once.
-The rows of a relation repeat (in the first round of the solver the
+The rows of a relation repeat (at the solver's first condition the
 atom-preserving rows take at most 2^|theta| values), so forth matching
 keeps the partner elements with an endpoint in a witness row by the row's
 value, and back matching keeps, per cover, the candidates already tested
 against it and those that passed, and tests a later row's candidates only
 where they are new.
+
+The solver sweeps the conditions in turn, each reading the relation the
+previous one left; with one model object on both sides, one row list
+serves both directions and each step computes one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import cycle
 from typing import Sequence
 
 from .bitrows import bits, identity, read_pairs, transpose, union
@@ -153,10 +158,24 @@ def _rows(a: CrossRelation, m1: Model, m2: Model) -> dict[str, list[int]]:
     out = {}
     for d, mx, my in _directions(m1, m2):
         rows = out[d] = [0] * len(mx)
-        ix, iy = mx.index_of, my.index_of
-        for x, y in a.pairs(d):
-            rows[ix(x)] |= 1 << iy(y)
+        ix, iy = mx.index, my.index
+        try:
+            for x, y in a.pairs(d):
+                rows[ix[x]] |= 1 << iy[y]
+        except KeyError:
+            _check_elements(a, m1, m2)
+            raise
     return out
+
+
+def _check_elements(a: CrossRelation, m1: Model, m2: Model) -> None:
+    """Raise ``RelationError`` naming, in the wording of the document
+    reader, the first element in sorted pair order that a pair of ``a``
+    takes from outside its model."""
+    for d, mx, my in _directions(m1, m2):
+        for x, y in sorted(a.pairs(d)):
+            if x not in mx.index or y not in my.index:
+                raise RelationError(f"{d}: unknown element {x if x not in mx.index else y!r}")
 
 
 def _doc_rows(doc: object, m1: Model, m2: Model) -> tuple[dict[str, list[int]], dict[str, list[int]]]:
@@ -216,15 +235,34 @@ def _relation(rows: dict[str, list[int]], m1: Model, m2: Model) -> CrossRelation
     return CrossRelation(fwd=sides[FWD], bwd=sides[BWD])
 
 
+def _mirrored(*relations: dict[str, list[int]]) -> bool:
+    """Whether each relation holds one row list for both directions.  Only
+    a self-pair's relations do (``m1 is m2``): ``_full`` and ``_atom_rows``
+    build them so for one model, and ``_inverse``, ``_meet`` and
+    ``_Condition.passing`` keep them so, computing one direction for both."""
+    return all(r[FWD] is r[BWD] for r in relations)
+
+
+def _both(rows: list[int]) -> dict[str, list[int]]:
+    """A mirrored relation: ``rows`` for both directions."""
+    return {FWD: rows, BWD: rows}
+
+
 def _inverse(rows: dict[str, list[int]], m1: Model, m2: Model) -> dict[str, list[int]]:
+    if _mirrored(rows):
+        return _both(transpose(rows[FWD], len(m1)))
     return {FWD: transpose(rows[BWD], len(m1)), BWD: transpose(rows[FWD], len(m2))}
 
 
 def _meet(a: dict[str, list[int]], b: dict[str, list[int]]) -> dict[str, list[int]]:
+    if _mirrored(a, b):
+        return _both([r & s for r, s in zip(a[FWD], b[FWD])])
     return {d: [r & s for r, s in zip(a[d], b[d])] for d in (FWD, BWD)}
 
 
 def _full(m1: Model, m2: Model) -> dict[str, list[int]]:
+    if m1 is m2:
+        return _both([(1 << len(m1)) - 1] * len(m1))
     return {d: [(1 << len(my)) - 1] * len(mx) for d, mx, my in _directions(m1, m2)}
 
 
@@ -237,6 +275,7 @@ def _first_pair(rows: list[int], mx: Model, my: Model) -> tuple[int, int] | None
 
 
 def _atom_rows(m1: Model, m2: Model, theta_preds: Sequence[str]) -> dict[str, list[int]]:
+    """The atom-preserving relation as rows, mirrored when ``m1 is m2``."""
     out = {}
     for d, mx, my in _directions(m1, m2):
         rows = out[d] = [(1 << len(my)) - 1] * len(mx)
@@ -244,6 +283,8 @@ def _atom_rows(m1: Model, m2: Model, theta_preds: Sequence[str]) -> dict[str, li
             holders = my.pred_row(p)
             for i in bits(mx.pred_row(p)):
                 rows[i] &= holders
+        if m1 is m2:
+            return _both(rows)
     return out
 
 
@@ -345,8 +386,15 @@ class _Condition:
             return [a, inv]
         return [_candidate(self.kind, a, inv, m1, m2)]
 
+    def reads_inverse(self) -> bool:
+        """Whether ``witnesses`` reads the inverse rows."""
+        if self.inner is not None:
+            return self.inner.reads_inverse()
+        return self.special or self.kind in (CoreCandidateKind.INVERSE, CoreCandidateKind.SYMMETRIC_PART)
+
     def passing(self, cand, witnesses, m1: Model, m2: Model) -> dict[str, list[int]]:
-        """The pairs of ``cand`` that satisfy the condition, as rows."""
+        """The pairs of ``cand`` that satisfy the condition, as rows; one
+        direction serves both when the inputs are mirrored."""
         if not self.guards:
             # each element's one endpoint is itself: the pairs of cand in every witness
             out = cand
@@ -354,8 +402,10 @@ class _Condition:
                 out = _meet(out, w)
             return out
         out = {}
-        for d, mx, my in _directions(m1, m2):
-            x_ends = mx.chain_rows(self.guards)[0]
+        mirrored = _mirrored(cand, *witnesses)
+        sides = _directions(m1, m2)
+        for d, mx, my in sides[:1] if mirrored else sides:
+            x_ends = mx.endpoint_indices(self.guards)
             y_ends, y_sources, dead = my.chain_rows(self.guards)
             ws = [w[d] for w in witnesses]
             rows = out[d] = list(cand[d])
@@ -372,7 +422,10 @@ class _Condition:
                     elif row:
                         cover = full
                         for w in ws:
-                            cover &= union(w, x_ends[i])
+                            covered = 0
+                            for j in x_ends[i]:
+                                covered |= w[j]
+                            cover &= covered
                         if cover == full:
                             continue
                         tested, passed = memo.get(cover, (0, 0))
@@ -396,7 +449,7 @@ class _Condition:
                 # hits[S]: the partner elements with an endpoint in the witness row S
                 hits: dict[int, int] = {}
                 for i, row in enumerate(rows):
-                    for j in bits(x_ends[i]) if row else ():
+                    for j in x_ends[i] if row else ():
                         for w in ws:
                             s = w[j]
                             hit = hits.get(s)
@@ -404,6 +457,8 @@ class _Condition:
                                 hit = hits[s] = union(y_sources, s)
                             row &= hit
                     rows[i] = row
+        if mirrored:
+            out[BWD] = out[FWD]
         return out
 
     def violation(self, cand, witnesses, m1: Model, m2: Model) -> ViolationReport | None:
@@ -578,24 +633,34 @@ def largest_asimulation(
     """Greatest fixpoint of the condition functional, starting from the
     atom-preserving relation.
 
-    Each round derives the witness relations from the current relation and
-    drops every pair violating a connective's pair-level condition, the
-    degree-0 cut to the symmetric part included.  The result is empty
+    The connectives' pair-level conditions, the degree-0 cut to the
+    symmetric part included, are swept in turn: each takes its witnesses
+    from the relation the previous one left and drops the pairs violating
+    it, until every condition in a row leaves the relation unchanged.  By
+    monotonicity each step keeps a superset of the greatest fixpoint, and
+    what is left is a post-fixpoint, so any order gives the same result;
+    sweep k lies inside round k of the iteration that fixes every witness
+    at the start of the round.  Inverse rows are built only for conditions
+    that read them, once per change of the relation.  For ``m1 is m2`` the
+    rows stay mirrored and one direction is computed.  The result is empty
     exactly when no asimulation exists.
     """
     if strict:
         _require_standard(sig)
-    conditions = [cond for _, cond in _conditions(sig, strict)]
-    a = _atom_rows(m1, m2, theta_preds)
-    while True:
-        inv = _inverse(a, m1, m2)
-        # each condition meets cand with a set fixed by the round: order is free
-        survivors = a
-        for cond in conditions:
-            survivors = cond.passing(survivors, cond.witnesses(a, inv, m1, m2), m1, m2)
-        if survivors == a:
-            return _relation(a, m1, m2)
-        a = survivors
+    steps = [(cond, cond.reads_inverse()) for _, cond in _conditions(sig, strict)]
+    a, inv = _atom_rows(m1, m2, theta_preds), None
+    settled = 0  # the conditions in a row that have left a unchanged
+    for cond, reads_inverse in cycle(steps):
+        if settled == len(steps):
+            break
+        if reads_inverse and inv is None:
+            inv = _inverse(a, m1, m2)
+        kept = cond.passing(a, cond.witnesses(a, inv, m1, m2), m1, m2)
+        if kept == a:
+            settled += 1
+        else:
+            a, inv, settled = kept, None, 0
+    return _relation(a, m1, m2)
 
 
 def invariance_check(
@@ -605,6 +670,7 @@ def invariance_check(
     fv = sorted(free_vars(phi))
     if len(fv) > 1:
         raise ValueError(f"need at most one free variable, got {fv}")
+    _check_elements(a, m1, m2)
     var = fv[0] if fv else "x"
     for d, mx, my in _directions(m1, m2):
         for x, y in sorted(a.pairs(d)):

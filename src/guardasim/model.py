@@ -4,7 +4,8 @@ JSON (de)serialization, and seeded random generation.
 
 A relation's pairs are read into step rows, one bit row over element
 indices per element, and guard chains are composed from those rows (a
-one-guard chain is the step rows themselves); a
+one-guard chain is the step rows themselves), with each element's
+endpoints also kept as a tuple of indices for the loops that walk them; a
 predicate's elements are read into one bit row.  The frozenset
 ``relations`` and ``predicates`` stay the public form.  Each list is read
 by the bulk pass of ``bitrows.read_pairs`` or ``read_names``, which checks
@@ -35,7 +36,8 @@ class Model:
     completion with empty interpretations.
     """
 
-    __slots__ = ("domain", "index", "relations", "predicates", "_steps", "_pred_rows", "_chains")
+    __slots__ = ("domain", "index", "relations", "predicates", "_steps", "_pred_rows", "_chains",
+                 "_endpoints")
 
     def __init__(
         self,
@@ -88,6 +90,7 @@ class Model:
         self.predicates: dict[str, frozenset[str]] = preds
 
         self._chains: dict[tuple[str, ...], tuple[tuple[int, ...], tuple[int, ...], int]] = {}
+        self._endpoints: dict[tuple[str, ...], tuple[tuple[int, ...], ...]] = {}
 
     def __len__(self) -> int:
         return len(self.domain)
@@ -138,6 +141,16 @@ class Model:
                     ends = tuple(union(step, row) for row in self.chain_rows(guards[:-1])[0])
             dead = sum(1 << i for i, row in enumerate(ends) if not row)
             got = self._chains[guards] = (ends, tuple(transpose(ends, n)), dead)
+        return got
+
+    def endpoint_indices(self, guards: Sequence[str]) -> tuple[tuple[int, ...], ...]:
+        """The rows ``ends`` of ``chain_rows`` as index tuples: entry i lists
+        the endpoints of element i in ascending order.  Built once per guard
+        tuple on first use and kept, like the chain rows."""
+        guards = tuple(guards)
+        got = self._endpoints.get(guards)
+        if got is None:
+            got = self._endpoints[guards] = tuple(tuple(bits(row)) for row in self.chain_rows(guards)[0])
         return got
 
     def guard_endpoints(self, guards: Sequence[str], start: str) -> frozenset[str]:

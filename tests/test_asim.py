@@ -77,6 +77,50 @@ class TestCrossRelation:
             relation_from_doc({"fwd": [], "bwd": [["a", "b"]]}, CHAIN, SINGLE)
 
 
+class TestOutsideElements:
+    """A ``CrossRelation`` pair naming an element outside its model is
+    refused with the document reader's wording, at every entry point."""
+
+    OUTSIDE = rel(fwd=[("a", "zz")])
+    MESSAGE = "fwd: unknown element 'zz'"
+
+    def test_is_asimulation(self):
+        with pytest.raises(RelationError) as caught:
+            is_asimulation(sig_modal(), ["P1"], CHAIN, CHAIN, self.OUTSIDE)
+        assert str(caught.value) == self.MESSAGE
+
+    def test_connective_condition(self):
+        with pytest.raises(RelationError) as caught:
+            connective_condition(sig_modal().get("box"), self.OUTSIDE, CHAIN, CHAIN)
+        assert str(caught.value) == self.MESSAGE
+
+    def test_core_candidate(self):
+        with pytest.raises(RelationError) as caught:
+            core_candidate(classify(from_expr("~p1")), self.OUTSIDE, CHAIN, CHAIN)
+        assert str(caught.value) == self.MESSAGE
+
+    @pytest.mark.parametrize("spec", ["forall[R1]{ p1 }", "forall[R1]{ ~p1 | p2 }"])
+    def test_max_inner_target(self, spec):
+        # the plain connective reads a1 and the special one a_for_special
+        with pytest.raises(RelationError) as caught:
+            max_inner_target(parse_connective(spec), self.OUTSIDE, self.OUTSIDE, CHAIN, CHAIN)
+        assert str(caught.value) == self.MESSAGE
+
+    def test_invariance_check(self):
+        with pytest.raises(RelationError) as caught:
+            invariance_check(parse_fo("P1(x)"), self.OUTSIDE, CHAIN, CHAIN)
+        assert str(caught.value) == self.MESSAGE
+
+    def test_first_unknown_element_in_sorted_order(self):
+        a = rel(fwd=[("a2", "a")], bwd=[("b", "a"), ("a2", "yy"), ("a", "xx")])
+        with pytest.raises(RelationError) as caught:
+            is_asimulation(sig_modal(), ["P1"], CHAIN, SINGLE, a)
+        assert str(caught.value) == "fwd: unknown element 'a'"
+        with pytest.raises(RelationError) as caught:
+            is_asimulation(sig_modal(), ["P1"], CHAIN, SINGLE, rel(bwd=[("b", "a"), ("a", "a2"), ("b", "xx")]))
+        assert str(caught.value) == "bwd: unknown element 'a'"
+
+
 class TestAtomPreserving:
     def test_identical_single_worlds(self):
         m1 = load({"domain": ["u"], "relations": {}, "predicates": {"P1": ["u"]}})

@@ -4,8 +4,13 @@ elements, and of 30-48 for the dense-row kernels: equal largest
 asimulations, inner targets, pair-check verdicts and violation reports, atom
 reports included; the loaders' exact error messages for malformed pairs and
 lists; and relation documents read straight into rows against the rows of the
-relation they list."""
+relation they list.  One model object on both sides takes the solver's
+one-direction path, which is checked against the reference and against two
+separate loads of the model; the sweeps are checked to reach one result in
+any order of the conditions, and to build inverse rows only for conditions
+that read them."""
 
+import itertools
 import random
 
 import pytest
@@ -13,7 +18,7 @@ import pytest
 from guardasim import asim, bitrows
 from guardasim.asim import CrossRelation, NonStandardFragmentError
 from guardasim.connective import FragmentSignature, ancestor
-from guardasim.model import Model, ModelError, load, random_model
+from guardasim.model import Model, ModelError, load, random_model, save
 
 import reference_asim as ref
 from helpers import ALL_SIGS, theta_of
@@ -397,3 +402,129 @@ def test_forth_matching_unions_each_witness_row_once(monkeypatch):
             for a in [big, *perturbed(rng, big, m1, m2)]:
                 asim.is_asimulation(sig, theta, m1, m2, a)
     assert counts["forth"] >= 30 and counts["unions"] >= 500, counts
+
+
+def self_pair_models(seed):
+    """Seeded models of 1-14 elements, some without R2 or R3, then one dense
+    model like those of ``dense_models``, at the small end of their sizes
+    (30-36 elements) to keep the reference solver's time down."""
+    rng = random.Random(seed)
+    for _ in range(12):
+        rels = [r for r in RELATIONS if rng.random() < 0.8]
+        yield random_model(rng.randint(1, 14), rels, ["P1", "P2"], rng.uniform(0.05, 0.35), 0.5,
+                           rng.randrange(1 << 30))
+    yield random_model(rng.randint(30, 36), RELATIONS, ["P1", "P2"], 0.06, 0.7, rng.randrange(1 << 30))
+
+
+SIGNATURES = {**STANDARD, **NON_STANDARD}
+
+
+@pytest.mark.parametrize("name", SIGNATURES)
+def test_self_pairs_match_reference(name):
+    # One model object on both sides: the solver computes one direction and
+    # shares it, so fwd equals bwd, and the result is the one for two
+    # separate loads of the same document, which take both directions.  A
+    # standard signature runs strict and not; its reference result is one.
+    sig = SIGNATURES[name]
+    for m in self_pair_models(sum(map(ord, name)) * 11):
+        theta = theta_of(m)
+        want = ref.largest_asimulation(sig, theta, m, m, strict=False)
+        doc = save(m)
+        for strict in (True, False) if name in STANDARD else (False,):
+            got = asim.largest_asimulation(sig, theta, m, m, strict=strict)
+            assert got.fwd == got.bwd
+            assert got == want
+            assert got == asim.largest_asimulation(sig, theta, load(doc), load(doc), strict=strict)
+
+
+def permuted(sig, order):
+    """``sig`` with its connectives renamed so that they sort in ``order``."""
+    return FragmentSignature({f"k{k}": sig.get(name) for k, name in enumerate(order)})
+
+
+@pytest.mark.parametrize("name,sig,strict", CASES, ids=[f"{c[0]}-strict={c[2]}" for c in CASES])
+def test_sweep_order_does_not_change_the_result(name, sig, strict):
+    # The solver sweeps the conditions in signature order, each reading the
+    # relation the previous one left; every order reaches the greatest fixpoint.
+    names = [mu.name for mu in sig if mu.name not in ("and", "or", "top", "bot")]
+    orders = list(itertools.permutations(names))[1:]
+    pairs = [(m1, m2) for _, m1, m2 in model_pairs(sum(map(ord, name)) * 13 + strict, 6)]
+    pairs += [(m, m) for m, _ in pairs[:3]]
+    for m1, m2 in pairs:
+        theta = theta_of(m1, m2)
+        want = asim.largest_asimulation(sig, theta, m1, m2, strict=strict)
+        for order in orders:
+            assert asim.largest_asimulation(permuted(sig, order), theta, m1, m2, strict=strict) == want, order
+
+
+def counting(monkeypatch, module, attr):
+    """Count the calls of ``module.attr``; returns the list of results."""
+    results = []
+    fn = getattr(module, attr)
+
+    def counted(*args):
+        results.append(fn(*args))
+        return results[-1]
+
+    monkeypatch.setattr(module, attr, counted)
+    return results
+
+
+def test_inverse_rows_only_for_conditions_that_read_them(monkeypatch):
+    inverses = counting(monkeypatch, asim, "_inverse")
+    changes = []
+    passing = asim._Condition.passing
+
+    def logged_passing(self, cand, *args):
+        out = passing(self, cand, *args)
+        changes.append(out != cand)
+        return out
+
+    monkeypatch.setattr(asim._Condition, "passing", logged_passing)
+    monotone = FragmentSignature.from_dict({"connectives": {
+        "box": "forall[R1]{ p1 }",
+        "dia": "exists[R1]{ p1 }",
+    }})
+    pairs = [(m1, m2) for _, m1, m2 in model_pairs(29, 12)]
+    pairs += [(m, m) for m, _ in pairs[:6]]
+    for m1, m2 in pairs:
+        asim.largest_asimulation(monotone, theta_of(m1, m2), m1, m2)
+    assert not inverses and sum(changes) >= 10, (len(inverses), sum(changes))
+    # The one condition of the intuitionistic signature reads the inverse
+    # rows at every step: they are built once at the start and once after
+    # each change of the relation.
+    for m1, m2 in pairs:
+        inverses.clear()
+        changes.clear()
+        asim.largest_asimulation(ALL_SIGS["intuitionistic"](), theta_of(m1, m2), m1, m2)
+        assert len(inverses) == 1 + sum(changes)
+
+
+def test_self_pairs_compute_one_direction(monkeypatch):
+    # Each guarded condition's passing rows come from one direction (one
+    # endpoint lookup per call) on one model object, and from both on two
+    # separate loads of it.  Separate loads are equal models, so only the
+    # identity of the objects tells the two cases apart.
+    lookups = counting(monkeypatch, Model, "endpoint_indices")
+    outputs = []
+    passing = asim._Condition.passing
+
+    def logged_passing(self, *args):
+        lookups.clear()
+        out = passing(self, *args)
+        if self.guards:
+            outputs.append((len(lookups), out[asim.FWD] is out[asim.BWD]))
+        return out
+
+    monkeypatch.setattr(asim._Condition, "passing", logged_passing)
+    m = dense_models(random.Random(31))[0]
+    for build in ALL_SIGS.values():
+        sig = build()
+        theta = theta_of(m)
+        outputs.clear()
+        one = asim.largest_asimulation(sig, theta, m, m)
+        assert outputs and set(outputs) == {(1, True)}, sig.names()
+        outputs.clear()
+        doc = save(m)
+        assert asim.largest_asimulation(sig, theta, load(doc), load(doc)) == one
+        assert outputs and set(outputs) == {(2, False)}, sig.names()

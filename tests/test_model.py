@@ -160,6 +160,16 @@ def test_chain_rows_match_relations(container):
             assert dead == sum(1 << m.index[x] for x in names if all(a != x for a, _ in pairs)), guards
 
 
+def test_endpoint_indices_list_the_chain_rows():
+    rng = random.Random(7)
+    for n in (1, 5, 40):
+        m = random_model(n, ["R1", "R2"], [], 0.2, 0.0, rng.randrange(1 << 30))
+        for guards in (("R1",), ("R1", "R2"), ("R3",), ()):
+            got = m.endpoint_indices(guards)
+            assert got == tuple(tuple(j for j in range(n) if row >> j & 1) for row in m.chain_rows(guards)[0])
+            assert m.endpoint_indices(list(guards)) is got  # built once per guard tuple
+
+
 class TestRandomModel:
     def test_edgeless_at_probability_zero(self):
         m = random_model(5, ["R1"], ["P1"], 0.0, 0.5, 7)
