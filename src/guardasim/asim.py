@@ -20,10 +20,7 @@ connective's check reads those; atom transfer is row algebra too, the pairs
 outside the atom-preserving rows.  A relation document is read straight into
 rows and inverse rows, so the verifier builds no ``CrossRelation`` for it;
 ``relation_from_doc`` builds one from the same rows.  Each direction is read
-by the bulk pass of ``bitrows.read_pairs``, with the entry types checked at
-once and the name lookups as the only per-pair checks; only a direction it
-refuses is read again by the validating loop, which names the first
-malformed entry in the same message as always.
+by ``bitrows.read_pairs``.
 
 Within one check of one direction, each distinct set is worked out once.
 The rows of a relation repeat (at the solver's first condition the
@@ -45,7 +42,7 @@ from enum import Enum
 from itertools import cycle
 from typing import Sequence
 
-from .bitrows import bits, identity, read_pairs, transpose, union
+from .bitrows import bits, read_pairs, transpose, union
 from .boolfn import BoolClass
 from .connective import (
     ConnectiveClass,
@@ -179,11 +176,8 @@ def _check_elements(a: CrossRelation, m1: Model, m2: Model) -> None:
 
 
 def _doc_rows(doc: object, m1: Model, m2: Model) -> tuple[dict[str, list[int]], dict[str, list[int]]]:
-    """The rows and inverse rows of a relation document, fwd before bwd.
-    Each direction is read by the bulk pass of ``read_pairs``; only when that
-    refuses it does the validating loop read the direction again, checking
-    the entries in order, and the first malformed one raises
-    ``RelationError`` naming it."""
+    """The rows and inverse rows of a relation document, fwd before bwd;
+    the first malformed entry raises ``RelationError`` naming it."""
     if not isinstance(doc, dict):
         raise RelationError("document: expected an object")
     rows = {FWD: [0] * len(m1), BWD: [0] * len(m2)}
@@ -193,38 +187,9 @@ def _doc_rows(doc: object, m1: Model, m2: Model) -> tuple[dict[str, list[int]], 
         if not isinstance(entries, list):
             raise RelationError(f"{key}: expected a list of pairs")
         # a pair (x, y) of one direction is the pair (y, x) of the other's inverse
-        out, mirror = rows[key], inv[BWD if key == FWD else FWD]
-        try:
-            read_pairs(entries, first.index, second.index, out, mirror)
-            continue
-        except (ValueError, KeyError, TypeError):
-            out[:], mirror[:] = [0] * len(first), [0] * len(second)
-        _checked_rows(key, entries, first, second, out, mirror)
+        read_pairs(entries, first.index, second.index, rows[key], inv[BWD if key == FWD else FWD],
+                   key, RelationError)
     return rows, inv
-
-
-def _checked_rows(
-    key: str, entries: list, first: Model, second: Model, out: list[int], mirror: list[int]
-) -> None:
-    """The validating loop behind ``read_pairs``: the same rows, and a
-    ``RelationError`` naming the first entry that is not a pair of element
-    names."""
-    ix, iy = first.index, second.index
-    bit_x, bit_y = identity(len(first)), identity(len(second))
-    for n, entry in enumerate(entries):
-        if isinstance(entry, (list, tuple)) and len(entry) == 2:
-            x, y = entry
-            if isinstance(x, str) and isinstance(y, str):
-                i = ix.get(x)
-                if i is None:
-                    raise RelationError(f"{key}[{n}]: unknown element {x!r}")
-                j = iy.get(y)
-                if j is None:
-                    raise RelationError(f"{key}[{n}]: unknown element {y!r}")
-                out[i] |= bit_y[j]
-                mirror[j] |= bit_x[i]
-                continue
-        raise RelationError(f"{key}[{n}]: expected a pair of element names")
 
 
 def _relation(rows: dict[str, list[int]], m1: Model, m2: Model) -> CrossRelation:

@@ -11,9 +11,14 @@ takes about 0.2-0.3 ms that way against about 5 ms in the loop; at 5%
 density the two cost about the same, and on a few rows or columns the loop
 wins, which the rule keeps.
 
-``read_pairs`` and ``read_names`` are the fast pass of the input readers:
-named pairs or names into rows with the checks done in bulk, in C, instead
-of once per entry."""
+``read_pairs`` and ``read_names`` read the lists of relation documents and
+models, pairs of names or names, into rows.  Each runs a bulk pass first,
+with the entry types checked at once, in C, and the name lookups as the
+only per-entry checks.  Only a list that pass refuses is read again, by the
+validating loop for its shape, which checks the entries in order and raises
+the caller's ``error`` as ``where[n]: ...`` at the first malformed one.  The
+bulk pass refuses either before it writes a bit or at an entry the loop
+refuses too, so the rows need no reset between the two."""
 
 from __future__ import annotations
 
@@ -54,39 +59,75 @@ def _named(index: dict) -> bool:
     return set(map(type, index)) <= {str}
 
 
-def read_pairs(entries, ix: dict, iy: dict, rows: list[int], mirror: list[int] | None = None) -> None:
+def read_pairs(entries, ix: dict, iy: dict, rows: list[int], mirror: list[int] | None,
+               where: str, error: type[Exception]) -> None:
     """OR each pair (x, y) of ``entries`` into ``rows`` as bit ``iy[y]`` of
-    row ``ix[x]``, and into ``mirror`` as bit ``ix[x]`` of row ``iy[y]``.
+    row ``ix[x]``, and into ``mirror`` (unless None) as bit ``ix[x]`` of row
+    ``iy[y]``.
 
-    The only per-entry checks are the unpacking and the two lookups.  With
-    every entry a list or tuple (checked at once) and only ``str`` keys in
-    both dicts, a successful lookup is the type test and the membership test
-    in one: anything else either misses the dict or is unhashable.  So a
-    document that a validating loop would refuse raises ``ValueError``,
-    ``KeyError`` or ``TypeError`` here, with the rows partly written, and
-    the caller reruns its validating loop to name the entry."""
-    if not (set(map(type, entries)) <= _PAIR and _named(ix) and _named(iy)):
-        raise TypeError("not a list of pairs of names")
-    bit_y = identity(len(iy))
-    if mirror is None:
-        for x, y in entries:
-            rows[ix[x]] |= bit_y[iy[y]]
-    else:
-        bit_x = identity(len(ix))
-        for x, y in entries:
-            i = ix[x]
-            j = iy[y]
-            rows[i] |= bit_y[j]
-            mirror[j] |= bit_x[i]
+    With every entry a list or tuple (checked at once) and only ``str`` keys
+    in both dicts, a successful lookup is the type test and the membership
+    test in one: anything else either misses the dict or is unhashable.  So
+    the bulk pass raises on any list the validating loop would refuse."""
+    if set(map(type, entries)) <= _PAIR and _named(ix) and _named(iy):
+        bit_x, bit_y = identity(len(ix)), identity(len(iy))
+        try:
+            if mirror is None:
+                for x, y in entries:
+                    rows[ix[x]] |= bit_y[iy[y]]
+            else:
+                for x, y in entries:
+                    i = ix[x]
+                    j = iy[y]
+                    rows[i] |= bit_y[j]
+                    mirror[j] |= bit_x[i]
+            return
+        except (ValueError, KeyError, TypeError):
+            pass
+    _checked_pairs(entries, ix, iy, rows, mirror, where, error)
 
 
-def read_names(names, index: dict) -> int:
-    """The row with bit ``index[name]`` set for each of ``names``, checked as
-    ``read_pairs`` checks pairs: where a validating loop would refuse an
-    entry, the lookup raises ``KeyError`` or ``TypeError``."""
-    if not _named(index):
-        raise TypeError("not a list of names")
-    return sum(map(identity(len(index)).__getitem__, set(map(index.__getitem__, names))))
+def _checked_pairs(entries, ix, iy, rows, mirror, where, error) -> None:
+    """The validating loop of ``read_pairs``."""
+    bit_x, bit_y = identity(len(ix)), identity(len(iy))
+    for n, entry in enumerate(entries):
+        if isinstance(entry, (list, tuple)) and len(entry) == 2:
+            x, y = entry
+            if isinstance(x, str) and isinstance(y, str):
+                i = ix.get(x)
+                if i is None:
+                    raise error(f"{where}[{n}]: unknown element {x!r}")
+                j = iy.get(y)
+                if j is None:
+                    raise error(f"{where}[{n}]: unknown element {y!r}")
+                rows[i] |= bit_y[j]
+                if mirror is not None:
+                    mirror[j] |= bit_x[i]
+                continue
+        raise error(f"{where}[{n}]: expected a pair of element names")
+
+
+def read_names(names, index: dict, where: str, error: type[Exception]) -> int:
+    """The row with bit ``index[name]`` set for each of ``names``, read as
+    ``read_pairs`` reads pairs."""
+    if _named(index):
+        try:
+            return sum(map(identity(len(index)).__getitem__, set(map(index.__getitem__, names))))
+        except (KeyError, TypeError):
+            pass
+    return _checked_names(names, index, where, error)
+
+
+def _checked_names(names, index, where, error) -> int:
+    """The validating loop of ``read_names``."""
+    row = 0
+    for n, name in enumerate(names):
+        if not isinstance(name, str):
+            raise error(f"{where}[{n}]: expected an element name")
+        if name not in index:
+            raise error(f"{where}[{n}]: unknown element {name!r}")
+        row |= 1 << index[name]
+    return row
 
 
 def transpose(rows: Sequence[int], width: int) -> list[int]:

@@ -425,7 +425,7 @@ def main(argv=None) -> int:
         print(f"unsupported fragment: {e}", file=sys.stderr)
         return UNSUPPORTED
     except (BoolExprError, ConnectiveError, FormulaError, ModelError,
-            asim.RelationError, ValueError, OSError, json.JSONDecodeError) as e:
+            asim.RelationError, ValueError, OSError, RecursionError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return INPUT_ERROR
 

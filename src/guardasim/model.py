@@ -8,10 +8,7 @@ one-guard chain is the step rows themselves), with each element's
 endpoints also kept as a tuple of indices for the loops that walk them; a
 predicate's elements are read into one bit row.  The frozenset
 ``relations`` and ``predicates`` stay the public form.  Each list is read
-by the bulk pass of ``bitrows.read_pairs`` or ``read_names``, which checks
-entry types at once and lets the name lookups do the rest; only when it
-refuses a list is the list read again by the validating loop, which names
-the first malformed entry in the same message as always."""
+by ``bitrows.read_pairs`` or ``read_names``."""
 
 from __future__ import annotations
 
@@ -62,13 +59,8 @@ class Model:
             if not isinstance(pairs, (list, tuple, set, frozenset)):
                 raise ModelError(f"relations.{name}: expected a list of pairs")
             step = self._steps[name] = [0] * len(members)
-            try:
-                read_pairs(pairs, members, members, step)
-                rels[name] = frozenset(map(tuple, pairs))
-                continue
-            except (ValueError, KeyError, TypeError):
-                step[:] = [0] * len(members)
-            rels[name] = _checked_pairs(name, pairs, members, step)
+            read_pairs(pairs, members, members, step, None, f"relations.{name}", ModelError)
+            rels[name] = frozenset(map(tuple, pairs))
         self.relations: dict[str, frozenset[tuple[str, str]]] = rels
 
         preds: dict[str, frozenset[str]] = {}
@@ -79,14 +71,8 @@ class Model:
                 raise ModelError(f"predicates.{name}: not a predicate symbol (expected P<digits>)")
             if not isinstance(elems, (list, tuple, set, frozenset)):
                 raise ModelError(f"predicates.{name}: expected a list of element names")
-            try:
-                self._pred_rows[name] = read_names(elems, members)
-                preds[name] = frozenset(elems)
-                continue
-            except (KeyError, TypeError):
-                pass
-            preds[name] = _checked_names(name, elems, members)
-            self._pred_rows[name] = sum(1 << members[el] for el in preds[name])
+            self._pred_rows[name] = read_names(elems, members, f"predicates.{name}", ModelError)
+            preds[name] = frozenset(elems)
         self.predicates: dict[str, frozenset[str]] = preds
 
         self._chains: dict[tuple[str, ...], tuple[tuple[int, ...], tuple[int, ...], int]] = {}
@@ -183,42 +169,6 @@ class Model:
 
     def __repr__(self) -> str:
         return f"Model(|U|={len(self.domain)}, R={sorted(self.relations)}, P={sorted(self.predicates)})"
-
-
-def _checked_pairs(name: str, pairs, members: dict, step: list[int]) -> frozenset[tuple[str, str]]:
-    """The validating loop behind ``read_pairs``: the same rows and pairs,
-    and a ``ModelError`` naming the first entry that is not a pair of
-    element names."""
-    bit = identity(len(members))
-    pair_set = set()
-    for i, pair in enumerate(pairs):
-        if isinstance(pair, (list, tuple)) and len(pair) == 2:
-            a, b = pair
-            if isinstance(a, str) and isinstance(b, str):
-                ia = members.get(a)
-                if ia is None:
-                    raise ModelError(f"relations.{name}[{i}]: unknown element {a!r}")
-                ib = members.get(b)
-                if ib is None:
-                    raise ModelError(f"relations.{name}[{i}]: unknown element {b!r}")
-                step[ia] |= bit[ib]
-                pair_set.add((a, b))
-                continue
-        raise ModelError(f"relations.{name}[{i}]: expected a pair of element names")
-    return frozenset(pair_set)
-
-
-def _checked_names(name: str, elems, members: dict) -> frozenset[str]:
-    """The validating loop behind ``read_names``: a ``ModelError`` names the
-    first entry that is not an element name."""
-    elem_set = set()
-    for i, el in enumerate(elems):
-        if not isinstance(el, str):
-            raise ModelError(f"predicates.{name}[{i}]: expected an element name")
-        if el not in members:
-            raise ModelError(f"predicates.{name}[{i}]: unknown element {el!r}")
-        elem_set.add(el)
-    return frozenset(elem_set)
 
 
 @dataclass(frozen=True)

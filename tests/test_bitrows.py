@@ -1,6 +1,9 @@
 """Bit rows against set-based definitions: ``bits``, ``identity``, ``union``
 and both paths of ``transpose``, with the popcount rule that picks a path
-checked just below and at its threshold."""
+checked just below and at its threshold.  The readers ``read_pairs`` and
+``read_names`` raise the caller's error at the first malformed entry, and
+read a list their bulk pass refuses but their validating loop accepts as a
+plain loop would."""
 
 import random
 from unittest import mock
@@ -9,7 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from guardasim import bitrows
-from guardasim.bitrows import bits, identity, transpose, union
+from guardasim.bitrows import bits, identity, read_names, read_pairs, transpose, union
+from test_readers_differential import bad_names, bad_pairs
 
 PROPS = settings(derandomize=True, max_examples=200, deadline=None, database=None)
 
@@ -108,3 +112,65 @@ def test_small_and_thin_inputs_stay_on_the_loop():
     assert paths_taken([0b111] * 200, 3) == {"bits"}
     dense = [(1 << 144) - 1 - (1 << (i % 144)) for i in range(144)]
     assert paths_taken(dense, 144) == {"slices"}
+
+
+class Refused(Exception):
+    """A caller's error type, to see that the readers raise it."""
+
+
+IX, IY = {"a": 0, "c": 1}, {"b": 0, "d": 1}
+REFUSALS = r"(expected a pair of element names|expected an element name|unknown element .*)"
+
+
+@pytest.mark.parametrize("mirror", [False, True])
+@pytest.mark.parametrize("at", [0, 1, 2])
+@pytest.mark.parametrize("bad", bad_pairs("a", "b"), ids=repr)
+def test_read_pairs_raises_the_callers_error_at_the_entry(bad, at, mirror):
+    entries = [["a", "b"], ("c", "d")]
+    entries.insert(at, bad)
+    with pytest.raises(Refused, match=rf"^fwd\[{at}\]: {REFUSALS}$"):
+        read_pairs(entries, IX, IY, [0, 0], [0, 0] if mirror else None, "fwd", Refused)
+
+
+@pytest.mark.parametrize("at", [0, 1, 2])
+@pytest.mark.parametrize("bad", bad_names("a"), ids=repr)
+def test_read_names_raises_the_callers_error_at_the_entry(bad, at):
+    names = ["a", "c"]
+    names.insert(at, bad)
+    with pytest.raises(Refused, match=rf"^predicates\.P1\[{at}\]: {REFUSALS}$"):
+        read_names(names, IX, "predicates.P1", Refused)
+
+
+class Pair(list):
+    pass
+
+
+def plain_rows(entries, ix, iy, rows, mirror):
+    for x, y in entries:
+        rows[ix[x]] |= 1 << iy[y]
+        if mirror is not None:
+            mirror[iy[y]] |= 1 << ix[x]
+
+
+# Lists the bulk pass refuses and the validating loop accepts: a domain with
+# a non-string element, or an entry of a list subclass.
+@pytest.mark.parametrize("mirror", [False, True])
+@pytest.mark.parametrize("ix,entries", [
+    ({"a": 0, 1: 1, "c": 2}, [["a", "b"], ["c", "d"], ("c", "b")]),
+    ({"a": 0, "c": 1}, [["a", "b"], Pair(["c", "d"]), ("a", "d")]),
+], ids=["non-string-element", "list-subclass"])
+def test_refused_bulk_lists_read_as_a_plain_loop(ix, entries, mirror):
+    rows, want = [0b10, 0, 0][:len(ix)], [0b10, 0, 0][:len(ix)]
+    got_mirror, want_mirror = ([0b1, 0], [0b1, 0]) if mirror else (None, None)
+    with mock.patch.object(bitrows, "_checked_pairs", wraps=bitrows._checked_pairs) as loop:
+        read_pairs(entries, ix, IY, rows, got_mirror, "fwd", Refused)
+    assert loop.called
+    plain_rows(entries, ix, IY, want, want_mirror)
+    assert (rows, got_mirror) == (want, want_mirror)
+
+
+def test_refused_bulk_names_read_as_a_plain_loop():
+    ix = {"a": 0, 1: 1, "c": 2}
+    with mock.patch.object(bitrows, "_checked_names", wraps=bitrows._checked_names) as loop:
+        assert read_names(["c", "a", "c"], ix, "predicates.P1", Refused) == 0b101
+    assert loop.called

@@ -294,6 +294,21 @@ def test_deep_nesting_exits_2(capsys, argv):
     assert err.startswith("input error: nesting too deep (at position ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "--fragment", data("sig_modal.json"), "--m1", data("m_chain.json"),
+     "--m2", data("m_single.json"), "--relation", "DEEP"],
+    ["largest", "--fragment", data("sig_modal.json"), "--m1", "DEEP", "--m2", data("m_single.json")],
+    ["largest", "--fragment", "DEEP", "--m1", data("m_chain.json"), "--m2", data("m_single.json")],
+    ["experiment", "--config", "DEEP"],
+], ids=["relation", "model", "fragment", "config"])
+def test_deeply_nested_json_exits_2(capsys, tmp_path, argv):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, *(str(deep) if a == "DEEP" else a for a in argv))
+    assert code == 2 and out == ""
+    assert err.startswith("input error: ") and "Traceback" not in err
+
+
 # Chains of one operator parse without recursion but make trees as deep as
 # they are long; a fragment formula nested 600 deep parses but is too deep to
 # translate or evaluate.

@@ -19,7 +19,7 @@ import random
 import pytest
 
 import reference_readers as ref
-from guardasim import asim, cli, model
+from guardasim import asim, bitrows, cli, model
 from guardasim.asim import BWD, FWD, RelationError
 from guardasim.connective import FragmentSignature
 from guardasim.model import Model, ModelError
@@ -205,9 +205,8 @@ def test_well_formed_input_takes_the_fast_pass(tmp_path, monkeypatch, capsys):
                       ("bad", {**rel.to_doc(), "bwd": rel.to_doc()["bwd"] + [["nosuch", "w0"]]})):
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(json.dumps(doc))
-    monkeypatch.setattr(asim, "_checked_rows", refuse)
-    monkeypatch.setattr(model, "_checked_pairs", refuse)
-    monkeypatch.setattr(model, "_checked_names", refuse)
+    monkeypatch.setattr(bitrows, "_checked_pairs", refuse)
+    monkeypatch.setattr(bitrows, "_checked_names", refuse)
     argv = ["check", "--fragment", SIG, "--m1", str(paths["m1"]), "--m2", str(paths["m2"])]
     assert cli.main([*argv, "--relation", str(paths["rel"])]) == 0
     assert capsys.readouterr() == ("", "ok: the relation is an asimulation\n")
