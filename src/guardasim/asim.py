@@ -11,16 +11,15 @@ asimulation verifier, the greatest-fixpoint solver for the largest
 asimulation, the invariance checker, and the formula-preservation preorder
 computed by enumeration.
 
-Frozenset ``CrossRelation``s are the API edge only: inside, a relation is one
-bit row per carrier element, each back/forth check is compiled once per
-connective into row algebra serving the solver, ``max_inner_target`` and the
-verifier, and witness paths are built only for violation reports.  The
-verifier turns its relation into rows and inverse rows once per call and every
-connective's check reads those; atom transfer is row algebra too, the pairs
-outside the atom-preserving rows.  A relation document is read straight into
-rows and inverse rows, so the verifier builds no ``CrossRelation`` for it;
-``relation_from_doc`` builds one from the same rows.  Each direction is read
-by ``bitrows.read_pairs``.
+A relation is one bit row per carrier element; the ``CrossRelation``s this
+module returns carry their rows and build their frozensets only when read.
+Each back/forth check is compiled once per connective into row algebra
+serving the solver, ``max_inner_target`` and the verifier, and witness paths
+are built only for violation reports.  The verifier turns its relation into
+rows and inverse rows once per call and every connective's check reads
+those; atom transfer is row algebra too, the pairs outside the
+atom-preserving rows.  A relation document is read straight into rows and
+inverse rows, by ``bitrows.read_pairs``.
 
 Within one check of one direction, each distinct set is worked out once.
 The rows of a relation repeat (at the solver's first condition the
@@ -40,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import cycle
+from operator import is_
 from typing import Sequence
 
 from .bitrows import bits, read_pairs, transpose, union
@@ -54,7 +54,7 @@ from .connective import (
     validate_standard_fragment,
 )
 from .formula import SemanticClass, eval_fo, semantic_classes
-from .model import Model
+from .model import Model, name_ordered, pair_set, sorted_pairs
 from .syntax import FoFormula, free_vars
 
 FWD = "fwd"
@@ -77,19 +77,67 @@ class RelationError(ValueError):
     """Malformed relation document; the message names the offending entry."""
 
 
-@dataclass(frozen=True)
 class CrossRelation:
-    """Directed pairs: fwd from the first model into the second, bwd back."""
+    """Directed pairs: fwd from the first model into the second, bwd back.
 
-    fwd: frozenset[tuple[str, str]]
-    bwd: frozenset[tuple[str, str]]
+    One this module returns carries its rows and models, builds ``fwd`` and
+    ``bwd`` from them on first read, and reads them for the other members."""
+
+    __slots__ = ("_pairs", "_rows", "_models")
+
+    def __init__(self, fwd: frozenset[tuple[str, str]], bwd: frozenset[tuple[str, str]]):
+        self._pairs, self._rows, self._models = {FWD: fwd, BWD: bwd}, None, None
+
+    fwd = property(lambda self: self.pairs(FWD))
+    bwd = property(lambda self: self.pairs(BWD))
+
+    def _sides(self, direction: str) -> tuple[Model, Model]:
+        m1, m2 = self._models
+        return (m1, m2) if direction == FWD else (m2, m1)
+
+    def pairs(self, direction: str) -> frozenset[tuple[str, str]]:
+        got = self._pairs.get(direction)
+        if got is None:
+            got = self._pairs[direction] = pair_set(self._rows[direction], *self._sides(direction))
+        return got
 
     @property
     def is_empty(self) -> bool:
-        return not self.fwd and not self.bwd
+        return not (self.count(FWD) or self.count(BWD))
 
-    def pairs(self, direction: str) -> frozenset[tuple[str, str]]:
-        return self.fwd if direction == FWD else self.bwd
+    def count(self, direction: str) -> int:
+        """The number of pairs in the direction."""
+        if self._rows is None:
+            return len(self.pairs(direction))
+        return sum(map(int.bit_count, self._rows[direction]))
+
+    def relates(self, x: str, y: str) -> bool:
+        """Whether (x, y) is a fwd pair."""
+        if self._rows is None:
+            return (x, y) in self.fwd
+        m1, m2 = self._models
+        i, j = m1.index.get(x), m2.index.get(y)
+        return i is not None and j is not None and self._rows[FWD][i] >> j & 1 == 1
+
+    def _both_rows(self, other: "CrossRelation"):
+        """Both relations' rows if both carry rows over the same model objects."""
+        if self._rows is not None and other._rows is not None and all(map(is_, self._models, other._models)):
+            return self._rows, other._rows
+        return None
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CrossRelation):
+            return NotImplemented
+        both = self._both_rows(other)
+        if both:
+            return both[0] == both[1]
+        return self.fwd == other.fwd and self.bwd == other.bwd
+
+    def __hash__(self) -> int:
+        return hash((self.fwd, self.bwd))
+
+    def __repr__(self) -> str:
+        return f"CrossRelation(fwd={self.fwd!r}, bwd={self.bwd!r})"
 
     def inverse(self) -> "CrossRelation":
         return CrossRelation(
@@ -104,13 +152,19 @@ class CrossRelation:
         return CrossRelation(self.fwd | other.fwd, self.bwd | other.bwd)
 
     def subset_of(self, other: "CrossRelation") -> bool:
+        both = self._both_rows(other)
+        if both:
+            return not any(r & ~s for d in (FWD, BWD) for r, s in zip(both[0][d], both[1][d]))
         return self.fwd <= other.fwd and self.bwd <= other.bwd
 
     def to_doc(self) -> dict:
-        return {
-            "fwd": [list(p) for p in sorted(self.fwd)],
-            "bwd": [list(p) for p in sorted(self.bwd)],
-        }
+        """Each direction's pairs as name lists, sorted; a mirrored relation's
+        two lists share their pair lists."""
+        if self._rows is None:
+            return {d: [list(p) for p in sorted(self.pairs(d))] for d in (FWD, BWD)}
+        fwd = sorted_pairs(self._rows[FWD], *self._models)
+        bwd = list(fwd) if _mirrored(self._rows) else sorted_pairs(self._rows[BWD], *self._sides(BWD))
+        return {FWD: fwd, BWD: bwd}
 
 
 def relation_from_doc(doc: object, m1: Model, m2: Model) -> CrossRelation:
@@ -152,6 +206,8 @@ def _directions(m1: Model, m2: Model):
 # -- bit rows: per direction, one mask over the partner model per carrier element
 
 def _rows(a: CrossRelation, m1: Model, m2: Model) -> dict[str, list[int]]:
+    if a._rows is not None and a._models[0] is m1 and a._models[1] is m2:
+        return a._rows
     out = {}
     for d, mx, my in _directions(m1, m2):
         rows = out[d] = [0] * len(mx)
@@ -193,11 +249,10 @@ def _doc_rows(doc: object, m1: Model, m2: Model) -> tuple[dict[str, list[int]], 
 
 
 def _relation(rows: dict[str, list[int]], m1: Model, m2: Model) -> CrossRelation:
-    sides = {}
-    for d, mx, my in _directions(m1, m2):
-        names = my.domain
-        sides[d] = frozenset((x, names[j]) for x, row in zip(mx.domain, rows[d]) for j in bits(row))
-    return CrossRelation(fwd=sides[FWD], bwd=sides[BWD])
+    """The relation carrying ``rows``, which must not change afterwards."""
+    rel = CrossRelation.__new__(CrossRelation)
+    rel._pairs, rel._rows, rel._models = {}, rows, (m1, m2)
+    return rel
 
 
 def _mirrored(*relations: dict[str, list[int]]) -> bool:
@@ -231,14 +286,6 @@ def _full(m1: Model, m2: Model) -> dict[str, list[int]]:
     return {d: [(1 << len(my)) - 1] * len(mx) for d, mx, my in _directions(m1, m2)}
 
 
-def _first_pair(rows: list[int], mx: Model, my: Model) -> tuple[int, int] | None:
-    """The indices of the pair of ``rows`` that comes first in sorted name order."""
-    if not any(rows):
-        return None
-    i = min((i for i, row in enumerate(rows) if row), key=mx.domain.__getitem__)
-    return i, min(bits(rows[i]), key=my.domain.__getitem__)
-
-
 def _atom_rows(m1: Model, m2: Model, theta_preds: Sequence[str]) -> dict[str, list[int]]:
     """The atom-preserving relation as rows, mirrored when ``m1 is m2``."""
     out = {}
@@ -261,9 +308,9 @@ def _atom_violations(theta_preds: Sequence[str], rows, m1: Model, m2: Model) -> 
     allowed = _atom_rows(m1, m2, preds)
     for d, mx, my in _directions(m1, m2):
         failing = [row & ~ok for row, ok in zip(rows[d], allowed[d])]
-        for i in sorted((i for i, row in enumerate(failing) if row), key=mx.domain.__getitem__):
+        for i, js in name_ordered(failing, mx, my):
             x = mx.domain[i]
-            for y in sorted(my.domain[j] for j in bits(failing[i])):
+            for y in map(my.domain.__getitem__, js):
                 p = next(p for p in preds if mx.has_pred(p, x) and not my.has_pred(p, y))
                 reports.append(ViolationReport("", "atom", (x, y), d, (), f"{p} not transferred"))
     return reports
@@ -431,10 +478,10 @@ class _Condition:
         unmatched endpoint in sorted order and its witness path."""
         ok = self.passing(cand, witnesses, m1, m2)
         for d, mx, my in _directions(m1, m2):
-            first = _first_pair([c & ~o for c, o in zip(cand[d], ok[d])], mx, my)
+            first = next(name_ordered([c & ~o for c, o in zip(cand[d], ok[d])], mx, my), None)
             if first is None:
                 continue
-            i, j = first
+            i, j = first[0], first[1][0]
             x_ends, y_ends = mx.chain_rows(self.guards)[0][i], my.chain_rows(self.guards)[0][j]
             ws = [w[d] for w in witnesses]
             if self.back:
@@ -635,12 +682,14 @@ def invariance_check(
     fv = sorted(free_vars(phi))
     if len(fv) > 1:
         raise ValueError(f"need at most one free variable, got {fv}")
-    _check_elements(a, m1, m2)
+    rows = _rows(a, m1, m2)
     var = fv[0] if fv else "x"
     for d, mx, my in _directions(m1, m2):
-        for x, y in sorted(a.pairs(d)):
-            if eval_fo(mx, {var: x}, phi) and not eval_fo(my, {var: y}, phi):
-                return (x, y), d
+        for i, js in name_ordered(rows[d], mx, my):
+            x = mx.domain[i]
+            for y in map(my.domain.__getitem__, js):
+                if eval_fo(mx, {var: x}, phi) and not eval_fo(my, {var: y}, phi):
+                    return (x, y), d
     return None
 
 
@@ -671,19 +720,20 @@ class _ClassProfiles:
         p1 = transpose([c.vec1 for c in classes], len(m1))
         p2 = transpose([c.vec2 for c in classes], len(m2))
         self.m1, self.m2 = m1, m2
-        self.sides = ((FWD, m1, m2, p1, p2), (BWD, m2, m1, p2, p1))
+        self.sides = ((FWD, p1, p2), (BWD, p2, p1))
 
     def preorder(self, end: int | None = None) -> CrossRelation:
         """Pairs (x, y) such that each of the first ``end`` classes (all by
         default) that is true at x is true at y."""
         mask = -1 if end is None else (1 << end) - 1
         rows = {}
-        for d, _mx, _my, px, py in self.sides:
+        for d, px, py in self.sides:
             rows[d] = [sum(1 << j for j, q in enumerate(py) if p & mask & ~q == 0) for p in px]
         return _relation(rows, self.m1, self.m2)
 
     def violations(self, a: CrossRelation) -> int:
         """How many (class, pair of ``a``) have the class true at the pair's
         first element and false at its second."""
-        return sum((px[mx.index[x]] & ~py[my.index[y]]).bit_count()
-                   for d, mx, my, px, py in self.sides for x, y in a.pairs(d))
+        rows = _rows(a, self.m1, self.m2)
+        return sum((px[i] & ~py[j]).bit_count()
+                   for d, px, py in self.sides for i, row in enumerate(rows[d]) for j in bits(row))

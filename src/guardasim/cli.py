@@ -201,13 +201,13 @@ def cmd_largest(args) -> int:
     record = rel.to_doc()
     verdict = None
     if args.point1 is not None:
-        related = (args.point1, args.point2) in rel.fwd
+        related = rel.relates(args.point1, args.point2)
         verdict = "related" if related else "not related"
         record["verdict"] = verdict
     if rel.is_empty:
         record["status"] = "no asimulation exists between these models for this fragment"
     print(json.dumps(record, sort_keys=True))
-    human = f"fwd {len(rel.fwd)} pair(s), bwd {len(rel.bwd)} pair(s)"
+    human = f"fwd {rel.count(asim.FWD)} pair(s), bwd {rel.count(asim.BWD)} pair(s)"
     if record.get("status"):
         human += f"; {record['status']}"
     if verdict:
@@ -300,8 +300,8 @@ def cmd_experiment(args) -> int:
             # strict=False: _require_standard above has validated the fragment
             # once, unless --allow-nonstandard asked for none
             rel = asim.largest_asimulation(sig, theta, m1, m2, strict=False)
-            record["asim_fwd"] = len(rel.fwd)
-            record["asim_bwd"] = len(rel.bwd)
+            record["asim_fwd"] = rel.count(asim.FWD)
+            record["asim_bwd"] = rel.count(asim.BWD)
             classes = formula.semantic_classes(sig, theta, depth, m1, m2, budget)
             record["classes"] = len(classes)
             profiles = asim._ClassProfiles(classes, m1, m2)

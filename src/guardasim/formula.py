@@ -138,7 +138,7 @@ def eval_fo(m: Model, assignment: Mapping[str, str], phi: FoFormula) -> bool:
         if isinstance(node, PredAtom):
             return m.has_pred(node.pred, _lookup(node.var))
         if isinstance(node, RelAtom):
-            return (_lookup(node.var1), _lookup(node.var2)) in m.rel_pairs(node.rel)
+            return m.has_rel(node.rel, _lookup(node.var1), _lookup(node.var2))
         if isinstance(node, Top):
             return True
         if isinstance(node, Bot):
@@ -496,4 +496,4 @@ def distinguishing_formula(
 
 
 def _model_preds(m1: Model, m2: Model) -> list[str]:
-    return sorted(set(m1.predicates) | set(m2.predicates))
+    return sorted(set(m1._pred_rows).union(m2._pred_rows))

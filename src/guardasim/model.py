@@ -6,16 +6,17 @@ A relation's pairs are read into step rows, one bit row over element
 indices per element, and guard chains are composed from those rows (a
 one-guard chain is the step rows themselves), with each element's
 endpoints also kept as a tuple of indices for the loops that walk them; a
-predicate's elements are read into one bit row.  The frozenset
-``relations`` and ``predicates`` stay the public form.  Each list is read
-by ``bitrows.read_pairs`` or ``read_names``."""
+predicate's elements are read into one bit row.  The frozenset views
+``relations`` and ``predicates`` are built from the rows on first read;
+everything else reads the rows.  Each list is read by
+``bitrows.read_pairs`` or ``read_names``."""
 
 from __future__ import annotations
 
 import json
 import random
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .bitrows import bits, identity, read_names, read_pairs, transpose, union
 from .syntax import _PRED_NAME, _REL_NAME
@@ -33,8 +34,8 @@ class Model:
     completion with empty interpretations.
     """
 
-    __slots__ = ("domain", "index", "relations", "predicates", "_steps", "_pred_rows", "_chains",
-                 "_endpoints")
+    __slots__ = ("domain", "index", "_steps", "_pred_rows", "_chains", "_endpoints", "_order",
+                 "_relations", "_predicates")
 
     def __init__(
         self,
@@ -50,7 +51,6 @@ class Model:
         if len(members) != len(self.domain):
             raise ModelError("domain: duplicate element names")
 
-        rels: dict[str, frozenset[tuple[str, str]]] = {}
         # _steps[name][i]: the elements one step from element i through name
         self._steps: dict[str, list[int]] = {}
         for name, pairs in (relations or {}).items():
@@ -60,10 +60,7 @@ class Model:
                 raise ModelError(f"relations.{name}: expected a list of pairs")
             step = self._steps[name] = [0] * len(members)
             read_pairs(pairs, members, members, step, None, f"relations.{name}", ModelError)
-            rels[name] = frozenset(map(tuple, pairs))
-        self.relations: dict[str, frozenset[tuple[str, str]]] = rels
 
-        preds: dict[str, frozenset[str]] = {}
         # _pred_rows[name]: the elements holding name, as a bit row
         self._pred_rows: dict[str, int] = {}
         for name, elems in (predicates or {}).items():
@@ -72,11 +69,25 @@ class Model:
             if not isinstance(elems, (list, tuple, set, frozenset)):
                 raise ModelError(f"predicates.{name}: expected a list of element names")
             self._pred_rows[name] = read_names(elems, members, f"predicates.{name}", ModelError)
-            preds[name] = frozenset(elems)
-        self.predicates: dict[str, frozenset[str]] = preds
 
         self._chains: dict[tuple[str, ...], tuple[tuple[int, ...], tuple[int, ...], int]] = {}
         self._endpoints: dict[tuple[str, ...], tuple[tuple[int, ...], ...]] = {}
+        self._order = self._relations = self._predicates = None
+
+    @property
+    def relations(self) -> dict[str, frozenset[tuple[str, str]]]:
+        """Each declared relation's pairs, built from the step rows on first read and kept."""
+        if self._relations is None:
+            self._relations = {name: pair_set(step, self, self) for name, step in self._steps.items()}
+        return self._relations
+
+    @property
+    def predicates(self) -> dict[str, frozenset[str]]:
+        """Each declared predicate's elements, built from its row on first read and kept."""
+        if self._predicates is None:
+            self._predicates = {name: frozenset(map(self.domain.__getitem__, bits(row)))
+                                for name, row in self._pred_rows.items()}
+        return self._predicates
 
     def __len__(self) -> int:
         return len(self.domain)
@@ -96,7 +107,13 @@ class Model:
         return tuple(sorted(self.domain[j] for j in bits(row)))
 
     def has_pred(self, name: str, element: str) -> bool:
-        return element in self.predicates.get(name, frozenset())
+        i = self.index.get(element)
+        return i is not None and self._pred_rows.get(name, 0) >> i & 1 == 1
+
+    def has_rel(self, name: str, x: str, y: str) -> bool:
+        """Whether (x, y) is a pair of the relation."""
+        step, i, j = self._steps.get(name), self.index.get(x), self.index.get(y)
+        return step is not None and i is not None and j is not None and step[i] >> j & 1 == 1
 
     def pred_elements(self, name: str) -> frozenset[str]:
         return self.predicates.get(name, frozenset())
@@ -104,6 +121,14 @@ class Model:
     def pred_row(self, name: str) -> int:
         """The elements holding the predicate, as a bit row over element indices."""
         return self._pred_rows.get(name, 0)
+
+    def name_order(self) -> tuple[list[int], list[int]]:
+        """The element indices sorted by name, and each index's place in that
+        order.  Built on first use and kept, like the chain rows."""
+        if self._order is None:
+            order = sorted(range(len(self.domain)), key=self.domain.__getitem__)
+            self._order = order, sorted(range(len(order)), key=order.__getitem__)
+        return self._order
 
     def chain_rows(self, guards: Sequence[str]) -> tuple[tuple[int, ...], tuple[int, ...], int]:
         """The guard chain as bit rows over element indices: ``ends[i]`` holds
@@ -163,12 +188,35 @@ class Model:
         return (
             isinstance(other, Model)
             and self.domain == other.domain
-            and self.relations == other.relations
-            and self.predicates == other.predicates
+            and self._steps == other._steps
+            and self._pred_rows == other._pred_rows
         )
 
     def __repr__(self) -> str:
-        return f"Model(|U|={len(self.domain)}, R={sorted(self.relations)}, P={sorted(self.predicates)})"
+        return f"Model(|U|={len(self.domain)}, R={sorted(self._steps)}, P={sorted(self._pred_rows)})"
+
+
+def pair_set(rows: Sequence[int], mx: Model, my: Model) -> frozenset[tuple[str, str]]:
+    """The pairs of ``rows``, bit j of row i pairing element i of ``mx`` with
+    element j of ``my``, as name pairs."""
+    names = my.domain
+    return frozenset((x, names[j]) for x, row in zip(mx.domain, rows) for j in bits(row))
+
+
+def name_ordered(rows: Sequence[int], mx: Model, my: Model) -> Iterator[tuple[int, list[int]]]:
+    """The pairs of ``rows``, read as by ``pair_set``, in sorted name order:
+    each nonempty row's index, in the name order of ``mx``, with its bits in
+    the name order of ``my``."""
+    key = my.name_order()[1].__getitem__
+    for i in mx.name_order()[0]:
+        if rows[i]:
+            yield i, sorted(bits(rows[i]), key=key)
+
+
+def sorted_pairs(rows: Sequence[int], mx: Model, my: Model) -> list[list[str]]:
+    """The pairs of ``rows`` as sorted ``[x, y]`` name lists."""
+    xs, ys = mx.domain, my.domain
+    return [[xs[i], ys[j]] for i, js in name_ordered(rows, mx, my) for j in js]
 
 
 @dataclass(frozen=True)
@@ -217,12 +265,9 @@ def save(m: Model) -> dict:
     """Canonical document: domain as given, pair and element lists sorted."""
     return {
         "domain": list(m.domain),
-        "relations": {
-            name: [list(p) for p in sorted(m.relations[name])]
-            for name in sorted(m.relations)
-        },
+        "relations": {name: sorted_pairs(m._steps[name], m, m) for name in sorted(m._steps)},
         "predicates": {
-            name: sorted(m.predicates[name]) for name in sorted(m.predicates)
+            name: sorted(map(m.domain.__getitem__, bits(m._pred_rows[name]))) for name in sorted(m._pred_rows)
         },
     }
 

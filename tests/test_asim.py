@@ -5,6 +5,8 @@ import random
 import pytest
 
 from guardasim.asim import (
+    BWD,
+    FWD,
     CrossRelation,
     NonStandardFragmentError,
     RelationError,
@@ -27,7 +29,7 @@ from guardasim.asim import (
 from guardasim.boolfn import classify, from_expr
 from guardasim.connective import FragmentSignature, parse_connective, validate_standard_fragment
 from guardasim.formula import parse_fo, std_translate
-from guardasim.model import load, random_model
+from guardasim.model import Model, load, random_model, save
 from guardasim.syntax import Apply, Atom
 
 from helpers import (
@@ -75,6 +77,100 @@ class TestCrossRelation:
             relation_from_doc({"fwd": [["zz", "b"]], "bwd": []}, CHAIN, SINGLE)
         with pytest.raises(RelationError, match="unknown element"):
             relation_from_doc({"fwd": [], "bwd": [["a", "b"]]}, CHAIN, SINGLE)
+
+
+def solved_pairs():
+    """(signature, theta, m1, m2, solve): self-pairs and independent pairs of
+    preorders, where ``solve()`` returns a fresh largest asimulation, a
+    relation that carries its rows."""
+    cases = []
+    for seed in range(4):
+        m1 = random_preorder(5, ["P1"], 0.3, 0.2, seed)
+        m2 = random_preorder(4, ["P1"], 0.3, 0.2, seed + 50)
+        for name, sig in (("int", sig_intuitionistic()), ("mi", sig_modal_intuitionistic())):
+            for kind, a, b in (("self", m1, m1), ("pair", m1, m2), ("swapped", m2, m1)):
+                theta = theta_of(a, b)
+                solve = lambda sig=sig, theta=theta, a=a, b=b: largest_asimulation(sig, theta, a, b)
+                cases.append(pytest.param(sig, theta, a, b, solve, id=f"{name}-{kind}-{seed}"))
+    return cases
+
+
+def plain(a):
+    """A frozenset-only copy of ``a``."""
+    return CrossRelation(frozenset(a.fwd), frozenset(a.bwd))
+
+
+class TestRowBackedRelation:
+    """The relations this module returns carry rows over their two models;
+    they must behave as the plain frozenset form with the same pairs."""
+
+    @pytest.mark.parametrize("sig,theta,m1,m2,solve", solved_pairs())
+    def test_equal_to_the_plain_form_in_both_orders(self, sig, theta, m1, m2, solve):
+        p = plain(solve())
+        assert solve() == p and p == solve() and not solve() != p
+        assert hash(solve()) == hash(p) and solve() in {p} and p in {solve()}
+        # both carry rows over the same models: the rows are compared, a
+        # self-pair's mirrored rows against the document's two row lists
+        assert solve() == solve() == relation_from_doc(p.to_doc(), m1, m2)
+        for d in (FWD, BWD) if p.fwd and p.bwd else ():
+            # one pair fewer, in one direction
+            less = {FWD: p.fwd, BWD: p.bwd, d: p.pairs(d) - {min(p.pairs(d))}}
+            smaller = CrossRelation(less[FWD], less[BWD])
+            assert solve() != smaller and smaller != solve()
+            read = relation_from_doc(smaller.to_doc(), m1, m2)
+            assert read != solve() and read.subset_of(solve()) and not solve().subset_of(read)
+            assert read.to_doc() == smaller.to_doc()
+
+    @pytest.mark.parametrize("sig,theta,m1,m2,solve", solved_pairs())
+    def test_lattice_operations_across_the_forms(self, sig, theta, m1, m2, solve):
+        p = plain(solve())
+        top = atom_preserving(m1, m2, theta)
+        assert solve() & top == solve() and top & p == p and p & top == p
+        assert solve() | top == top and p | top == top
+        assert solve().inverse() == p.inverse() == plain(solve()).inverse()
+        assert solve().subset_of(p) and p.subset_of(solve()) and solve().subset_of(solve())
+        assert solve().subset_of(top) and p.subset_of(top)
+        assert top.subset_of(solve()) == top.subset_of(p) == (top == p)
+
+    @pytest.mark.parametrize("sig,theta,m1,m2,solve", solved_pairs())
+    def test_counts_and_single_pairs_read_as_the_sets(self, sig, theta, m1, m2, solve):
+        p = plain(solve())
+        for a in (solve(), p):
+            assert (a.count(FWD), a.count(BWD)) == (len(p.fwd), len(p.bwd))
+            assert a.is_empty == (not p.fwd and not p.bwd)
+            for x in (*m1.domain, "zz"):
+                for y in (*m2.domain, "zz"):
+                    assert a.relates(x, y) == ((x, y) in p.fwd)
+
+    @pytest.mark.parametrize("sig,theta,m1,m2,solve", solved_pairs())
+    def test_equal_models_that_are_distinct_objects(self, sig, theta, m1, m2, solve):
+        c1 = load(save(m1))
+        c2 = c1 if m2 is m1 else load(save(m2))
+        a, b = solve(), largest_asimulation(sig, theta, c1, c2)
+        assert c1 == m1 and c1 is not m1
+        assert a == b and b == a and hash(a) == hash(b) and a.to_doc() == b.to_doc()
+        assert a.subset_of(b) and b.subset_of(a)
+        expected = is_asimulation(sig, theta, m1, m2, plain(a))
+        assert is_asimulation(sig, theta, c1, c2, a) == is_asimulation(sig, theta, m1, m2, b) == expected
+        # the same structures with their domains in another order
+        r1 = Model(m1.domain[::-1], m1.relations, m1.predicates)
+        r2 = r1 if m2 is m1 else Model(m2.domain[::-1], m2.relations, m2.predicates)
+        assert is_asimulation(sig, theta, r1, r2, a) == expected
+        assert largest_asimulation(sig, theta, r1, r2) == a
+
+    @pytest.mark.parametrize("sig,theta,m1,m2,solve", solved_pairs())
+    def test_readers_never_change_the_carried_rows(self, sig, theta, m1, m2, solve):
+        a = solve()
+        doc, p = a.to_doc(), plain(solve())
+        assert is_asimulation(sig, theta, m1, m2, a) == is_asimulation(sig, theta, m1, m2, p)
+        for mu in sig:
+            assert connective_condition(mu, a, m1, m2) is True
+            if mu.degree == 1:
+                max_inner_target(mu, a, a, m1, m2)
+        for expr in ("T", "p1", "~p1", "p1 -> p2"):
+            core_candidate(classify(from_expr(expr)), a, m1, m2)
+        assert invariance_check(parse_fo("P1(x)"), a, m1, m2) is None
+        assert a.to_doc() == doc and a == p and plain(a) == p
 
 
 class TestOutsideElements:

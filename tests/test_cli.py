@@ -10,7 +10,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from guardasim import asim, cli
+from guardasim import asim, cli, model
 from guardasim.cli import main
 from guardasim.connective import FragmentSignature
 from guardasim.formula import parse_fo, parse_fragment, std_translate
@@ -583,6 +583,100 @@ def test_same_model_path_matches_a_copy(capsys, tmp_path):
         assert same[:2] == copied[:2], command
         codes.append(same[0])
     assert codes == [0, 1, 0, 1, 0]
+
+
+# Model pairs for the document writer: generator names, whose index order is
+# not their name order (w10 < w2); a domain not in name order; names that
+# JSON escapes.  None as the second model means the first one checked
+# against itself (one path, one model object).
+GENERATED = [model.save(model.random_model(16, ["R1", "R2", "R3"], ["P1"], 0.15, 0.2, seed))
+             for seed in (7, 8)]
+SHUFFLED = [
+    {"domain": ["b", "a", "c"], "relations": {"R1": [["b", "a"], ["a", "c"], ["c", "c"]], "R3": []},
+     "predicates": {"P1": ["a"]}},
+    {"domain": ["c", "b", "a", "d"], "relations": {"R1": [["a", "b"], ["d", "c"]], "R2": [["c", "a"]]},
+     "predicates": {"P1": ["a", "d"], "P2": []}},
+]
+ESCAPED = [
+    {"domain": ['a"b', "\u00e9", "z\\", "a", "\n"],
+     "relations": {"R1": [['a"b', "\u00e9"], ["a", "z\\"], ["\n", "a"]]},
+     "predicates": {"P1": ["\u00e9", "z\\"]}},
+    {"domain": ["\u00e9", "e", 'q"'], "relations": {"R1": [["e", "\u00e9"], ['q"', 'q"']]},
+     "predicates": {"P1": ["\u00e9"]}},
+]
+MODEL_PAIRS = [(GENERATED[0], None), (GENERATED[0], GENERATED[1]), (SHUFFLED[0], None),
+               (SHUFFLED[0], SHUFFLED[1]), (ESCAPED[0], None), (ESCAPED[0], ESCAPED[1])]
+
+
+def sorted_pairs_output(sig_path, m1, m2, points):
+    """Exit code, stdout and stderr of ``largest``, written from the sorted
+    frozensets of the solver's result."""
+    theta = sorted(set(m1.predicates) | set(m2.predicates))
+    rel = asim.largest_asimulation(FragmentSignature.from_file(sig_path), theta, m1, m2)
+    record = {d: [list(p) for p in sorted(rel.pairs(d))] for d in ("fwd", "bwd")}
+    human = f"fwd {len(rel.fwd)} pair(s), bwd {len(rel.bwd)} pair(s)"
+    code = 0 if rel.fwd or rel.bwd else 1
+    if code:
+        record["status"] = "no asimulation exists between these models for this fragment"
+        human += f"; {record['status']}"
+    if points:
+        record["verdict"] = "related" if tuple(points) in rel.fwd else "not related"
+        human += f"; verdict: {record['verdict']}"
+        code = 0 if record["verdict"] == "related" else 1
+    return code, json.dumps(record, sort_keys=True) + "\n", human + "\n"
+
+
+@pytest.mark.parametrize("sig", ["sig_modal.json", "sig_intuitionistic.json", "sig_modal_int.json"])
+@pytest.mark.parametrize("doc1,doc2", MODEL_PAIRS)
+def test_largest_document_is_the_sorted_pair_sets(capsys, tmp_path, sig, doc1, doc2):
+    path1 = tmp_path / "m1.json"
+    path1.write_text(json.dumps(doc1))
+    path2 = path1
+    if doc2 is not None:
+        path2 = tmp_path / "m2.json"
+        path2.write_text(json.dumps(doc2))
+    m1 = model.load_file(str(path1))
+    m2 = m1 if doc2 is None else model.load_file(str(path2))
+    argv = ["largest", "--fragment", data(sig), "--m1", str(path1), "--m2", str(path2)]
+    for points in (None, (m1.domain[-1], m2.domain[0]), (m1.domain[0], m2.domain[-1])):
+        flags = ["--point1", points[0], "--point2", points[1]] if points else []
+        assert run(capsys, *argv, *flags) == sorted_pairs_output(data(sig), m1, m2, points), points
+
+
+def test_commands_build_no_frozenset(capsys, monkeypatch, tmp_path):
+    # The solver's relations and the models' pair views build frozensets only
+    # for callers that read them; largest, check and experiment do not.
+    paths = []
+    for n, doc in enumerate(GENERATED):
+        paths.append(tmp_path / f"m{n}.json")
+        paths[-1].write_text(json.dumps(doc))
+    relation = tmp_path / "rel.json"
+    relation.write_text(json.dumps({"fwd": [["a", "a"], ["a2", "a2"]], "bwd": [["a", "a"], ["a2", "a2"]]}))
+    argvs = []
+    cases = (("sig_modal_int.json", paths[0], paths[1], [("w12", "w10"), ("w0", "w10")]),
+             ("sig_modal_int.json", paths[1], paths[1], [("w3", "w3")]),
+             ("sig_modal.json", data("m_chain.json"), data("m_single.json"), [("a", "b")]))
+    for sig, m1, m2, points in cases:
+        largest = ["--json", "largest", "--fragment", data(sig), "--m1", str(m1), "--m2", str(m2)]
+        argvs += [largest] + [[*largest, "--point1", p1, "--point2", p2] for p1, p2 in points]
+    argvs += [
+        ["check", "--fragment", data("sig_modal.json"), "--m1", data("m_chain.json"),
+         "--m2", data("m_chain.json"), "--relation", str(relation)],
+        ["check", "--fragment", data("sig_intuitionistic.json"), "--m1", data("m_chain.json"),
+         "--m2", data("m_single.json"), "--relation", data("rel_empty.json")],
+        ["experiment", "--fragment", data("sig_modal.json"), "--seed", "11", "--trials", "1",
+         "--size-min", "3", "--size-max", "4", "--depth", "2"],
+    ]
+    expected = [run(capsys, *argv) for argv in argvs]
+
+    def refuse(*args):
+        raise AssertionError("a frozenset form was built")
+
+    monkeypatch.setattr(asim, "pair_set", refuse)
+    monkeypatch.setattr(model.Model, "relations", property(refuse))
+    monkeypatch.setattr(model.Model, "predicates", property(refuse))
+    assert [run(capsys, *argv) for argv in argvs] == expected
+    assert [code for code, _, _ in expected] == [0, 0, 1, 0, 0, 1, 1, 0, 1, 0]
 
 
 def test_runs_as_python_module():

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from guardasim.formula import _model_preds, eval_fo, parse_fo
 from guardasim.model import (
     Model,
     ModelError,
@@ -109,6 +110,77 @@ class TestQueries:
             PointedModel(m, "zz")
 
 
+class TestRowViews:
+    """``relations`` and ``predicates`` are built from the rows; the queries,
+    ``save`` and ``==`` read the rows."""
+
+    DOC = {
+        "domain": ["b", "a", "c"],
+        "relations": {"R1": [["b", "a"], ["a", "c"]], "R2": []},
+        "predicates": {"P1": [], "P2": ["c", "b"]},
+    }
+
+    def test_declared_empty_names_stay(self):
+        m = load(self.DOC)
+        assert m.relations == {"R1": frozenset({("b", "a"), ("a", "c")}), "R2": frozenset()}
+        assert m.predicates == {"P1": frozenset(), "P2": frozenset({"b", "c"})}
+        assert save(m) == {
+            "domain": ["b", "a", "c"],
+            "relations": {"R1": [["a", "c"], ["b", "a"]], "R2": []},
+            "predicates": {"P1": [], "P2": ["b", "c"]},
+        }
+        assert repr(m) == "Model(|U|=3, R=['R1', 'R2'], P=['P1', 'P2'])"
+        assert _model_preds(m, load({"domain": ["d"]})) == ["P1", "P2"]
+        for key, name in (("relations", "R2"), ("predicates", "P1")):
+            doc = dict(self.DOC, **{key: {k: v for k, v in self.DOC[key].items() if k != name}})
+            assert load(doc) != m and m != load(doc)
+
+    def test_duplicates_collapse(self):
+        pairs = [("a", "b"), ["a", "b"], ("b", "b"), ("a", "b")]
+        m = Model(["a", "b"], {"R1": pairs}, {"P1": ["a", "a", "b"]})
+        assert m.relations == {"R1": frozenset({("a", "b"), ("b", "b")})}
+        assert m.predicates == {"P1": frozenset({"a", "b"})}
+        assert save(m)["relations"] == {"R1": [["a", "b"], ["b", "b"]]}
+        assert save(m)["predicates"] == {"P1": ["a", "b"]}
+        assert m == Model(["a", "b"], {"R1": [("b", "b"), ("a", "b")]}, {"P1": ["b", "a"]})
+
+    def test_lists_and_sets_of_pairs_compare_equal(self):
+        pairs = [("a", "b"), ("b", "a"), ("b", "b")]
+        as_lists = Model(["a", "b"], {"R1": [list(p) for p in pairs]}, {"P1": ["a"]})
+        as_sets = Model(["a", "b"], {"R1": set(pairs)}, {"P1": {"a"}})
+        as_frozensets = Model(["a", "b"], {"R1": frozenset(pairs)}, {"P1": frozenset({"a"})})
+        assert as_lists == as_sets == as_frozensets and as_sets == as_lists
+        assert as_lists.relations == as_sets.relations and save(as_lists) == save(as_frozensets)
+        assert as_lists != Model(["b", "a"], {"R1": pairs}, {"P1": ["a"]})
+
+    def test_queries_outside_the_domain_are_false(self):
+        m = load(self.DOC)
+        assert m.has_pred("P2", "b") and not m.has_pred("P2", "a")
+        assert not m.has_pred("P2", "zz") and not m.has_pred("P9", "b")
+        assert m.has_rel("R1", "b", "a") and not m.has_rel("R1", "a", "b")
+        for x, y in (("zz", "a"), ("b", "zz"), ("zz", "zz")):
+            assert not m.has_rel("R1", x, y)
+        assert not m.has_rel("R9", "b", "a")
+        for text, env in (("P2(x)", {"x": "zz"}), ("R1(x,y)", {"x": "zz", "y": "a"}),
+                          ("R1(x,y)", {"x": "b", "y": "zz"}), ("R9(x,y)", {"x": "b", "y": "a"})):
+            assert eval_fo(m, env, parse_fo(text)) is False
+        assert eval_fo(m, {"x": "b", "y": "a"}, parse_fo("R1(x,y)")) is True
+        assert eval_fo(m, {"x": "b"}, parse_fo("P2(x)")) is True
+
+    def test_save_lists_pairs_in_name_order(self):
+        # generator names in shuffled order: neither the index order nor
+        # w0 < w1 < w2 is the name order (w10 < w2)
+        rng = random.Random(5)
+        names = [f"w{i}" for i in range(16)]
+        rng.shuffle(names)
+        pairs = [(x, y) for x in names for y in names if rng.random() < 0.3]
+        holders = [x for x in names if rng.random() < 0.5]
+        m = Model(names, {"R1": pairs + pairs[:5]}, {"P1": holders})
+        assert save(m) == {"domain": names, "relations": {"R1": [list(p) for p in sorted(set(pairs))]},
+                           "predicates": {"P1": sorted(holders)}}
+        assert load(save(m)) == m
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(min_value=1, max_value=5),
@@ -148,7 +220,7 @@ def test_chain_rows_match_relations(container):
             pairs += rng.sample(pairs, min(3, len(pairs)))
             rels[r] = container(list(p) if container is list else p for p in pairs)
         m = Model(names, rels)
-        r1, r2 = m.relations["R1"], m.relations["R2"]
+        r1, r2 = set(map(tuple, rels["R1"])), set(map(tuple, rels["R2"]))
         composed = {(a, c) for a, b in r1 for b2, c in r2 if b == b2}
         for guards, pairs in ((("R1",), r1), (("R2",), r2), (("R1", "R2"), composed),
                               (("R3",), ()), (("R1", "R3"), ()), (("R3", "R1"), ()),
