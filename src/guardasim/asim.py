@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import cycle
-from operator import is_
+from operator import and_, is_, or_
 from typing import Sequence
 
 from .bitrows import bits, read_pairs, transpose, union
@@ -140,16 +140,21 @@ class CrossRelation:
         return f"CrossRelation(fwd={self.fwd!r}, bwd={self.bwd!r})"
 
     def inverse(self) -> "CrossRelation":
+        if self._rows is not None:
+            return _relation(_inverse(self._rows, *self._models), *self._models)
         return CrossRelation(
             fwd=frozenset((a, b) for (b, a) in self.bwd),
             bwd=frozenset((b, a) for (a, b) in self.fwd),
         )
 
-    def __and__(self, other: "CrossRelation") -> "CrossRelation":
-        return CrossRelation(self.fwd & other.fwd, self.bwd & other.bwd)
+    def _combine(self, other: "CrossRelation", op) -> "CrossRelation":
+        both = self._both_rows(other)
+        if both:
+            return _relation(_meet(*both, op), *self._models)
+        return CrossRelation(op(self.fwd, other.fwd), op(self.bwd, other.bwd))
 
-    def __or__(self, other: "CrossRelation") -> "CrossRelation":
-        return CrossRelation(self.fwd | other.fwd, self.bwd | other.bwd)
+    __and__ = lambda self, other: self._combine(other, and_)
+    __or__ = lambda self, other: self._combine(other, or_)
 
     def subset_of(self, other: "CrossRelation") -> bool:
         both = self._both_rows(other)
@@ -274,10 +279,11 @@ def _inverse(rows: dict[str, list[int]], m1: Model, m2: Model) -> dict[str, list
     return {FWD: transpose(rows[BWD], len(m1)), BWD: transpose(rows[FWD], len(m2))}
 
 
-def _meet(a: dict[str, list[int]], b: dict[str, list[int]]) -> dict[str, list[int]]:
+def _meet(a: dict[str, list[int]], b: dict[str, list[int]], op=and_) -> dict[str, list[int]]:
+    """The rows of ``a`` and ``b`` met pairwise, or joined with ``op=or_``."""
     if _mirrored(a, b):
-        return _both([r & s for r, s in zip(a[FWD], b[FWD])])
-    return {d: [r & s for r, s in zip(a[d], b[d])] for d in (FWD, BWD)}
+        return _both(list(map(op, a[FWD], b[FWD])))
+    return {d: list(map(op, a[d], b[d])) for d in (FWD, BWD)}
 
 
 def _full(m1: Model, m2: Model) -> dict[str, list[int]]:

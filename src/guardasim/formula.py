@@ -13,15 +13,17 @@ depth, deduplicated syntactically or by the truth vector on a model pair,
 whose two models share one joint vector (the first one in the low bits).
 Layer l applies each connective to the argument lists that use a class of
 layer l-1, in ``itertools.product`` order, so the classes of depth <= d are
-a prefix of every deeper enumeration.  It runs row by row: a row folds one
-prefix of all but the last argument into two masks, ``on`` and ``off``, and
-each last argument v of the row then costs ``off ^ (on ^ off) & v``.  A core
-with no guard block needs nothing more; one with blocks looks the core
-vector up in its memo.  When the core is symmetric in its last two
-arguments, a row with prefix (..., i) skips the last arguments below i: the
-mirrored argument list came first in the same layer and gave the same
-vector.  The budget still counts every argument list of the product order,
-evaluated or not, so its exhaustion point does not move.
+a prefix of every deeper enumeration.  It runs row by row: a row fixes all
+but the last argument and folds them into two masks, ``on`` and ``off``, and
+each last argument v of the row then costs ``off ^ (on ^ off) & v``; the
+prefix's last argument is folded inline, so a row costs no call but its
+budget charge and its kernel.  A core with no guard block needs nothing
+more; one with blocks looks the core vector up in its memo.  When the core
+is symmetric in its last two arguments, a row with prefix (..., i) skips the
+last arguments below i: the mirrored argument list came first in the same
+layer and gave the same vector.  The budget still counts every argument list
+of the product order, evaluated or not, so its exhaustion point does not
+move.  The distinguishing search stops at the first class that separates.
 """
 
 from __future__ import annotations
@@ -385,54 +387,68 @@ def semantic_classes(
     enumeration early, because vectors compose through connectives.  Raises
     BudgetExceeded past the candidate budget.
     """
+    n1 = len(m1)
+    low = (1 << n1) - 1
+    classes = _classes(sig, preds, depth, _Joint((m1, m2)), budget)
+    return [SemanticClass(f, v & low, v >> n1) for f, v in classes]
+
+
+def _classes(sig, preds, depth, joint, budget):
+    """Each class of ``semantic_classes`` on ``joint`` as it is admitted: its
+    witness and its joint vector."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    joint = _Joint((m1, m2))
     formulas: list[FragmentFormula] = []
     vecs: list[int] = []
     seen: set[int] = set()
 
-    def admit(formula: FragmentFormula, vec: int) -> None:
-        if vec not in seen:
-            seen.add(vec)
-            vecs.append(vec)
-            formulas.append(formula)
+    def admit(name, args, lasts, out):
+        for last, vec in zip(lasts, out):
+            if vec not in seen:
+                seen.add(vec)
+                vecs.append(vec)
+                formulas.append(f := Apply(name, (*args, last)) if name else last)
+                yield f, vec
 
-    for p in preds:
-        admit(Atom(p), joint.atom(p))
+    # name None admits the atoms and constants themselves
+    lasts, out = [Atom(p) for p in preds], [joint.atom(p) for p in preds]
     kernels = []
     for name in sig.names():
         kernel = _Kernel(joint, sig.get(name))
         if kernel.arity == 0:
-            admit(Apply(name, ()), kernel.apply(()))
+            lasts.append(Apply(name, ()))
+            out.append(kernel.apply(()))
         else:
             kernels.append((name, kernel))
+    yield from admit(None, (), lasts, out)
 
     checked = 0
     start = 0
     for _layer in range(depth):
         count = len(vecs)
         for name, kernel in kernels:
-            rows = _rows(vecs, count, start, kernel.arity - 1, _fold, kernel.masks)
-            for prefix, (off, on), lo in rows:
-                checked = _charge(checked, count - lo, budget)
-                if kernel.symmetric:
-                    # (..., i, j) with j < i repeats the vector of its mirror
-                    # (..., j, i), which uses the same classes and came first
-                    lo = max(lo, prefix[-1])
-                out = kernel.row(off, on, vecs[lo:count])
-                if seen.issuperset(out):
-                    continue
-                args = tuple(formulas[i] for i in prefix)
-                for last, vec in zip(formulas[lo:count], out):
-                    if vec not in seen:
-                        admit(Apply(name, (*args, last)), vec)
+            symmetric, row = kernel.symmetric, kernel.row
+            if kernel.arity == 1:
+                checked = _charge(checked, count - start, budget)
+                yield from admit(name, (), formulas[start:count], row(*kernel.masks, vecs[start:count]))
+                continue
+            for prefix, masks, outer in _rows(vecs, count, start, kernel.arity - 2, _fold, kernel.masks):
+                # the prefix's last argument, vecs[i], folds the four masks to two
+                m0, m1, m2, m3 = masks
+                for i in range(count):
+                    lo = outer if i < start else 0
+                    checked = _charge(checked, count - lo, budget)
+                    if symmetric and lo < i:
+                        # (..., i, j), j < i, repeats its mirror (..., j, i)
+                        lo = i
+                    u = vecs[i]
+                    out = row(u & m2 | ~u & m0, u & m3 | ~u & m1, vecs[lo:count])
+                    if not seen.issuperset(out):
+                        args = (*map(formulas.__getitem__, prefix), formulas[i])
+                        yield from admit(name, args, formulas[lo:count], out)
         if len(vecs) == count:
             break
         start = count
-    n1 = len(m1)
-    low = (1 << n1) - 1
-    return [SemanticClass(f, v & low, v >> n1) for f, v in zip(formulas, vecs)]
 
 
 def enumerate_fragment(
@@ -481,12 +497,11 @@ def distinguishing_formula(
 ) -> FragmentFormula | None:
     """A fragment formula true at pm1.point and false at pm2.point, if one
     exists within the depth bound; every return is re-checked by evaluation."""
-    i1 = pm1.model.index_of(pm1.point)
-    i2 = pm2.model.index_of(pm2.point)
-    for cls in semantic_classes(sig, _model_preds(pm1.model, pm2.model), depth,
-                                pm1.model, pm2.model, budget):
-        if (cls.vec1 >> i1) & 1 and not (cls.vec2 >> i2) & 1:
-            f = cls.formula
+    true_at = 1 << pm1.model.index_of(pm1.point)
+    false_at = 1 << (len(pm1.model) + pm2.model.index_of(pm2.point))
+    joint = _Joint((pm1.model, pm2.model))
+    for f, vec in _classes(sig, _model_preds(*joint.models), depth, joint, budget):
+        if vec & true_at and not vec & false_at:
             if not eval_fragment(pm1.model, pm1.point, f, sig) or eval_fragment(
                 pm2.model, pm2.point, f, sig
             ):

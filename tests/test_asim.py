@@ -1,5 +1,6 @@
 """Cross relations, condition schemata, asimulation checking and solving."""
 
+import operator
 import random
 
 import pytest
@@ -131,6 +132,35 @@ class TestRowBackedRelation:
         assert solve().subset_of(p) and p.subset_of(solve()) and solve().subset_of(solve())
         assert solve().subset_of(top) and p.subset_of(top)
         assert top.subset_of(solve()) == top.subset_of(p) == (top == p)
+
+    @pytest.mark.parametrize("sig,theta,m1,m2,solve", solved_pairs())
+    def test_lattice_operations_keep_to_rows(self, sig, theta, m1, m2, solve):
+        # a self-pair's solve() and atom_preserving carry mirrored rows, a
+        # document's rows never are; a random half of the full relation is
+        # nested in neither
+        rng = random.Random(len(m1) * 10 + len(m2))
+        half = {d: [p for p in pairs if rng.random() < 0.5]
+                for d, pairs in full_relation(m1, m2).to_doc().items()}
+        forms = [solve(), atom_preserving(m1, m2, theta), relation_from_doc(half, m1, m2), solve().inverse()]
+        c1 = load(save(m1))
+        copy = largest_asimulation(sig, theta, c1, c1 if m2 is m1 else load(save(m2)))
+        for x in forms:
+            want = plain(x).inverse()
+            got = x.inverse()
+            assert got._rows is not None and got == want and want == got
+            assert hash(got) == hash(want) and got.to_doc() == want.to_doc()
+            for y in forms:
+                for op in (operator.and_, operator.or_):
+                    want = op(plain(x), plain(y))
+                    got = op(x, y)
+                    assert got._rows is not None and got == want and want == got
+                    assert hash(got) == hash(want) and got.to_doc() == want.to_doc()
+                    # one plain operand, or rows over other model objects
+                    for mixed in (op(x, plain(y)), op(plain(x), y), op(x, copy), op(copy, y)):
+                        assert mixed._rows is None
+                    assert op(x, plain(y)) == op(plain(x), y) == want
+                    assert op(x, copy) == op(plain(x), plain(copy))
+                    assert op(copy, y).to_doc() == op(plain(copy), plain(y)).to_doc()
 
     @pytest.mark.parametrize("sig,theta,m1,m2,solve", solved_pairs())
     def test_counts_and_single_pairs_read_as_the_sets(self, sig, theta, m1, m2, solve):

@@ -429,6 +429,17 @@ class TestDistinguish:
         )
         assert code == 0 and json.loads(out)["formula"] == "P1"
 
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)])
+    def test_deeper_search_stops_at_the_same_formula(self, capsys, json_flag):
+        # --budget 27 is spent by the depth-1 enumeration, which finds
+        # dia(P1); deeper searches stop there instead of exhausting it.
+        args = ("distinguish", "--fragment", data("sig_modal.json"), "--m1", data("m_chain.json"),
+                "--point1", "a", "--m2", data("m_single.json"), "--point2", "b", "--budget", "27")
+        want = run(capsys, *json_flag, *args, "--depth", "1")
+        assert want[0] == 0 and "dia(P1)" in want[1]
+        for depth in ("2", "3"):
+            assert run(capsys, *json_flag, *args, "--depth", depth) == want
+
     @pytest.mark.parametrize("budget, checked", [("3", 3), ("-1", 0)])
     def test_exhausted_budget_is_input_error(self, capsys, budget, checked):
         code, out, err = run(

@@ -340,3 +340,20 @@ def test_distinguishing_budget_exhaustion_is_distinct():
                "predicates": {"P2": ["b2"]}})
     with pytest.raises(BudgetExceeded):
         distinguishing_formula(sig, PointedModel(m1, "a"), PointedModel(m2, "b"), 4, budget=3)
+
+
+def test_distinguishing_stops_at_the_first_separating_class():
+    """27 candidates finish the depth-1 enumeration, which finds dia(P1), and
+    exhaust the depth-2 one; at depth 2 and 3 the search stops at the same
+    formula instead of enumerating every class first."""
+    sig = sig_modal()
+    m1 = load({"domain": ["a", "a2"], "relations": {"R1": [["a", "a2"]]}, "predicates": {"P1": ["a2"]}})
+    m2 = load({"domain": ["b"], "relations": {}, "predicates": {}})
+    pm1, pm2 = PointedModel(m1, "a"), PointedModel(m2, "b")
+    found = distinguishing_formula(sig, pm1, pm2, 1, budget=27)
+    assert found == parse_fragment("dia(P1)", sig)
+    semantic_classes(sig, ["P1"], 1, m1, m2, budget=27)
+    with pytest.raises(BudgetExceeded):
+        semantic_classes(sig, ["P1"], 2, m1, m2, budget=27)
+    for depth in (2, 3):
+        assert distinguishing_formula(sig, pm1, pm2, depth, budget=27) == found

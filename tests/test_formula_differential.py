@@ -6,6 +6,7 @@ formulas, and preservation preorders read off the depth-3 prefix."""
 
 import random
 from bisect import bisect_right
+from itertools import product
 
 import pytest
 
@@ -193,41 +194,69 @@ def test_preservation_relation_is_read_off_the_depth3_prefix(sig_name):
                 asim.class_preorder(prefix, m1, m2), (sig_name, k, d)
 
 
+# One small seeded pair per signature, whose reference enumeration checks a
+# few hundred candidates over two or three layers.
+EXHAUSTIVE_SEEDS = {"nullary_guarded": 8011, "symmetric_guarded": 8011, "arity3": 8039, "modal": 8011}
+
+
+@pytest.mark.parametrize("sig_name", sorted(EXHAUSTIVE_SEEDS))
+def test_every_budget_matches_reference(sig_name):
+    """Every budget from -1 to the reference's candidate count, so the
+    charge of every row is pinned, not only at the layer boundaries."""
+    sig = SIGS[sig_name]
+    depth = FULL_DEPTH.get(sig_name, 3)
+    _k, m1, m2 = next(_pairs(EXHAUSTIVE_SEEDS[sig_name], 1))
+    theta = theta_of(m1, m2)
+    through: list[int] = []
+    ref.semantic_classes(sig, theta, depth, m1, m2, None, through)
+    assert len(through) > 1, sig_name
+    for budget in range(-1, through[-1] + 1):
+        got = _outcome(semantic_classes, sig, theta, depth, m1, m2, budget)
+        want = _outcome(ref.semantic_classes, sig, theta, depth, m1, m2, budget)
+        assert _triples(got) == _triples(want), (sig_name, budget)
+
+
 def test_symmetric_rows_skip_mirrored_argument_lists(monkeypatch):
-    """A core symmetric in its last two arguments evaluates a row with
-    prefix (..., i) only from max(lo, i), while the budget is still charged
-    the whole row, count - lo; every other core evaluates the whole row."""
+    """The rows come in the product order of all but the last argument; each
+    is charged count - lo, where lo is the layer's start while the row uses
+    no class of the previous layer, and 0 once it does.  A core symmetric in
+    its last two arguments evaluates the row with prefix (..., i) only from
+    max(lo, i); every other core evaluates the whole row."""
     sig = SIGS["symmetric_guarded"]
     _k, m1, m2 = next(_pairs(17, 1))
     rows_seen = []
-    real_rows, real_charge, real_row = formula._rows, formula._charge, formula._Kernel.row
-
-    def rows(*args):
-        for item in real_rows(*args):
-            rows_seen.append([item[0], item[2]])
-            yield item
+    real_charge, real_row = formula._charge, formula._Kernel.row
 
     def charge(checked, row, budget):
-        rows_seen[-1].append(row)
+        rows_seen.append([row])
         return real_charge(checked, row, budget)
 
     def row(kernel, off, on, vecs):
-        rows_seen[-1].append((kernel.symmetric, len(vecs)))
+        rows_seen[-1].append(len(vecs))
         return real_row(kernel, off, on, vecs)
 
-    monkeypatch.setattr(formula, "_rows", rows)
     monkeypatch.setattr(formula, "_charge", charge)
     monkeypatch.setattr(formula._Kernel, "row", row)
-    semantic_classes(sig, theta_of(m1, m2), 2, m1, m2, None)
-    narrowed = 0
-    for prefix, lo, charged, (symmetric, evaluated) in rows_seen:
-        count = lo + charged
-        assert evaluated == (count - max(lo, prefix[-1]) if symmetric else charged)
-        narrowed += evaluated < charged
-    assert narrowed
+    classes = semantic_classes(sig, theta_of(m1, m2), 2, m1, m2, None)
+    monkeypatch.undo()
 
     joint = formula._Joint((m1, m2))
-    symmetric = {name: formula._Kernel(joint, sig.get(name)).symmetric for name in sig.names()}
+    kernels = {name: formula._Kernel(joint, sig.get(name)) for name in sig.names()}
+    layers = [fragment_depth(c.formula) for c in classes]
+    want = []
+    for layer in (1, 2):
+        count = sum(x < layer for x in layers)
+        start = sum(x < layer - 1 for x in layers)
+        for kernel in (k for k in kernels.values() if k.arity):
+            for prefix in product(range(count), repeat=kernel.arity - 1):
+                lo = start if all(i < start for i in prefix) else 0
+                want.append([count - lo, count - max(lo, prefix[-1]) if kernel.symmetric else count - lo])
+        if layer not in layers:
+            break
+    assert rows_seen == want
+    assert sum(evaluated < charged for charged, evaluated in rows_seen)
+
+    symmetric = {name: kernel.symmetric for name, kernel in kernels.items()}
     assert symmetric == {"and": True, "or": True, "top": False, "bot": False,
                          "both": True, "same": True, "guard": True, "pick": False}
 
