@@ -53,7 +53,7 @@ from .connective import (
     classify_connective,
     validate_standard_fragment,
 )
-from .formula import SemanticClass, eval_fo, semantic_classes
+from .formula import SemanticClass, class_vectors, eval_fo
 from .model import Model, name_ordered, pair_set, sorted_pairs
 from .syntax import FoFormula, free_vars
 
@@ -134,7 +134,8 @@ class CrossRelation:
         return self.fwd == other.fwd and self.bwd == other.bwd
 
     def __hash__(self) -> int:
-        return hash((self.fwd, self.bwd))
+        # both forms count their pairs without building pair sets
+        return hash((self.count(FWD), self.count(BWD)))
 
     def __repr__(self) -> str:
         return f"CrossRelation(fwd={self.fwd!r}, bwd={self.bwd!r})"
@@ -709,22 +710,25 @@ def preservation_relation(
 ) -> CrossRelation:
     """Pairs along which every fragment formula up to the given nesting depth
     transfers truth, computed from the deduplicated enumeration."""
-    return class_preorder(semantic_classes(sig, preds, depth, m1, m2, budget), m1, m2)
+    return _ClassProfiles(class_vectors(sig, preds, depth, m1, m2, budget)[0], m1, m2).preorder()
 
 
 def class_preorder(classes: Sequence[SemanticClass], m1: Model, m2: Model) -> CrossRelation:
     """Pairs (x, y) such that every listed class true at x is true at y."""
-    return _ClassProfiles(classes, m1, m2).preorder()
+    n1 = len(m1)
+    return _ClassProfiles([c.vec1 | c.vec2 << n1 for c in classes], m1, m2).preorder()
 
 
 class _ClassProfiles:
     """The classes true at each element of a model pair, transposed once:
-    bit k of a model's profile row i is ``classes[k]`` at its element i.
-    Depth-d readings mask the rows to the first classes."""
+    bit k of a model's profile row i is class k, given by its joint vector
+    ``vecs[k]``, at its element i.  Depth-d readings mask the rows to the
+    first classes."""
 
-    def __init__(self, classes: Sequence[SemanticClass], m1: Model, m2: Model):
-        p1 = transpose([c.vec1 for c in classes], len(m1))
-        p2 = transpose([c.vec2 for c in classes], len(m2))
+    def __init__(self, vecs: Sequence[int], m1: Model, m2: Model):
+        n1 = len(m1)
+        profiles = transpose(vecs, n1 + len(m2))
+        p1, p2 = profiles[:n1], profiles[n1:]
         self.m1, self.m2 = m1, m2
         self.sides = ((FWD, p1, p2), (BWD, p2, p1))
 

@@ -10,14 +10,13 @@ under --json; a human-readable summary always goes to stderr.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import bisect
 import functools
 import json
 import sys
 
 from . import asim, boolfn, connective, formula, model
 from .asim import NonStandardFragmentError
-from .syntax import fo_text, fragment_depth, fragment_text, free_vars
+from .syntax import fo_text, fragment_text, free_vars
 from .boolfn import BoolExprError
 from .connective import ConnectiveError
 from .formula import BudgetExceeded, FormulaError
@@ -302,17 +301,16 @@ def cmd_experiment(args) -> int:
             rel = asim.largest_asimulation(sig, theta, m1, m2, strict=False)
             record["asim_fwd"] = rel.count(asim.FWD)
             record["asim_bwd"] = rel.count(asim.BWD)
-            classes = formula.semantic_classes(sig, theta, depth, m1, m2, budget)
-            record["classes"] = len(classes)
-            profiles = asim._ClassProfiles(classes, m1, m2)
+            vecs, ends = formula.class_vectors(sig, theta, depth, m1, m2, budget)
+            record["classes"] = len(vecs)
+            profiles = asim._ClassProfiles(vecs, m1, m2)
             violations = profiles.violations(rel)
             record["invariance_violations"] = violations
             sandwich_depth = None
-            for d in range(depth + 1):
+            for d, end in enumerate(ends):
                 # The classes come out ordered by depth, and those of depth
                 # <= d are the depth-d enumeration, so one enumeration and
                 # its profiles serve every d.
-                end = bisect.bisect_right(classes, d, key=lambda c: fragment_depth(c.formula))
                 pres = profiles.preorder(end)
                 if not rel.subset_of(pres):
                     record["containment_failure"] = d

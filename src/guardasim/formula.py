@@ -23,13 +23,17 @@ is symmetric in its last two arguments, a row with prefix (..., i) skips the
 last arguments below i: the mirrored argument list came first in the same
 layer and gave the same vector.  The budget still counts every argument list
 of the product order, evaluated or not, so its exhaustion point does not
-move.  The distinguishing search stops at the first class that separates.
+move.  A class's witness is its connective's name and its argument classes'
+indices; only the callers that return formulas build them (``class_vectors``
+builds none).  The distinguishing search stops at the first class that
+separates.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .bitrows import union
@@ -390,47 +394,74 @@ def semantic_classes(
     n1 = len(m1)
     low = (1 << n1) - 1
     classes = _classes(sig, preds, depth, _Joint((m1, m2)), budget)
-    return [SemanticClass(f, v & low, v >> n1) for f, v in classes]
+    return [SemanticClass(f, v & low, v >> n1) for f, v in _formulas(classes)]
+
+
+def class_vectors(
+    sig: FragmentSignature,
+    preds: Sequence[str],
+    depth: int,
+    m1: Model,
+    m2: Model,
+    budget: int | None = 1_000_000,
+) -> tuple[list[int], list[int]]:
+    """The joint vectors ``vec1 | vec2 << len(m1)`` of ``semantic_classes``
+    and ``ends``: ``ends[d]`` classes have depth <= d, for d in 0..depth."""
+    vecs, sizes = [], [0] * (depth + 1)
+    for _w, v, layer in _classes(sig, preds, depth, _Joint((m1, m2)), budget):
+        vecs.append(v)
+        sizes[layer] += 1
+    return vecs, list(accumulate(sizes))
+
+
+def _formulas(classes):
+    """Each class ``_classes`` yields with its witness built as a formula over
+    the earlier classes' formulas."""
+    formulas = []
+    for w, vec, _layer in classes:
+        if type(w) is tuple:
+            w = Apply(w[0], tuple(map(formulas.__getitem__, w[1:])))
+        formulas.append(w)
+        yield w, vec
 
 
 def _classes(sig, preds, depth, joint, budget):
     """Each class of ``semantic_classes`` on ``joint`` as it is admitted: its
-    witness and its joint vector."""
+    witness, its joint vector and its layer.  A witness is an atom, or a
+    connective's name followed by the indices of its argument classes."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    formulas: list[FragmentFormula] = []
     vecs: list[int] = []
     seen: set[int] = set()
 
-    def admit(name, args, lasts, out):
+    def admit(head, lasts, out, layer):
         for last, vec in zip(lasts, out):
             if vec not in seen:
                 seen.add(vec)
                 vecs.append(vec)
-                formulas.append(f := Apply(name, (*args, last)) if name else last)
-                yield f, vec
+                yield (*head, last) if head else last, vec, layer
 
-    # name None admits the atoms and constants themselves
+    # an empty head admits the atoms and constants themselves
     lasts, out = [Atom(p) for p in preds], [joint.atom(p) for p in preds]
     kernels = []
     for name in sig.names():
         kernel = _Kernel(joint, sig.get(name))
         if kernel.arity == 0:
-            lasts.append(Apply(name, ()))
+            lasts.append((name,))
             out.append(kernel.apply(()))
         else:
             kernels.append((name, kernel))
-    yield from admit(None, (), lasts, out)
+    yield from admit((), lasts, out, 0)
 
     checked = 0
     start = 0
-    for _layer in range(depth):
+    for layer in range(1, depth + 1):
         count = len(vecs)
         for name, kernel in kernels:
             symmetric, row = kernel.symmetric, kernel.row
             if kernel.arity == 1:
                 checked = _charge(checked, count - start, budget)
-                yield from admit(name, (), formulas[start:count], row(*kernel.masks, vecs[start:count]))
+                yield from admit((name,), range(start, count), row(*kernel.masks, vecs[start:count]), layer)
                 continue
             for prefix, masks, outer in _rows(vecs, count, start, kernel.arity - 2, _fold, kernel.masks):
                 # the prefix's last argument, vecs[i], folds the four masks to two
@@ -444,8 +475,7 @@ def _classes(sig, preds, depth, joint, budget):
                     u = vecs[i]
                     out = row(u & m2 | ~u & m0, u & m3 | ~u & m1, vecs[lo:count])
                     if not seen.issuperset(out):
-                        args = (*map(formulas.__getitem__, prefix), formulas[i])
-                        yield from admit(name, args, formulas[lo:count], out)
+                        yield from admit((name, *prefix, i), range(lo, count), out, layer)
         if len(vecs) == count:
             break
         start = count
@@ -500,7 +530,7 @@ def distinguishing_formula(
     true_at = 1 << pm1.model.index_of(pm1.point)
     false_at = 1 << (len(pm1.model) + pm2.model.index_of(pm2.point))
     joint = _Joint((pm1.model, pm2.model))
-    for f, vec in _classes(sig, _model_preds(*joint.models), depth, joint, budget):
+    for f, vec in _formulas(_classes(sig, _model_preds(*joint.models), depth, joint, budget)):
         if vec & true_at and not vec & false_at:
             if not eval_fragment(pm1.model, pm1.point, f, sig) or eval_fragment(
                 pm2.model, pm2.point, f, sig

@@ -1,10 +1,14 @@
 """Cross relations, condition schemata, asimulation checking and solving."""
 
+import importlib.util
 import operator
+import os
 import random
+import sys
 
 import pytest
 
+from guardasim import asim
 from guardasim.asim import (
     BWD,
     FWD,
@@ -161,6 +165,35 @@ class TestRowBackedRelation:
                     assert op(x, plain(y)) == op(plain(x), y) == want
                     assert op(x, copy) == op(plain(x), plain(copy))
                     assert op(copy, y).to_doc() == op(plain(copy), plain(y)).to_doc()
+
+    @pytest.mark.parametrize("sig,theta,m1,m2,solve", solved_pairs())
+    def test_equal_forms_hash_equal(self, sig, theta, m1, m2, solve):
+        top = atom_preserving(m1, m2, theta)
+        forms = [solve(), plain(solve()), relation_from_doc(solve().to_doc(), m1, m2),
+                 solve().inverse().inverse(), solve() & top, plain(top) & solve()]
+        assert all(f == forms[0] for f in forms)
+        assert len({hash(f) for f in forms}) == 1
+
+    def test_hashing_builds_no_pair_set(self, monkeypatch):
+        # two benchmark models of 200 elements, whose pair sets take a
+        # visible fraction of a second to build
+        path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                            "perfbench", "workloads.py")
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        rng = random.Random(200)
+        m1, m2 = (load(workloads.model_doc(rng, 200)) for _ in range(2))
+        a = largest_asimulation(sig_modal_intuitionistic(), ["P1"], m1, m2)
+
+        def refuse(*args):
+            raise AssertionError("a pair set was built")
+
+        monkeypatch.setattr(asim, "pair_set", refuse)
+        got, held = hash(a), {a}
+        monkeypatch.undo()
+        assert a.count(FWD) and got == hash(plain(a)) and plain(a) in held
 
     @pytest.mark.parametrize("sig,theta,m1,m2,solve", solved_pairs())
     def test_counts_and_single_pairs_read_as_the_sets(self, sig, theta, m1, m2, solve):

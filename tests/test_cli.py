@@ -10,7 +10,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from guardasim import asim, cli, model
+from guardasim import asim, cli, formula, model
 from guardasim.cli import main
 from guardasim.connective import FragmentSignature
 from guardasim.formula import parse_fo, parse_fragment, std_translate
@@ -688,6 +688,33 @@ def test_commands_build_no_frozenset(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(model.Model, "predicates", property(refuse))
     assert [run(capsys, *argv) for argv in argvs] == expected
     assert [code for code, _, _ in expected] == [0, 0, 1, 0, 0, 1, 1, 0, 1, 0]
+
+
+def test_experiment_builds_no_class_formula(capsys, monkeypatch, tmp_path):
+    # An experiment trial reads the classes' joint vectors and per-depth
+    # counts, never their witness formulas.
+    # the golden argv, one trial per seed
+    argvs = [["experiment", "--fragment", data("sig_modal.json"), "--seed", str(seed), "--trials", "1",
+              "--size-min", "1", "--size-max", "4", "--depth", "5"] for seed in range(2024, 2030)]
+    for sig in ("sig_intuitionistic.json", "sig_modal.json", "sig_modal_int.json"):
+        config = tmp_path / sig
+        config.write_text(json.dumps({"fragment": data(sig), "seed": 7, "trials": 1, "size_min": 3,
+                                      "size_max": 3, "depth": 3, "relations": ["R1", "R2", "R3"]}))
+        argvs.append(["experiment", "--config", str(config)])
+    m1, m2 = model.load_file(data("m_chain.json")), model.load_file(data("m_single.json"))
+    sig = FragmentSignature.from_file(data("sig_modal.json"))
+    expected = [run(capsys, *argv) for argv in argvs]
+    preorders = [asim.preservation_relation(sig, ["P1", "P2"], m1, m2, d) for d in range(4)]
+
+    def refuse(*args):
+        raise AssertionError("a class formula was built")
+
+    monkeypatch.setattr(formula, "Apply", refuse)
+    monkeypatch.setattr(formula, "SemanticClass", refuse)
+    assert [run(capsys, *argv) for argv in argvs] == expected
+    assert [asim.preservation_relation(sig, ["P1", "P2"], m1, m2, d) for d in range(4)] == preorders
+    with open(data("experiment_golden.jsonl"), "r", encoding="utf-8") as fh:
+        assert [{**json.loads(line), "trial": 0} for line in fh] == [json.loads(out) for _, out, _ in expected[:6]]
 
 
 def test_runs_as_python_module():

@@ -5,7 +5,6 @@ budget exhaustion (also at each layer's boundary), equal distinguishing
 formulas, and preservation preorders read off the depth-3 prefix."""
 
 import random
-from bisect import bisect_right
 from itertools import product
 
 import pytest
@@ -136,6 +135,31 @@ def test_budget_boundaries_match_reference(sig_name):
             got = _outcome(semantic_classes, sig, theta, depth, m1, m2, budget)
             want = _outcome(ref.semantic_classes, sig, theta, depth, m1, m2, budget)
             assert _triples(got) == _triples(want), (sig_name, k, budget)
+
+
+@pytest.mark.parametrize("sig_name", sorted(SIGS))
+def test_class_vectors_match_reference(sig_name):
+    """The joint vectors of the reference classes, vec1 | vec2 << n1, and how
+    many of them have depth <= d, at the budgets above and at each layer's
+    boundary, one less and one more; a budget that runs out raises alike."""
+    sig = SIGS[sig_name]
+    full = FULL_DEPTH.get(sig_name, 3)
+    for k, m1, m2 in _pairs(4000 + len(sig_name), 4):
+        theta = theta_of(m1, m2)
+        through: list[int] = []
+        ref.semantic_classes(sig, theta, full, m1, m2, None, through)
+        boundaries = {c + e for c in through for e in (-1, 0, 1)}
+        for depth in range(4):
+            for budget in {*BUDGETS, *(boundaries if depth == full else ())}:
+                if budget is None and depth > full:
+                    continue
+                got = _outcome(formula.class_vectors, sig, theta, depth, m1, m2, budget)
+                want = _outcome(ref.semantic_classes, sig, theta, depth, m1, m2, budget)
+                if isinstance(want, list):
+                    layers = [fragment_depth(c.formula) for c in want]
+                    want = ([c.vec1 | c.vec2 << len(m1) for c in want],
+                            [sum(x <= d for x in layers) for d in range(depth + 1)])
+                assert got == want, (sig_name, k, depth, budget)
 
 
 @pytest.mark.parametrize("sig_name", sorted(SIGS))
@@ -271,7 +295,8 @@ def test_class_profiles_match_the_pair_definitions(sig_name):
     for k, m1, m2 in _pairs(6000 + len(sig_name), 6):
         theta = theta_of(m1, m2)
         classes = semantic_classes(sig, theta, 3, m1, m2, None)
-        profiles = asim._ClassProfiles(classes, m1, m2)
+        vecs, ends = formula.class_vectors(sig, theta, 3, m1, m2, None)
+        profiles = asim._ClassProfiles(vecs, m1, m2)
         for rel in (asim.atom_preserving(m1, m2, theta), asim.full_relation(m1, m2)):
             want = sum(
                 (c.vec1 >> m1.index_of(x)) & 1 and not (c.vec2 >> m2.index_of(y)) & 1
@@ -282,9 +307,8 @@ def test_class_profiles_match_the_pair_definitions(sig_name):
             )
             assert profiles.violations(rel) == want, (sig_name, k)
             total += want
-        layers = [fragment_depth(c.formula) for c in classes]
         # each depth's prefix, as the experiment reads it, and two cuts inside layers
-        for end in sorted({1, len(classes) // 2} | {bisect_right(layers, d) for d in range(4)}):
+        for end in sorted({1, len(classes) // 2, *ends}):
             holds = [(x, y) for i, x in enumerate(m1.domain) for j, y in enumerate(m2.domain)
                      if all(not (c.vec1 >> i) & 1 or (c.vec2 >> j) & 1 for c in classes[:end])]
             holds_back = [(y, x) for j, y in enumerate(m2.domain) for i, x in enumerate(m1.domain)
