@@ -31,14 +31,17 @@ where they are new.
 
 The solver sweeps the conditions in turn, each reading the relation the
 previous one left; with one model object on both sides, one row list
-serves both directions and each step computes one.
+serves both directions and each step computes one.  A fragment whose
+conditions read only the symmetric part (a degree-0 negation, or rest cores
+alone) skips them: partition refinement finds the largest bisimulation,
+the result or the witness of one narrowing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import cycle
+from itertools import chain, cycle
 from operator import and_, is_, or_
 from typing import Sequence
 
@@ -649,24 +652,70 @@ def largest_asimulation(
     m2: Model,
     strict: bool = True,
 ) -> CrossRelation:
-    """Greatest fixpoint of the condition functional, starting from the
-    atom-preserving relation.
+    """Greatest fixpoint of the condition functional below the atom-preserving
+    relation; empty exactly when no asimulation exists.
 
-    The connectives' pair-level conditions, the degree-0 cut to the
-    symmetric part included, are swept in turn: each takes its witnesses
-    from the relation the previous one left and drops the pairs violating
-    it, until every condition in a row leaves the relation unchanged.  By
-    monotonicity each step keeps a superset of the greatest fixpoint, and
-    what is left is a post-fixpoint, so any order gives the same result;
-    sweep k lies inside round k of the iteration that fixes every witness
-    at the start of the round.  Inverse rows are built only for conditions
-    that read them, once per change of the relation.  For ``m1 is m2`` the
-    rows stay mirrored and one direction is computed.  The result is empty
-    exactly when no asimulation exists.
+    With every condition of degree at most 1 on a non-constant core, the
+    gfp's symmetric part is an atom-respecting bisimulation along the
+    chains, so it lies in the largest one, B.  A degree-0 cut makes the gfp
+    symmetric and B post-fixed, so the gfp is B.  If every condition reads
+    only the symmetric part (non-special rest cores), the atom pairs passing
+    each condition with witness B hold B, so they are post-fixed: the gfp.
+    Other fragments take the sweeps.
     """
     if strict:
         _require_standard(sig)
-    steps = [(cond, cond.reads_inverse()) for _, cond in _conditions(sig, strict)]
+    conds = [cond for _, cond in _conditions(sig, strict)]
+    flat = conds and all(c.inner is None and c.kind is not CoreCandidateKind.FULL for c in conds)
+    if flat and not all(c.guards for c in conds):
+        rows = _bisimulation(conds, theta_preds, m1, m2)
+    elif flat and all(not c.special and c.kind is CoreCandidateKind.SYMMETRIC_PART for c in conds):
+        rows, witness = _atom_rows(m1, m2, theta_preds), [_bisimulation(conds, theta_preds, m1, m2)]
+        for cond in conds:
+            rows = cond.passing(rows, witness, m1, m2)
+    else:
+        rows = _sweeps(conds, theta_preds, m1, m2)
+    return _relation(rows, m1, m2)
+
+
+def _bisimulation(conds, theta_preds: Sequence[str], m1: Model, m2: Model) -> dict[str, list[int]]:
+    """The largest bisimulation along the conditions' chains that keeps every
+    listed predicate, by colour refinement of both models at once: colours
+    start as valuations, and each round adds an element's endpoints' colours
+    per chain, until no colour splits."""
+    models = (m1,) if m1 is m2 else (m1, m2)
+    chains = list(dict.fromkeys(c.guards for c in conds if c.guards))
+    ends = [[m.endpoint_indices(g) for g in chains] for m in models]
+    keys = []
+    for m in models:
+        ks = [0] * len(m)
+        for row in map(m.pred_row, theta_preds):
+            ks = [k + k + (row >> i & 1) for i, k in enumerate(ks)]
+        keys.append(ks)
+    count = 0
+    while True:
+        ids = {k: c for c, k in enumerate(dict.fromkeys(chain.from_iterable(keys)))}
+        colours = [list(map(ids.__getitem__, ks)) for ks in keys]
+        if len(ids) == count:
+            break
+        count = len(ids)
+        keys = [list(zip(cs, *([frozenset(map(cs.__getitem__, e)) for e in es] for es in ess)))
+                for cs, ess in zip(colours, ends)]
+    by_colour = {}  # the last model's elements of each colour
+    for j, c in enumerate(colours[-1]):
+        by_colour[c] = by_colour.get(c, 0) | 1 << j
+    fwd = [by_colour.get(c, 0) for c in colours[0]]
+    return _both(fwd) if m1 is m2 else {FWD: fwd, BWD: transpose(fwd, len(m2))}
+
+
+def _sweeps(conds, theta_preds: Sequence[str], m1: Model, m2: Model) -> dict[str, list[int]]:
+    """The greatest fixpoint by sweeping the conditions in turn, each reading
+    the relation the previous one left, until every condition in a row
+    leaves it unchanged.  Each step keeps a superset of the gfp and the end
+    is post-fixed, so any order gives the same result; sweep k lies inside
+    round k of the iteration that fixes every witness at the start of the
+    round.  Inverse rows are built once per change, if a condition reads them."""
+    steps = [(cond, cond.reads_inverse()) for cond in conds]
     a, inv = _atom_rows(m1, m2, theta_preds), None
     settled = 0  # the conditions in a row that have left a unchanged
     for cond, reads_inverse in cycle(steps):
@@ -679,7 +728,7 @@ def largest_asimulation(
             settled += 1
         else:
             a, inv, settled = kept, None, 0
-    return _relation(a, m1, m2)
+    return a
 
 
 def invariance_check(

@@ -8,10 +8,16 @@ relation they list.  One model object on both sides takes the solver's
 one-direction path, which is checked against the reference and against two
 separate loads of the model; the sweeps are checked to reach one result in
 any order of the conditions, and to build inverse rows only for conditions
-that read them."""
+that read them.  Fragments whose conditions read only the symmetric part are
+solved by partition refinement, which is checked against the sweeps and the
+reference, on the benchmark's models of 144 and 400 elements too, and each
+signature is checked to take its route."""
 
+import importlib.util
 import itertools
+import os
 import random
+import sys
 
 import pytest
 
@@ -328,6 +334,14 @@ def test_verifier_reads_documents_like_relations(name):
             assert got == asim.is_asimulation(sig, theta, m1, m2, asim.relation_from_doc(d, m1, m2))
 
 
+def swept(sig, theta, m1, m2, strict=True):
+    """The relation the sweeps reach.  The solver takes partition refinement
+    instead when every condition reads only the symmetric part, so the tests
+    of the sweeps' own mechanisms call them directly."""
+    conds = [cond for _, cond in asim._conditions(sig, strict)]
+    return asim._relation(asim._sweeps(conds, theta, m1, m2), m1, m2)
+
+
 def dense_models(rng):
     """Two independent models of 30-48 elements with sparse guards and P1/P2
     at 70% of the elements."""
@@ -356,7 +370,7 @@ def test_dense_models_reach_the_row_kernels(monkeypatch):
         theta = theta_of(m1, m2)
         for build in ALL_SIGS.values():
             sig = build()
-            big = asim.largest_asimulation(sig, theta, m1, m2)
+            big = swept(sig, theta, m1, m2)
             assert big == ref.largest_asimulation(sig, theta, m1, m2)
             for a in [big, *perturbed(rng, big, m1, m2)]:
                 assert asim.is_asimulation(sig, theta, m1, m2, a) == \
@@ -398,7 +412,7 @@ def test_forth_matching_unions_each_witness_row_once(monkeypatch):
         theta = theta_of(m1, m2)
         for build in ALL_SIGS.values():
             sig = build()
-            big = asim.largest_asimulation(sig, theta, m1, m2)
+            big = swept(sig, theta, m1, m2)
             for a in [big, *perturbed(rng, big, m1, m2)]:
                 asim.is_asimulation(sig, theta, m1, m2, a)
     assert counts["forth"] >= 30 and counts["unions"] >= 500, counts
@@ -454,7 +468,7 @@ def test_sweep_order_does_not_change_the_result(name, sig, strict):
         theta = theta_of(m1, m2)
         want = asim.largest_asimulation(sig, theta, m1, m2, strict=strict)
         for order in orders:
-            assert asim.largest_asimulation(permuted(sig, order), theta, m1, m2, strict=strict) == want, order
+            assert swept(permuted(sig, order), theta, m1, m2, strict=strict) == want, order
 
 
 def counting(monkeypatch, module, attr):
@@ -488,7 +502,7 @@ def test_inverse_rows_only_for_conditions_that_read_them(monkeypatch):
     pairs = [(m1, m2) for _, m1, m2 in model_pairs(29, 12)]
     pairs += [(m, m) for m, _ in pairs[:6]]
     for m1, m2 in pairs:
-        asim.largest_asimulation(monotone, theta_of(m1, m2), m1, m2)
+        swept(monotone, theta_of(m1, m2), m1, m2)
     assert not inverses and sum(changes) >= 10, (len(inverses), sum(changes))
     # The one condition of the intuitionistic signature reads the inverse
     # rows at every step: they are built once at the start and once after
@@ -496,7 +510,7 @@ def test_inverse_rows_only_for_conditions_that_read_them(monkeypatch):
     for m1, m2 in pairs:
         inverses.clear()
         changes.clear()
-        asim.largest_asimulation(ALL_SIGS["intuitionistic"](), theta_of(m1, m2), m1, m2)
+        swept(ALL_SIGS["intuitionistic"](), theta_of(m1, m2), m1, m2)
         assert len(inverses) == 1 + sum(changes)
 
 
@@ -522,9 +536,104 @@ def test_self_pairs_compute_one_direction(monkeypatch):
         sig = build()
         theta = theta_of(m)
         outputs.clear()
-        one = asim.largest_asimulation(sig, theta, m, m)
+        one = swept(sig, theta, m, m)
         assert outputs and set(outputs) == {(1, True)}, sig.names()
         outputs.clear()
         doc = save(m)
-        assert asim.largest_asimulation(sig, theta, load(doc), load(doc)) == one
+        assert swept(sig, theta, load(doc), load(doc)) == one
         assert outputs and set(outputs) == {(2, False)}, sig.names()
+
+
+# -- partition refinement: fragments whose conditions read only the symmetric part
+
+def sig_of(connectives):
+    return FragmentSignature.from_dict({"connectives": connectives})
+
+
+IMP = "forall[R1]{ ~p1 | p2 }"
+# Each one has a degree-0 cut (the result is the bisimulation) or only
+# non-special rest cores (the result is one narrowing of the atom rows).
+REFINED = {
+    "modal": ALL_SIGS["modal"](),
+    "intuitionistic": ALL_SIGS["intuitionistic"](),
+    "not_box": sig_of({"not": "{ ~p1 }", "box": "forall[R1]{ p1 }"}),
+    "not_dia12": sig_of({"not": "{ ~p1 }", "dia12": "exists[R1,R2]{ p1 }"}),
+    "not_imp_box2": sig_of({"not": "{ ~p1 }", "imp": IMP, "box2": "forall[R2]{ p1 }"}),
+    "not_antitone": sig_of({"not": "{ ~p1 }", "nbox": "forall[R1]{ ~p1 }"}),
+    "iff_dia": sig_of({"iff": "{ p1 <-> p2 }", "dia": "exists[R1]{ p1 }"}),
+    "not_special": sig_of({"not": "{ ~p1 }", "butnot": "forall[R1]{ p2 & ~p1 }"}),
+    "imp_imp2": sig_of({"imp": IMP, "imp2": "forall[R2]{ ~p1 | p2 }"}),
+    "imp12": sig_of({"imp12": "forall[R1,R2]{ ~p1 | p2 }"}),
+    "dia_butnot": sig_of({"butnot": "exists[R1]{ p1 & ~p2 }"}),
+}
+# A degree-2 connective, a constant core, a special core without a negation
+# and a signature of built-ins only keep the sweeps.
+SWEPT = {
+    "modal_intuitionistic": ALL_SIGS["modal_intuitionistic"](),
+    "not_some_box": sig_of({"not": "{ ~p1 }", "some": "exists[R1]{ T }", "box": "forall[R1]{ p1 }"}),
+    "not_degree2": sig_of({"not": "{ ~p1 }", "ae": "forall[R1] exists[R3]{ p1 }"}),
+    "special": sig_of({"butnot": "forall[R1]{ p2 & ~p1 }", "dia": "exists[R3]{ p1 }"}),
+    "builtins": sig_of({}),
+}
+
+
+def refinement_pairs(seed):
+    """Seeded model pairs of 1-12 elements, then self pairs of four of them."""
+    pairs = [(m1, m2) for _, m1, m2 in model_pairs(seed, 10)]
+    return pairs + [(m, m) for m, _ in pairs[:4]]
+
+
+@pytest.mark.parametrize("name", REFINED)
+def test_refinement_matches_sweeps_and_reference(name):
+    sig = REFINED[name]
+    for m1, m2 in refinement_pairs(sum(map(ord, name)) * 17):
+        theta = theta_of(m1, m2)
+        got = asim.largest_asimulation(sig, theta, m1, m2, strict=False)
+        assert got == swept(sig, theta, m1, m2, strict=False)
+        assert got == ref.largest_asimulation(sig, theta, m1, m2, strict=False)
+        assert asim._mirrored(got._rows) == (m1 is m2)
+
+
+def test_each_signature_takes_its_route(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("wrong route")
+
+    pairs = refinement_pairs(41)
+    with monkeypatch.context() as patch:
+        patch.setattr(asim, "_bisimulation", refuse)
+        for sig in SWEPT.values():
+            for m1, m2 in pairs:
+                theta = theta_of(m1, m2)
+                assert asim.largest_asimulation(sig, theta, m1, m2, strict=False) == \
+                    ref.largest_asimulation(sig, theta, m1, m2, strict=False)
+    monkeypatch.setattr(asim, "_sweeps", refuse)
+    for sig in REFINED.values():
+        for m1, m2 in pairs:
+            theta = theta_of(m1, m2)
+            assert asim.largest_asimulation(sig, theta, m1, m2, strict=False) == \
+                ref.largest_asimulation(sig, theta, m1, m2, strict=False)
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    """The benchmark's input generator, ``perfbench/workloads.py``."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("n", [144, 400])
+@pytest.mark.parametrize("name", ["modal", "intuitionistic"])
+def test_refinement_matches_sweeps_at_scale(workloads, name, n):
+    sig = REFINED[name]
+    rng = random.Random(n)
+    m1, m2 = (load(workloads.model_doc(rng, n)) for _ in range(2))
+    for mx, my in ((m1, m2), (m1, m1)):
+        got = asim.largest_asimulation(sig, ["P1"], mx, my)
+        want = swept(sig, ["P1"], mx, my)
+        assert got._rows == want._rows and got.count(asim.FWD)
+        assert got.to_doc() == want.to_doc()
