@@ -19,9 +19,10 @@ are built only for violation reports.  The verifier turns its relation into
 rows and inverse rows once per call and every connective's check reads
 those; atom transfer is row algebra too, the pairs outside the
 atom-preserving rows.  A relation document is read straight into rows and
-inverse rows, by ``bitrows.read_pairs``.
+inverse rows, by ``bitrows.read_pairs``; with one model object on both
+sides and equal lists, once, into mirrored rows.
 
-Within one check of one direction, each distinct set is worked out once.
+Within one check, each distinct set is worked out once per partner model.
 The rows of a relation repeat (at the solver's first condition the
 atom-preserving rows take at most 2^|theta| values), so forth matching
 keeps the partner elements with an endpoint in a witness row by the row's
@@ -178,7 +179,8 @@ class CrossRelation:
 
 def relation_from_doc(doc: object, m1: Model, m2: Model) -> CrossRelation:
     """The relation a document ``{"fwd": [[x, y], ...], "bwd": [[y, x], ...]}``
-    lists; a missing direction is empty."""
+    lists; a missing direction is empty, and keys besides ``verdict`` and
+    ``status`` (which ``largest`` adds) are refused."""
     return _relation(_doc_rows(doc, m1, m2)[0], m1, m2)
 
 
@@ -242,9 +244,18 @@ def _check_elements(a: CrossRelation, m1: Model, m2: Model) -> None:
 
 def _doc_rows(doc: object, m1: Model, m2: Model) -> tuple[dict[str, list[int]], dict[str, list[int]]]:
     """The rows and inverse rows of a relation document, fwd before bwd;
-    the first malformed entry raises ``RelationError`` naming it."""
+    the first malformed entry raises ``RelationError`` naming it.  Equal
+    lists on one model object are read once, mirrored."""
     if not isinstance(doc, dict):
         raise RelationError("document: expected an object")
+    unknown = set(doc) - {FWD, BWD, "verdict", "status"}
+    if unknown:
+        raise RelationError(f"document: unknown keys {sorted(unknown)}")
+    entries = doc.get(FWD, [])
+    if m1 is m2 and isinstance(entries, list) and entries == doc.get(BWD, []):
+        rows, inv = [0] * len(m1), [0] * len(m1)
+        read_pairs(entries, m1.index, m1.index, rows, inv, FWD, RelationError)
+        return _both(rows), _both(inv)
     rows = {FWD: [0] * len(m1), BWD: [0] * len(m2)}
     inv = {FWD: [0] * len(m1), BWD: [0] * len(m2)}
     for key, first, second in _directions(m1, m2):
@@ -426,17 +437,18 @@ class _Condition:
         out = {}
         mirrored = _mirrored(cand, *witnesses)
         sides = _directions(m1, m2)
+        memos = {}  # a memo below depends on the partner model alone: a self pair shares one
         for d, mx, my in sides[:1] if mirrored else sides:
             x_ends = mx.endpoint_indices(self.guards)
             y_ends, y_sources, dead = my.chain_rows(self.guards)
             ws = [w[d] for w in witnesses]
             rows = out[d] = list(cand[d])
+            memo = memos.setdefault(id(my), {})
             if self.back:
                 full = (1 << len(my)) - 1
                 # memo[cover]: the candidates tested against cover so far, and
                 # those of them that passed; whether a candidate passes depends
                 # on the cover alone, so no candidate is tested twice against one
-                memo: dict[int, tuple[int, int]] = {}
                 for i, row in enumerate(rows):
                     if row and not x_ends[i]:
                         # no endpoint, so an empty cover: only candidates with none pass
@@ -468,15 +480,14 @@ class _Condition:
                             tested, passed = memo[cover] = tested | todo, passed | kept
                         rows[i] = row & passed
             else:
-                # hits[S]: the partner elements with an endpoint in the witness row S
-                hits: dict[int, int] = {}
+                # memo[S]: the partner elements with an endpoint in the witness row S
                 for i, row in enumerate(rows):
                     for j in x_ends[i] if row else ():
                         for w in ws:
                             s = w[j]
-                            hit = hits.get(s)
+                            hit = memo.get(s)
                             if hit is None:
-                                hit = hits[s] = union(y_sources, s)
+                                hit = memo[s] = union(y_sources, s)
                             row &= hit
                     rows[i] = row
         if mirrored:

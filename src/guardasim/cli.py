@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import asim, boolfn, connective, formula, model
@@ -38,10 +39,11 @@ def _emit(args, record: dict, human: str) -> None:
 
 def _load_models(args) -> tuple[model.Model, model.Model]:
     """The models of ``--m1`` and ``--m2``, one model when both name the same
-    path, so a model checked against itself is read once and its guard chains
-    are built once."""
+    file, however spelled, so a model checked against itself is read once and
+    its guard chains are built once."""
     m1 = model.load_file(args.m1)
-    return m1, m1 if args.m2 == args.m1 else model.load_file(args.m2)
+    same = os.path.realpath(args.m2) == os.path.realpath(args.m1)
+    return m1, m1 if same else model.load_file(args.m2)
 
 
 def _require(value, message: str) -> None:
@@ -247,8 +249,9 @@ _PATH = ("a signature file path", lambda v: isinstance(v, str))
 
 
 def _setting(conf: dict, key: str, default, kind) -> object:
-    """A config value, or the flag's default, checked against its type."""
-    value = conf.get(key, default)
+    """A config value, taken out of ``conf``, or the flag's default, checked
+    against its type."""
+    value = conf.pop(key, default)
     what, ok = kind
     if not ok(value):
         raise ValueError(f"experiment setting {key!r} must be {what}, got {json.dumps(value)}")
@@ -274,6 +277,8 @@ def cmd_experiment(args) -> int:
     fragment_path = _setting(conf, "fragment", args.fragment, _PATH)
     rel_symbols = _setting(conf, "relations", ["R1"], _NAMES)
     pred_symbols = _setting(conf, "predicates", ["P1", "P2"], _NAMES)
+    if conf:
+        raise ValueError(f"experiment config: unknown keys {sorted(conf)}")
     if trials < 1 or size_min < 1 or size_max < size_min:
         raise ValueError("need trials >= 1 and 1 <= size_min <= size_max")
 

@@ -4,11 +4,11 @@ JSON (de)serialization, and seeded random generation.
 
 A relation's pairs are read into step rows, one bit row over element
 indices per element, and guard chains are composed from those rows (a
-one-guard chain is the step rows themselves), with each element's
-endpoints also kept as a tuple of indices for the loops that walk them; a
-predicate's elements are read into one bit row.  The frozenset views
-``relations`` and ``predicates`` are built from the rows on first read;
-everything else reads the rows.  Each list is read by
+one-guard chain is the step rows themselves); one walk over a chain's bits
+gives its transpose and each element's endpoints as a tuple of indices,
+for the loops that walk them.  A predicate's elements are one bit row.
+The frozenset views ``relations`` and ``predicates`` are built from the
+rows on first read; everything else reads the rows.  Each list is read by
 ``bitrows.read_pairs`` or ``read_names``."""
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .bitrows import bits, identity, read_names, read_pairs, transpose, union
+from .bitrows import bits, identity, read_names, read_pairs, union
 from .syntax import _PRED_NAME, _REL_NAME
 
 
@@ -136,8 +136,9 @@ class Model:
         relation in order, ``sources`` is its transpose, and ``dead`` is the
         row of the elements with no endpoint.  A one-guard chain is the step
         rows read with the model, and a longer one composes the chain without
-        its last guard with that guard's steps.  Built once per guard tuple
-        on first use and kept, which is safe because the model is immutable."""
+        its last guard with that guard's steps.  One walk over the bits of
+        ``ends`` fills ``sources``, ``dead`` and ``endpoint_indices``.  Built
+        once per guard tuple and kept, as the model is immutable."""
         guards = tuple(guards)
         got = self._chains.get(guards)
         if got is None:
@@ -150,19 +151,29 @@ class Model:
                     ends = tuple(step)
                 else:
                     ends = tuple(union(step, row) for row in self.chain_rows(guards[:-1])[0])
-            dead = sum(1 << i for i, row in enumerate(ends) if not row)
-            got = self._chains[guards] = (ends, tuple(transpose(ends, n)), dead)
+            sources, dead, points = [0] * n, 0, []
+            for bit, row in zip(identity(n), ends):
+                js = []
+                if not row:
+                    dead |= bit
+                while row:
+                    low = row & -row
+                    j = low.bit_length() - 1
+                    js.append(j)
+                    sources[j] |= bit
+                    row ^= low
+                points.append(tuple(js))
+            self._endpoints[guards] = tuple(points)
+            got = self._chains[guards] = (ends, tuple(sources), dead)
         return got
 
     def endpoint_indices(self, guards: Sequence[str]) -> tuple[tuple[int, ...], ...]:
         """The rows ``ends`` of ``chain_rows`` as index tuples: entry i lists
-        the endpoints of element i in ascending order.  Built once per guard
-        tuple on first use and kept, like the chain rows."""
+        the endpoints of element i in ascending order.  Built with the chain
+        rows and kept."""
         guards = tuple(guards)
-        got = self._endpoints.get(guards)
-        if got is None:
-            got = self._endpoints[guards] = tuple(tuple(bits(row)) for row in self.chain_rows(guards)[0])
-        return got
+        self.chain_rows(guards)
+        return self._endpoints[guards]
 
     def guard_endpoints(self, guards: Sequence[str], start: str) -> frozenset[str]:
         """Elements reachable from ``start`` along the guard chain: one step

@@ -11,7 +11,10 @@ any order of the conditions, and to build inverse rows only for conditions
 that read them.  Fragments whose conditions read only the symmetric part are
 solved by partition refinement, which is checked against the sweeps and the
 reference, on the benchmark's models of 144 and 400 elements too, and each
-signature is checked to take its route."""
+signature is checked to take its route.  A self pair's relation document
+whose two lists are equal is read once, mirrored: its reports and error
+messages are checked against two separate loads of the model and against
+the reference, and its reads are counted."""
 
 import importlib.util
 import itertools
@@ -380,9 +383,11 @@ def test_dense_models_reach_the_row_kernels(monkeypatch):
 
 def test_forth_matching_unions_each_witness_row_once(monkeypatch):
     # Whether a partner element has an endpoint in a witness row S depends
-    # on S alone, so within one forth call and direction no S is unioned
-    # against the partner's chain sources twice.  The two models differ, so
-    # each direction has its own sources tuple, which tells them apart.
+    # on S and the partner model alone, so within one forth call no S is
+    # unioned against a partner's chain sources twice.  Two models give each
+    # direction its own sources tuple; one model object on both sides, with
+    # relations whose two directions differ, gives both directions one
+    # sources tuple and one memo.
     calls = []  # per forth call: the (sources, S) of each union
     counts = {"forth": 0, "unions": 0}
     union, passing = asim.union, asim._Condition.passing
@@ -409,13 +414,14 @@ def test_forth_matching_unions_each_witness_row_once(monkeypatch):
     rng = random.Random(11)
     for _ in range(3):
         m1, m2 = dense_models(rng)
-        theta = theta_of(m1, m2)
-        for build in ALL_SIGS.values():
-            sig = build()
-            big = swept(sig, theta, m1, m2)
-            for a in [big, *perturbed(rng, big, m1, m2)]:
-                asim.is_asimulation(sig, theta, m1, m2, a)
-    assert counts["forth"] >= 30 and counts["unions"] >= 500, counts
+        for mx, my in ((m1, m2), (m1, m1)):
+            theta = theta_of(mx, my)
+            for build in ALL_SIGS.values():
+                sig = build()
+                big = swept(sig, theta, mx, my)
+                for a in [big, *perturbed(rng, big, mx, my)]:
+                    asim.is_asimulation(sig, theta, mx, my, a)
+    assert counts["forth"] >= 60 and counts["unions"] >= 1000, counts
 
 
 def self_pair_models(seed):
@@ -637,3 +643,72 @@ def test_refinement_matches_sweeps_at_scale(workloads, name, n):
         want = swept(sig, ["P1"], mx, my)
         assert got._rows == want._rows and got.count(asim.FWD)
         assert got.to_doc() == want.to_doc()
+
+
+# -- a self pair's document: one read when its two lists are equal
+
+# Each has guarded conditions on both sides of the mirror; the last one's
+# degree-2 connectives have special inner conditions.
+MIRROR_SIGS = ["modal", "intuitionistic", "modal_intuitionistic", "rest_core_degree2"]
+
+
+def self_pair_documents(rng, sig, m):
+    """(document, whether its lists are equal) on the self pair of ``m``:
+    the largest asimulation, part of it and a random relation, each with
+    both lists equal and with one pair off in one list."""
+    big = swept(sig, theta_of(m), m, m)
+    pairs = [[x, y] for x in m.domain for y in m.domain]
+    for listed in (big.to_doc()["fwd"], [p for p in big.to_doc()["fwd"] if rng.random() < 0.7],
+                   [p for p in pairs if rng.random() < 0.3]):
+        yield {"fwd": listed, "bwd": [list(p) for p in listed]}, True
+        off = rng.choice(pairs)
+        if off in listed:
+            yield {"fwd": listed, "bwd": [p for p in listed if p != off]}, False
+        else:
+            yield {"fwd": sorted(listed + [off]), "bwd": list(listed)}, False
+
+
+@pytest.mark.parametrize("name", MIRROR_SIGS)
+def test_self_pair_documents_read_once_when_mirrored(monkeypatch, name):
+    # One model object on both sides with equal lists: the document is read
+    # once, with its mirror, and every condition computes one direction; the
+    # reports are those of two separate loads of the model (two reads, both
+    # directions) and of the reference.  Lists that differ take two reads on
+    # the self pair too, where both directions share their memos.
+    sig = STANDARD[name]
+    reads = counting(monkeypatch, asim, "read_pairs")
+    rng = random.Random(sum(map(ord, name)) * 19)
+    mirrored_reads = 0
+    for m in self_pair_models(sum(map(ord, name)) * 23):
+        theta, twin = theta_of(m), load(save(m))
+        for doc, mirrored in self_pair_documents(rng, sig, m):
+            reads.clear()
+            got = asim.is_asimulation(sig, theta, m, m, doc)
+            assert len(reads) == (1 if mirrored else 2), doc
+            mirrored_reads += mirrored
+            reads.clear()
+            assert asim.is_asimulation(sig, theta, m, twin, doc) == got, doc
+            assert len(reads) == 2
+            rel = CrossRelation(*(frozenset(map(tuple, doc[d])) for d in ("fwd", "bwd")))
+            assert ref.is_asimulation(sig, theta, m, m, rel) == got, doc
+    assert mirrored_reads >= 30
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({"fwd": [["w0", "w0"], ["w0", 5]], "bwd": [["w0", "w0"], ["w0", 5]]},
+     "fwd[1]: expected a pair of element names"),
+    ({"fwd": [["zz", "w0"]], "bwd": [["zz", "w0"]]}, "fwd[0]: unknown element 'zz'"),
+    ({"fwd": [["w0", "w1"], "ab"], "bwd": [["w0", "w1"], "ab"]}, "fwd[1]: expected a pair of element names"),
+    ({"fwd": "ab", "bwd": "ab"}, "fwd: expected a list of pairs"),
+    ({"fwd": 5, "bwd": 5}, "fwd: expected a list of pairs"),
+    ({"fwd": {"w0": "w1"}, "bwd": {"w0": "w1"}}, "fwd: expected a list of pairs"),
+])
+@pytest.mark.parametrize("name", MIRROR_SIGS)
+def test_self_pair_documents_raise_as_two_reads(doc, message, name):
+    # A document malformed alike in both lists raises what the two-direction
+    # read raises: the first malformed fwd entry, or the fwd list itself.
+    m = random_model(3, RELATIONS, ["P1"], 0.4, 0.5, 5)
+    for m2 in (m, load(save(m))):
+        with pytest.raises(asim.RelationError) as caught:
+            asim.is_asimulation(STANDARD[name], ["P1"], m, m2, doc)
+        assert str(caught.value) == message

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -237,6 +238,34 @@ class TestCheck:
         )
         assert code == 2 and out == ""
         assert "input error: fwd[0]: expected a pair of element names" in err
+
+    def test_unknown_relation_key_exits_2(self, capsys, tmp_path):
+        # A misspelt "bwd" used to be read as an empty bwd list.
+        relation = tmp_path / "rel.json"
+        relation.write_text(json.dumps({"fwd": [["a", "b"]], "bwdd": [["b", "a"]], "x": 1}))
+        code, out, err = run(
+            capsys, "check", "--fragment", data("sig_modal.json"),
+            "--m1", data("m_chain.json"), "--m2", data("m_single.json"),
+            "--relation", str(relation),
+        )
+        assert (code, out) == (2, "")
+        assert err == "input error: document: unknown keys ['bwdd', 'x']\n"
+
+    @pytest.mark.parametrize("m2,points,want", [
+        ("m_single.json", ("a", "b"), 1),  # a verdict and a status: no asimulation at all
+        ("m_chain.json", ("a", "a"), 0),
+    ])
+    def test_largest_output_replays(self, capsys, tmp_path, m2, points, want):
+        models = ["--m1", data("m_chain.json"), "--m2", data(m2)]
+        code, out, _ = run(capsys, "largest", "--fragment", data("sig_modal.json"), *models,
+                           "--point1", points[0], "--point2", points[1])
+        relation = tmp_path / "rel.json"
+        relation.write_text(out)
+        assert "verdict" in json.loads(out) and ("status" in json.loads(out)) == (want == 1)
+        code, out, _ = run(capsys, "check", "--fragment", data("sig_modal.json"), *models,
+                           "--relation", str(relation))
+        assert code == want
+        assert [json.loads(line)["condition"] for line in out.splitlines()] == ["empty"] * want
 
     @pytest.mark.parametrize("doc,where", [
         ({"relations": {"R1": ["ab"]}}, "relations.R1[0]"),
@@ -506,6 +535,14 @@ class TestExperiment:
         assert code == 2 and out == ""
         assert f"input error: experiment setting {setting!r} must be" in err
 
+    def test_unknown_config_key_exits_2(self, capsys, tmp_path):
+        # A misspelt "trials" used to run the default 10 trials.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"fragment": data("sig_modal.json"), "trails": 1}))
+        code, out, err = run(capsys, "experiment", "--config", str(config))
+        assert (code, out) == (2, "")
+        assert err == "input error: experiment config: unknown keys ['trails']\n"
+
     def test_config_not_an_object_exits_2(self, capsys, tmp_path):
         config = tmp_path / "config.json"
         config.write_text("[1, 2]")
@@ -594,6 +631,26 @@ def test_same_model_path_matches_a_copy(capsys, tmp_path):
         assert same[:2] == copied[:2], command
         codes.append(same[0])
     assert codes == [0, 1, 0, 1, 0]
+
+
+def test_same_model_file_under_another_spelling(capsys, monkeypatch, tmp_path):
+    # --m2 naming the --m1 file by another path is still one file: the model is
+    # read once, and the answers are those of the same spelling.
+    shutil.copy(data("m_chain.json"), tmp_path / "m.json")
+    (tmp_path / "sub").mkdir()
+    relation = tmp_path / "rel.json"
+    relation.write_text(json.dumps({"fwd": [["a", "a"], ["a2", "a2"], ["a2", "a"]], "bwd": []}))
+    loads = []
+    load_file = model.load_file
+    monkeypatch.setattr(model, "load_file", lambda path: loads.append(path) or load_file(path))
+    monkeypatch.chdir(tmp_path)
+    check = ["--json", "check", "--fragment", data("sig_intuitionistic.json"), "--relation", str(relation)]
+    want = run(capsys, *check, "--m1", "m.json", "--m2", "m.json")
+    for spelling in ("./m.json", "sub/../m.json", str(tmp_path / "m.json")):
+        loads.clear()
+        assert run(capsys, *check, "--m1", "m.json", "--m2", spelling) == want, spelling
+        assert loads == ["m.json"], spelling
+    assert want[0] == 1
 
 
 # Model pairs for the document writer: generator names, whose index order is

@@ -114,6 +114,7 @@ MALFORMED = {
         replaced(RELATION, ["fwd"], JSON.filter(lambda v: not isinstance(v, list))),
         replaced(RELATION, ["fwd", 0], JSON.filter(lambda v: not is_pair(v, ["a", "a2"], ["b"]))),
         replaced(RELATION, ["bwd", 0], JSON.filter(lambda v: not is_pair(v, ["b"], ["a", "a2"]))),
+        replaced(RELATION, ["extra"], JSON),
     ),
     "signature": st.one_of(
         non_object(),
@@ -132,6 +133,7 @@ MALFORMED = {
         replaced(CONFIG, ["fragment"], JSON.filter(lambda v: not isinstance(v, str))),
         replaced(CONFIG, ["trials"], st.integers(-2, 0)),
         replaced(CONFIG, ["edge_prob"], st.sampled_from([-0.5, 1.5, 3])),
+        replaced(CONFIG, ["extra"], JSON),
     ),
 }
 

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from guardasim.bitrows import bits, transpose
 from guardasim.formula import _model_preds, eval_fo, parse_fo
 from guardasim.model import (
     Model,
@@ -240,6 +241,31 @@ def test_endpoint_indices_list_the_chain_rows():
             got = m.endpoint_indices(guards)
             assert got == tuple(tuple(j for j in range(n) if row >> j & 1) for row in m.chain_rows(guards)[0])
             assert m.endpoint_indices(list(guards)) is got  # built once per guard tuple
+
+
+@pytest.mark.parametrize("edge_prob", [0.05, 0.3, 0.9])
+@pytest.mark.parametrize("endpoints_first", [False, True])
+def test_one_walk_fills_sources_dead_and_endpoints(edge_prob, endpoints_first):
+    # The walk that compiles a chain fills its sources, its dead row and its
+    # endpoint tuples at once: the same as transposing the ends, collecting
+    # the rows with no endpoint and listing each row's bits.  Dense models
+    # (0.9) reach the strided-slice transpose; R3 is absent, R2 sometimes.
+    rng = random.Random(int(edge_prob * 100) + endpoints_first)
+    for n in (1, 2, 7, 30, 64):
+        rels = ["R1", "R2"] if rng.random() < 0.7 else ["R1"]
+        m = random_model(n, rels, ["P1"], edge_prob, 0.5, rng.randrange(1 << 30))
+        for guards in (("R1",), ("R2",), ("R1", "R2"), ("R2", "R1", "R1"), ("R3",), ("R1", "R3"),
+                       ("R3", "R1"), ()):
+            if endpoints_first:
+                points = m.endpoint_indices(guards)
+            ends, sources, dead = m.chain_rows(guards)
+            if not endpoints_first:
+                points = m.endpoint_indices(guards)
+            assert sources == tuple(transpose(ends, n)), guards
+            assert dead == sum(1 << i for i, row in enumerate(ends) if not row), guards
+            assert points == tuple(tuple(bits(row)) for row in ends), guards
+            assert m.chain_rows(list(guards)) is m.chain_rows(guards)
+            assert m.endpoint_indices(list(guards)) is points
 
 
 class TestRandomModel:
