@@ -40,9 +40,11 @@ the result or the witness of one narrowing.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import chain, cycle
+from json.encoder import encode_basestring_ascii
 from operator import and_, is_, or_
 from typing import Sequence
 
@@ -175,6 +177,28 @@ class CrossRelation:
         fwd = sorted_pairs(self._rows[FWD], *self._models)
         bwd = list(fwd) if _mirrored(self._rows) else sorted_pairs(self._rows[BWD], *self._sides(BWD))
         return {FWD: fwd, BWD: bwd}
+
+    def to_json(self, extra: dict) -> str:
+        """``json.dumps({**self.to_doc(), **extra}, sort_keys=True)``, written
+        row by row: each model's names quoted once, each row one join of its
+        pairs, and a mirrored relation's one text serving both directions."""
+        if self._rows is None:
+            return json.dumps({**self.to_doc(), **extra}, sort_keys=True)
+        m1, m2 = self._models
+        q1 = list(map(encode_basestring_ascii, m1.domain))
+        q2 = q1 if m2 is m1 else list(map(encode_basestring_ascii, m2.domain))
+
+        def text(rows: list[int], mx: Model, my: Model, xs: list[str], ys: list[str]) -> str:
+            out = []
+            for i, js in name_ordered(rows, mx, my):
+                head = "[" + xs[i] + ", "
+                out.append(head + ("], " + head).join(map(ys.__getitem__, js)) + "]")
+            return "[" + ", ".join(out) + "]"
+
+        fwd = text(self._rows[FWD], m1, m2, q1, q2)
+        parts = {FWD: fwd, BWD: fwd if _mirrored(self._rows) else text(self._rows[BWD], m2, m1, q2, q1)}
+        parts.update((key, json.dumps(value, sort_keys=True)) for key, value in extra.items())
+        return "{" + ", ".join(json.dumps(key) + ": " + parts[key] for key in sorted(parts)) + "}"
 
 
 def relation_from_doc(doc: object, m1: Model, m2: Model) -> CrossRelation:

@@ -39,11 +39,10 @@ def _emit(args, record: dict, human: str) -> None:
 
 def _load_models(args) -> tuple[model.Model, model.Model]:
     """The models of ``--m1`` and ``--m2``, one model when both name the same
-    file, however spelled, so a model checked against itself is read once and
-    its guard chains are built once."""
+    file, however spelled or linked, so a model checked against itself is
+    read once and its guard chains are built once."""
     m1 = model.load_file(args.m1)
-    same = os.path.realpath(args.m2) == os.path.realpath(args.m1)
-    return m1, m1 if same else model.load_file(args.m2)
+    return m1, m1 if os.path.samefile(args.m1, args.m2) else model.load_file(args.m2)
 
 
 def _require(value, message: str) -> None:
@@ -111,6 +110,7 @@ def cmd_classify_connective(args) -> int:
         mu = connective.parse_connective(args.spec, name=args.name or "mu")
     else:
         _require(args.fragment, "classify-connective needs --spec or --fragment")
+        _require(args.name, "classify-connective --fragment needs --name")
         sig = connective.FragmentSignature.from_file(args.fragment)
         mu = sig.get(args.name)
     cls = connective.classify_connective(mu)
@@ -199,18 +199,18 @@ def cmd_largest(args) -> int:
     theta = formula._model_preds(m1, m2)
     # strict=False: _require_standard above has validated the fragment once
     rel = asim.largest_asimulation(sig, theta, m1, m2, strict=False)
-    record = rel.to_doc()
+    extra = {}
     verdict = None
     if args.point1 is not None:
         related = rel.relates(args.point1, args.point2)
         verdict = "related" if related else "not related"
-        record["verdict"] = verdict
+        extra["verdict"] = verdict
     if rel.is_empty:
-        record["status"] = "no asimulation exists between these models for this fragment"
-    print(json.dumps(record, sort_keys=True))
+        extra["status"] = "no asimulation exists between these models for this fragment"
+    print(rel.to_json(extra))
     human = f"fwd {rel.count(asim.FWD)} pair(s), bwd {rel.count(asim.BWD)} pair(s)"
-    if record.get("status"):
-        human += f"; {record['status']}"
+    if extra.get("status"):
+        human += f"; {extra['status']}"
     if verdict:
         human += f"; verdict: {verdict}"
     print(human, file=sys.stderr)

@@ -1,6 +1,7 @@
 """Cross relations, condition schemata, asimulation checking and solving."""
 
 import importlib.util
+import json
 import operator
 import os
 import random
@@ -82,6 +83,20 @@ class TestCrossRelation:
             relation_from_doc({"fwd": [["zz", "b"]], "bwd": []}, CHAIN, SINGLE)
         with pytest.raises(RelationError, match="unknown element"):
             relation_from_doc({"fwd": [], "bwd": [["a", "b"]]}, CHAIN, SINGLE)
+
+    def test_json_text_is_the_dumped_document(self):
+        cases = json_cases()
+        forms = {(a._rows is None, a._rows is not None and asim._mirrored(a._rows), a.is_empty) for a in cases}
+        assert len(forms) == 6
+        # keys before, between and after "bwd" and "fwd", and one replacing "fwd"
+        extras = [{}, {"verdict": "related"},
+                  {"status": "no asimulation exists between these models for this fragment",
+                   "verdict": "not related"},
+                  {"a": 1, "c": [None, "\u00e9"], "z": {"y": True, "x": 0.5}}, {"fwd": "\U0001d4b3"}]
+        for a in cases:
+            doc = a.to_doc()
+            for extra in extras:
+                assert a.to_json(extra) == json.dumps({**doc, **extra}, sort_keys=True)
 
 
 def solved_pairs():
@@ -234,6 +249,26 @@ class TestRowBackedRelation:
             core_candidate(classify(from_expr(expr)), a, m1, m2)
         assert invariance_check(parse_fo("P1(x)"), a, m1, m2) is None
         assert a.to_doc() == doc and a == p and plain(a) == p
+
+
+# Names JSON escapes: a quote, a backslash, a non-ASCII letter, a non-BMP
+# letter (a surrogate pair), control characters, and DEL (``\u007f``, as
+# ``json.dumps`` writes it with its default ``ensure_ascii=True``).
+ESCAPING = [load({"domain": ['a"b', "\u00e9", "\U0001d4b3", "\x01", "\t", "\x7f", "z\\"][:n],
+                  "relations": {"R1": [['a"b', "\u00e9"], ["\x01", "\t"], ["\t", "\x7f"]][:n - 4]},
+                  "predicates": {"P1": ["\u00e9", "\x7f"][:n - 5]}})
+            for n in (7, 6)]
+
+
+def json_cases():
+    """Relations of every form ``to_json`` writes: solved self-pairs (mirrored
+    rows) and pairs, names JSON escapes, row-backed empty ones, documents
+    read into rows, and the plain frozenset form."""
+    out = [solve() for _, _, _, _, solve in (case.values for case in solved_pairs())]
+    for m1, m2 in ((ESCAPING[0], ESCAPING[0]), (ESCAPING[0], ESCAPING[1]), (ESCAPING[1], ESCAPING[0])):
+        a = largest_asimulation(sig_modal_intuitionistic(), theta_of(m1, m2), m1, m2)
+        out += [a, a.inverse(), relation_from_doc({}, m1, m2), relation_from_doc(plain(a).to_doc(), m1, m2)]
+    return out + [EMPTY, rel(fwd=[("a", "b"), ("a", "a\u00e9")], bwd=[("b", '"')]), rel(bwd=[("\t", "x")])]
 
 
 class TestOutsideElements:

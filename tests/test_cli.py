@@ -89,10 +89,14 @@ class TestClassifyConnective:
         assert code == 0
         assert json.loads(out)["is_modality"]
 
-    def test_neither_spec_nor_fragment_exits_2(self, capsys):
-        code, out, err = run(capsys, "classify-connective", "--name", "box")
+    @pytest.mark.parametrize("flags,missing", [
+        (["--name", "box"], "classify-connective needs --spec or --fragment"),
+        (["--fragment", data("sig_modal.json")], "classify-connective --fragment needs --name"),
+    ], ids=["no-spec-or-fragment", "fragment-without-name"])
+    def test_missing_flag_exits_2(self, capsys, flags, missing):
+        code, out, err = run(capsys, "classify-connective", *flags)
         assert code == 2 and out == ""
-        assert "input error: classify-connective needs --spec or --fragment" in err
+        assert err == f"input error: {missing}\n"
 
 
 class TestTranslate:
@@ -646,11 +650,15 @@ def test_same_model_file_under_another_spelling(capsys, monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)
     check = ["--json", "check", "--fragment", data("sig_intuitionistic.json"), "--relation", str(relation)]
     want = run(capsys, *check, "--m1", "m.json", "--m2", "m.json")
-    for spelling in ("./m.json", "sub/../m.json", str(tmp_path / "m.json")):
+    os.link("m.json", "hard.json")
+    for spelling in ("./m.json", "sub/../m.json", str(tmp_path / "m.json"), "hard.json"):
         loads.clear()
         assert run(capsys, *check, "--m1", "m.json", "--m2", spelling) == want, spelling
         assert loads == ["m.json"], spelling
     assert want[0] == 1
+    # a missing --m2 is named as opening it would name it
+    assert run(capsys, *check, "--m1", "m.json", "--m2", "gone.json") == (
+        2, "", "input error: [Errno 2] No such file or directory: 'gone.json'\n")
 
 
 # Model pairs for the document writer: generator names, whose index order is
@@ -666,14 +674,20 @@ SHUFFLED = [
      "predicates": {"P1": ["a", "d"], "P2": []}},
 ]
 ESCAPED = [
-    {"domain": ['a"b', "\u00e9", "z\\", "a", "\n"],
-     "relations": {"R1": [['a"b', "\u00e9"], ["a", "z\\"], ["\n", "a"]]},
-     "predicates": {"P1": ["\u00e9", "z\\"]}},
+    {"domain": ['a"b', "\u00e9", "z\\", "a", "\n", "\U0001d4b3", "\x01", "\t", "\x7f"],
+     "relations": {"R1": [['a"b', "\u00e9"], ["a", "z\\"], ["\n", "a"], ["\U0001d4b3", "\x01"],
+                          ["\t", "\x7f"], ["\x7f", "\t"]]},
+     "predicates": {"P1": ["\u00e9", "z\\", "\x01", "\x7f"]}},
     {"domain": ["\u00e9", "e", 'q"'], "relations": {"R1": [["e", "\u00e9"], ['q"', 'q"']]},
      "predicates": {"P1": ["\u00e9"]}},
 ]
+# Models with no asimulation between them: P1 holds only on the left, P2
+# only on the right.
+UNRELATED = [{"domain": ["p", "p2"], "relations": {"R1": [["p", "p2"]]}, "predicates": {"P1": ["p", "p2"]}},
+             {"domain": ["q"], "relations": {}, "predicates": {"P2": ["q"]}}]
 MODEL_PAIRS = [(GENERATED[0], None), (GENERATED[0], GENERATED[1]), (SHUFFLED[0], None),
-               (SHUFFLED[0], SHUFFLED[1]), (ESCAPED[0], None), (ESCAPED[0], ESCAPED[1])]
+               (SHUFFLED[0], SHUFFLED[1]), (ESCAPED[0], None), (ESCAPED[0], ESCAPED[1]),
+               (UNRELATED[0], UNRELATED[1])]
 
 
 def sorted_pairs_output(sig_path, m1, m2, points):
@@ -713,7 +727,8 @@ def test_largest_document_is_the_sorted_pair_sets(capsys, tmp_path, sig, doc1, d
 
 def test_commands_build_no_frozenset(capsys, monkeypatch, tmp_path):
     # The solver's relations and the models' pair views build frozensets only
-    # for callers that read them; largest, check and experiment do not.
+    # for callers that read them; largest, check and experiment do not.  Nor
+    # does largest build pair lists: it writes its document from the rows.
     paths = []
     for n, doc in enumerate(GENERATED):
         paths.append(tmp_path / f"m{n}.json")
@@ -743,6 +758,9 @@ def test_commands_build_no_frozenset(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(asim, "pair_set", refuse)
     monkeypatch.setattr(model.Model, "relations", property(refuse))
     monkeypatch.setattr(model.Model, "predicates", property(refuse))
+    for owner in (model, asim):
+        monkeypatch.setattr(owner, "sorted_pairs", refuse)
+    monkeypatch.setattr(asim.CrossRelation, "to_doc", refuse)
     assert [run(capsys, *argv) for argv in argvs] == expected
     assert [code for code, _, _ in expected] == [0, 0, 1, 0, 0, 1, 1, 0, 1, 0]
 
