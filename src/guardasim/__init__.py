@@ -70,21 +70,14 @@ from .asim import (
     RelationError,
     ViolationReport,
     atom_preserving,
-    back_holds,
-    class_preorder,
     connective_condition,
-    core_candidate,
     core_candidate_kind,
-    forth_holds,
     full_relation,
     invariance_check,
     is_asimulation,
     largest_asimulation,
-    max_inner_target,
     preservation_relation,
     relation_from_doc,
-    sback_holds,
-    sforth_holds,
 )
 
 __version__ = "0.1.0"

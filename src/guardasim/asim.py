@@ -14,7 +14,7 @@ computed by enumeration.
 A relation is one bit row per carrier element; the ``CrossRelation``s this
 module returns carry their rows and build their frozensets only when read.
 Each back/forth check is compiled once per connective into row algebra
-serving the solver, ``max_inner_target`` and the verifier, and witness paths
+serving the solver and the verifier, and witness paths
 are built only for violation reports.  The verifier turns its relation into
 rows and inverse rows once per call and every connective's check reads
 those; atom transfer is row algebra too, the pairs outside the
@@ -59,7 +59,7 @@ from .connective import (
     classify_connective,
     validate_standard_fragment,
 )
-from .formula import SemanticClass, class_vectors, eval_fo
+from .formula import class_vectors, eval_fo
 from .model import Model, name_ordered, pair_set, sorted_pairs
 from .syntax import FoFormula, free_vars
 
@@ -397,13 +397,6 @@ def _candidate(kind: CoreCandidateKind, a, inv, m1: Model, m2: Model) -> dict[st
     return _meet(a, inv)
 
 
-def core_candidate(core_class: BoolClass, a: CrossRelation, m1: Model, m2: Model) -> CrossRelation:
-    """The maximal relation the core admits as inner target."""
-    rows = _rows(a, m1, m2)
-    kind = core_candidate_kind(core_class)
-    return _relation(_candidate(kind, rows, _inverse(rows, m1, m2), m1, m2), m1, m2)
-
-
 # -- the pair check, compiled once per connective ---------------------------------
 
 def _sparse_cover(row: int, cover: int, missing: int, dead: int, y_ends, y_sources) -> int:
@@ -588,55 +581,6 @@ def _reports(connectives, rows, inv, m1: Model, m2: Model, strict: bool) -> list
     return reports
 
 
-def _holds(back: bool, special: bool, a_outer, b, guards, m1, m2):
-    cond = _Condition(tuple(guards), back, special)
-    rows = _rows(b, m1, m2)
-    witnesses = [rows, _inverse(rows, m1, m2)] if special else [rows]
-    got = cond.violation(_rows(a_outer, m1, m2), witnesses, m1, m2)
-    return True if got is None else got
-
-
-def back_holds(a_outer, target, guards, m1, m2):
-    """Every guard path on the partner side of a pair must be matched by one
-    on the carrier side landing in the target relation."""
-    return _holds(True, False, a_outer, target, guards, m1, m2)
-
-
-def forth_holds(a_outer, target, guards, m1, m2):
-    """Mirror of the universal check: carrier-side paths must be matched on
-    the partner side."""
-    return _holds(False, False, a_outer, target, guards, m1, m2)
-
-
-def sback_holds(a_outer, b, guards, m1, m2):
-    """Two-witness universal check: each partner-side path endpoint needs a
-    carrier-side endpoint related to it and one related from it."""
-    return _holds(True, True, a_outer, b, guards, m1, m2)
-
-
-def sforth_holds(a_outer, b, guards, m1, m2):
-    return _holds(False, True, a_outer, b, guards, m1, m2)
-
-
-def max_inner_target(
-    mu_minus: GuardedConnective,
-    a1: CrossRelation,
-    a_for_special: CrossRelation,
-    m1: Model,
-    m2: Model,
-) -> CrossRelation:
-    """The pointwise-largest relation admissible one level inside a degree-2
-    connective: a pair enters iff its own matching condition holds, with the
-    target fixed to a1 (plain case) or to the given relation and its inverse
-    (special case)."""
-    if mu_minus.degree != 1:
-        raise ConnectiveError(f"{mu_minus.name}: inner target needs a degree-1 connective")
-    cond = _compile(mu_minus, classify_connective(mu_minus))
-    rows = _rows(a_for_special if cond.special else a1, m1, m2)
-    witnesses = [rows, _inverse(rows, m1, m2)] if cond.special else [rows]
-    return _relation(cond.passing(_full(m1, m2), witnesses, m1, m2), m1, m2)
-
-
 def connective_condition(
     mu: GuardedConnective, a: CrossRelation, m1: Model, m2: Model, strict: bool = True
 ):
@@ -795,12 +739,6 @@ def preservation_relation(
     """Pairs along which every fragment formula up to the given nesting depth
     transfers truth, computed from the deduplicated enumeration."""
     return _ClassProfiles(class_vectors(sig, preds, depth, m1, m2, budget)[0], m1, m2).preorder()
-
-
-def class_preorder(classes: Sequence[SemanticClass], m1: Model, m2: Model) -> CrossRelation:
-    """Pairs (x, y) such that every listed class true at x is true at y."""
-    n1 = len(m1)
-    return _ClassProfiles([c.vec1 | c.vec2 << n1 for c in classes], m1, m2).preorder()
 
 
 class _ClassProfiles:
