@@ -14,8 +14,8 @@ computed by enumeration.
 A relation is one bit row per carrier element; the ``CrossRelation``s this
 module returns carry their rows and build their frozensets only when read.
 Each back/forth check is compiled once per connective into row algebra
-serving the solver and the verifier, and witness paths
-are built only for violation reports.  The verifier turns its relation into
+serving the solver and the verifier, and kept per signature object; witness
+paths are built only for violation reports.  The verifier turns its relation into
 rows and inverse rows once per call and every connective's check reads
 those; atom transfer is row algebra too, the pairs outside the
 atom-preserving rows.  A relation document is read straight into rows and
@@ -28,7 +28,8 @@ atom-preserving rows take at most 2^|theta| values), so forth matching
 keeps the partner elements with an endpoint in a witness row by the row's
 value, and back matching keeps, per cover, the candidates already tested
 against it and those that passed, and tests a later row's candidates only
-where they are new.
+where they are new.  The solver keeps these memos for its whole solve, since
+they depend on no relation.
 
 The solver sweeps the conditions in turn, each reading the relation the
 previous one left; with one model object on both sides, one row list
@@ -41,6 +42,7 @@ the result or the witness of one narrowing.
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import chain, cycle
@@ -428,10 +430,12 @@ class _Condition:
     kind: CoreCandidateKind = CoreCandidateKind.SAME
     inner: "_Condition | None" = None
 
-    def witnesses(self, a, inv, m1: Model, m2: Model) -> list:
-        """The maximal witness relations for the relation ``a`` (with its inverse)."""
+    def witnesses(self, a, inv, m1: Model, m2: Model, memos=None) -> list:
+        """The maximal witness relations for the relation ``a`` (with its
+        inverse); ``memos`` as ``passing`` takes it."""
         if self.inner is not None:
-            return [self.inner.passing(_full(m1, m2), self.inner.witnesses(a, inv, m1, m2), m1, m2)]
+            inner = self.inner
+            return [inner.passing(_full(m1, m2), inner.witnesses(a, inv, m1, m2, memos), m1, m2, memos)]
         if self.special:
             return [a, inv]
         return [_candidate(self.kind, a, inv, m1, m2)]
@@ -442,9 +446,12 @@ class _Condition:
             return self.inner.reads_inverse()
         return self.special or self.kind in (CoreCandidateKind.INVERSE, CoreCandidateKind.SYMMETRIC_PART)
 
-    def passing(self, cand, witnesses, m1: Model, m2: Model) -> dict[str, list[int]]:
+    def passing(self, cand, witnesses, m1: Model, m2: Model, memos=None) -> dict[str, list[int]]:
         """The pairs of ``cand`` that satisfy the condition, as rows; one
-        direction serves both when the inputs are mirrored."""
+        direction serves both when the inputs are mirrored.  ``memos`` keeps
+        the memos below by condition and partner model, so calls on the same
+        two models can share them: an entry depends on the partner model's
+        chain rows alone."""
         if not self.guards:
             # each element's one endpoint is itself: the pairs of cand in every witness
             out = cand
@@ -454,13 +461,14 @@ class _Condition:
         out = {}
         mirrored = _mirrored(cand, *witnesses)
         sides = _directions(m1, m2)
-        memos = {}  # a memo below depends on the partner model alone: a self pair shares one
+        if memos is None:
+            memos = {}
         for d, mx, my in sides[:1] if mirrored else sides:
             x_ends = mx.endpoint_indices(self.guards)
             y_ends, y_sources, dead = my.chain_rows(self.guards)
             ws = [w[d] for w in witnesses]
             rows = out[d] = list(cand[d])
-            memo = memos.setdefault(id(my), {})
+            memo = memos.setdefault((self, id(my)), {})  # a self pair's directions share one
             if self.back:
                 full = (1 << len(my)) - 1
                 # memo[cover]: the candidates tested against cover so far, and
@@ -552,9 +560,25 @@ def _compile(mu: GuardedConnective, cls: ConnectiveClass) -> _Condition:
                       core_candidate_kind(cls.core_class), inner)
 
 
-def _conditions(connectives, strict: bool) -> list[tuple[str, _Condition]]:
-    """Each connective's name with its compiled condition, in order.  A
-    monotone or constant degree-0 core admits every relation, so it gets none."""
+# The conditions of each signature object, by ``strict``; a signature is
+# immutable, and they depend on no model.
+_SIGNATURE_CONDITIONS = weakref.WeakKeyDictionary()
+
+
+def _conditions(connectives, strict: bool) -> tuple[tuple[str, _Condition], ...]:
+    """Each connective's name with its compiled condition, in order, once
+    per signature and ``strict``.  A monotone or constant degree-0 core
+    admits every relation, so it gets none."""
+    if not isinstance(connectives, FragmentSignature):
+        return _compile_all(connectives, strict)
+    by_strict = _SIGNATURE_CONDITIONS.setdefault(connectives, {})
+    got = by_strict.get(strict)
+    if got is None:
+        got = by_strict[strict] = _compile_all(connectives, strict)
+    return got
+
+
+def _compile_all(connectives, strict: bool) -> tuple[tuple[str, _Condition], ...]:
     out = []
     for mu in connectives:
         if mu.degree > 2:
@@ -564,7 +588,7 @@ def _conditions(connectives, strict: bool) -> list[tuple[str, _Condition]]:
             raise NonStandardFragmentError(f"{mu.name}: not a standard connective")
         if mu.degree or not cls.core_class.is_monotone:
             out.append((mu.name, _compile(mu, cls)))
-    return out
+    return tuple(out)
 
 
 def _reports(connectives, rows, inv, m1: Model, m2: Model, strict: bool) -> list[ViolationReport]:
@@ -693,8 +717,10 @@ def _sweeps(conds, theta_preds: Sequence[str], m1: Model, m2: Model) -> dict[str
     leaves it unchanged.  Each step keeps a superset of the gfp and the end
     is post-fixed, so any order gives the same result; sweep k lies inside
     round k of the iteration that fixes every witness at the start of the
-    round.  Inverse rows are built once per change, if a condition reads them."""
+    round.  Inverse rows are built once per change, if a condition reads them,
+    and the conditions' memos serve the whole solve."""
     steps = [(cond, cond.reads_inverse()) for cond in conds]
+    memos = {}
     a, inv = _atom_rows(m1, m2, theta_preds), None
     settled = 0  # the conditions in a row that have left a unchanged
     for cond, reads_inverse in cycle(steps):
@@ -702,7 +728,7 @@ def _sweeps(conds, theta_preds: Sequence[str], m1: Model, m2: Model) -> dict[str
             break
         if reads_inverse and inv is None:
             inv = _inverse(a, m1, m2)
-        kept = cond.passing(a, cond.witnesses(a, inv, m1, m2), m1, m2)
+        kept = cond.passing(a, cond.witnesses(a, inv, m1, m2, memos), m1, m2, memos)
         if kept == a:
             settled += 1
         else:

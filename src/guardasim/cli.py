@@ -175,8 +175,7 @@ def cmd_check(args) -> int:
     with open(args.relation, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     theta = formula._model_preds(m1, m2)
-    # strict=False: _require_standard above has validated the fragment once
-    reports = asim.is_asimulation(sig, theta, m1, m2, doc, strict=False)
+    reports = asim.is_asimulation(sig, theta, m1, m2, doc)
     for rep in reports:
         print(json.dumps(rep.to_doc(), sort_keys=True))
     summary = "ok: the relation is an asimulation" if not reports else (
@@ -197,8 +196,7 @@ def cmd_largest(args) -> int:
     if args.point1 is not None and (args.point1 not in m1 or args.point2 not in m2):
         raise ModelError("verdict points must lie in the respective domains")
     theta = formula._model_preds(m1, m2)
-    # strict=False: _require_standard above has validated the fragment once
-    rel = asim.largest_asimulation(sig, theta, m1, m2, strict=False)
+    rel = asim.largest_asimulation(sig, theta, m1, m2)
     extra = {}
     verdict = None
     if args.point1 is not None:
@@ -301,9 +299,7 @@ def cmd_experiment(args) -> int:
         # restriction of the full predicate vocabulary.
         record = {"trial": t, "seed": trial_seed, "n1": n1, "n2": n2, "atoms": theta}
         try:
-            # strict=False: _require_standard above has validated the fragment
-            # once, unless --allow-nonstandard asked for none
-            rel = asim.largest_asimulation(sig, theta, m1, m2, strict=False)
+            rel = asim.largest_asimulation(sig, theta, m1, m2, strict=not args.allow_nonstandard)
             record["asim_fwd"] = rel.count(asim.FWD)
             record["asim_bwd"] = rel.count(asim.BWD)
             vecs, ends = formula.class_vectors(sig, theta, depth, m1, m2, budget)

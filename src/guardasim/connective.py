@@ -6,13 +6,25 @@ classifies them (flat / modality / special / regular / standard), strips
 the two constant-core collapses, translates applications into first-order
 formulas, validates whole signatures, and provides the argument-unification
 and junct-collapsing rewrites valid for degree-1 modalities.
+
+A signature is immutable once built.  Kept per process, none of it
+depending on a model: the class of each connective (by connective, names
+aside); the signature compiled from each signature document (by its text
+and ``include_builtins``, the last 32 texts read), read from its file on
+every call, so a rewritten file gives the new signature and a document
+that fails to compile is refused again each time; and, per signature
+object, its standardness problems.  The solver in ``asim`` keeps each
+signature object's compiled conditions, by ``strict``.  Nothing keeps
+models, relations or anything computed from them.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .boolfn import (
@@ -245,7 +257,7 @@ _BUILTINS = {name: parse_connective(spec, name=name) for name, spec in BUILTIN_S
 
 
 class FragmentSignature:
-    """A finite named set of guarded connectives.
+    """A finite named set of guarded connectives, immutable once built.
 
     Connectives are normalized on construction.  The lattice built-ins
     ``and``, ``or``, ``top``, ``bot`` are injected unless the source
@@ -263,7 +275,8 @@ class FragmentSignature:
                 mu if mu.name == cname
                 else GuardedConnective(cname, mu.arity, mu.blocks, mu.core)
             )
-        self._table = table
+        self._table = MappingProxyType(table)
+        self._names = tuple(sorted(table))
 
     @classmethod
     def from_dict(cls, doc: Mapping, include_builtins: bool = True) -> "FragmentSignature":
@@ -275,15 +288,17 @@ class FragmentSignature:
 
     @classmethod
     def from_file(cls, path: str, include_builtins: bool = True) -> "FragmentSignature":
+        """The signature the file's document defines.  The file is read on
+        every call; a text compiled before gives the same signature object."""
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        return cls.from_dict(doc, include_builtins=include_builtins)
+            text = fh.read()
+        return _compiled_signature(cls, text, include_builtins)
 
     def to_doc(self) -> dict:
-        return {"connectives": {name: connective_text(self._table[name]) for name in self.names()}}
+        return {"connectives": {name: connective_text(self._table[name]) for name in self._names}}
 
     def names(self) -> list[str]:
-        return sorted(self._table)
+        return list(self._names)
 
     def get(self, name: str) -> GuardedConnective:
         try:
@@ -295,16 +310,30 @@ class FragmentSignature:
         return name in self._table
 
     def __iter__(self) -> Iterator[GuardedConnective]:
-        for name in self.names():
-            yield self._table[name]
+        return map(self._table.__getitem__, self._names)
 
     def __len__(self) -> int:
         return len(self._table)
+
+    @functools.cached_property
+    def _problems(self) -> tuple[str, ...]:
+        return tuple(_standard_problems(self))
+
+
+@functools.lru_cache(maxsize=32)
+def _compiled_signature(cls: type, text: str, include_builtins: bool) -> FragmentSignature:
+    """The signature a document text defines, compiled once per text among
+    the last 32; a text that fails raises again on every call."""
+    return cls.from_dict(json.loads(text), include_builtins=include_builtins)
 
 
 def validate_standard_fragment(sig: FragmentSignature) -> list[str]:
     """Empty list when the signature generates a standard fragment; otherwise
     one message per offending connective or missing lattice built-in."""
+    return list(sig._problems)
+
+
+def _standard_problems(sig: FragmentSignature) -> list[str]:
     violations = []
     for mu in sig:
         if normalize(mu) != mu:

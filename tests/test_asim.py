@@ -625,6 +625,41 @@ class TestLargestAsimulation:
             if not sub.is_empty and not is_asimulation(sig, theta, m1, m2, sub):
                 assert sub.subset_of(big)
 
+    def test_conditions_compiled_once_per_signature(self):
+        sig = sig_modal_intuitionistic()
+        conds = asim._conditions(sig, True)
+        assert isinstance(conds, tuple) and asim._conditions(sig, True) is conds
+        assert asim._conditions(sig, False) == conds and asim._conditions(sig, False) is not conds
+        # a plain connective list is compiled on each call
+        listed = asim._conditions(list(sig), True)
+        assert listed == conds and asim._conditions(list(sig), True) is not listed
+        # a refusal is not kept: the same signature is refused again
+        odd = FragmentSignature.from_dict({"connectives": {"nope": "exists[R2] forall[R1]{ ~p1 | p2 }"}})
+        for _ in range(2):
+            with pytest.raises(NonStandardFragmentError):
+                asim._conditions(odd, True)
+        assert [name for name, _ in asim._conditions(odd, False)] == ["nope"]
+
+    def test_sweep_memos_shared_over_a_solve_match_fresh_ones(self, monkeypatch):
+        # The sweeps hand each condition one memo store for the whole solve;
+        # the result must be the one a fresh store per step gives.
+        rng = random.Random(43)
+        cases = []
+        for trial in range(25):
+            m1 = random_model(rng.randint(1, 7), ["R1", "R2", "R3"], ["P1", "P2"], 0.35, 0.5, 1100 + trial)
+            m2 = m1 if trial % 4 == 0 else random_model(
+                rng.randint(1, 7), ["R1", "R2", "R3"], ["P1", "P2"], 0.35, 0.5, 1200 + trial)
+            cases.append((m1, m2, theta_of(m1, m2)))
+        sigs = [sig_modal_intuitionistic(), sig_intuitionistic()]
+        conds = [[cond for _, cond in asim._conditions(sig, True)] for sig in sigs]
+        shared = [asim._sweeps(c, theta, m1, m2) for c in conds for m1, m2, theta in cases]
+        passing, witnesses = asim._Condition.passing, asim._Condition.witnesses
+        monkeypatch.setattr(asim._Condition, "passing",
+                            lambda self, cand, ws, m1, m2, memos=None: passing(self, cand, ws, m1, m2))
+        monkeypatch.setattr(asim._Condition, "witnesses",
+                            lambda self, a, inv, m1, m2, memos=None: witnesses(self, a, inv, m1, m2))
+        assert [asim._sweeps(c, theta, m1, m2) for c in conds for m1, m2, theta in cases] == shared
+
 
 class TestInvariance:
     def test_translated_fragment_formula_invariant_under_largest(self):

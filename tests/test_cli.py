@@ -11,7 +11,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from guardasim import asim, cli, formula, model
+from guardasim import asim, cli, connective, formula, model
 from guardasim.cli import main
 from guardasim.connective import FragmentSignature
 from guardasim.formula import parse_fo, parse_fragment, std_translate
@@ -610,6 +610,39 @@ def test_reused_parser_carries_no_state(capsys, tmp_path):
         assert run(capsys, *argv)[:2] == got, argv
         assert vars(cli._parser().parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
     assert [code for code, _ in reused] == [1, 0, 1, 1, 0, 0]
+
+
+def test_warm_process_matches_cold_runs(capsys):
+    # Signatures compiled by earlier calls serve later ones: the golden
+    # experiment, run after and between calls on other signatures, still
+    # writes the golden report, and every other call answers as it does
+    # with nothing compiled before it.
+    models = ["--m1", data("m_chain.json"), "--m2", data("m_single.json")]
+    others = [
+        ["--json", "largest", "--fragment", data("sig_modal_int.json"), *models, "--point1", "a", "--point2", "b"],
+        ["check", "--fragment", data("sig_intuitionistic.json"), *models, "--relation", data("rel_empty.json")],
+        ["--json", "distinguish", "--fragment", data("sig_modal_int.json"), *models,
+         "--point1", "a", "--point2", "b", "--depth", "2"],
+        ["check", "--fragment", data("sig_degree3.json"), *models, "--relation", data("rel_empty.json")],
+        ["--json", "largest", "--fragment", data("sig_intuitionistic.json"),
+         "--m1", data("m_chain.json"), "--m2", data("m_chain.json")],
+        ["--json", "distinguish", "--fragment", data("sig_modal.json"), *models,
+         "--point1", "a", "--point2", "b"],
+    ]
+    cold = []
+    for argv in others:
+        connective._compiled_signature.cache_clear()
+        cold.append(run(capsys, *argv)[:2])
+    assert [code for code, _ in cold] == [0, 1, 1, 3, 0, 0]
+    golden_argv = TestExperiment().argv()
+    with open(data("experiment_golden.jsonl"), "r", encoding="utf-8") as fh:
+        golden = fh.read()
+    connective._compiled_signature.cache_clear()
+    warm = []
+    for half in (others[:3], others[3:]):
+        warm += [run(capsys, *argv)[:2] for argv in half]
+        assert run(capsys, *golden_argv)[:2] == (0, golden)
+    assert warm == cold
 
 
 def test_same_model_path_matches_a_copy(capsys, tmp_path):

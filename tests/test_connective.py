@@ -1,11 +1,13 @@
 """Guarded connectives: structure, classification, normalization, translation,
 signature validation, and the degree-1 modality rewrites."""
 
+import json
 import random
 
 import pytest
 
 from guardasim import connective
+from guardasim.cli import main
 from guardasim.boolfn import classify, from_expr
 from guardasim.connective import (
     ConnectiveError,
@@ -350,3 +352,82 @@ class TestSignatureIO:
     def test_connectives_normalized_on_load(self):
         sig = FragmentSignature.from_dict({"connectives": {"t": "forall[R1]{ T }"}})
         assert sig.get("t").degree == 0
+
+
+class TestCompiledSignatures:
+    """Each signature document text is compiled once per process; what
+    depends on the file's current text alone decides every answer."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self):
+        connective._compiled_signature.cache_clear()
+        yield
+        connective._compiled_signature.cache_clear()
+
+    def classify(self, capsys, path, name):
+        code = main(["--json", "classify-connective", "--fragment", str(path), "--name", name])
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    def test_equal_texts_share_one_signature(self, tmp_path):
+        text = json.dumps({"connectives": {"box": "forall[R1]{ p1 }"}})
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        first.write_text(text)
+        second.write_text(text)
+        sig = FragmentSignature.from_file(str(first))
+        assert FragmentSignature.from_file(str(second)) is sig
+        assert FragmentSignature.from_file(str(first), include_builtins=False) is not sig
+        assert FragmentSignature.from_file(str(first), include_builtins=False).names() == ["box"]
+
+    def test_rewritten_file_gives_the_new_answer(self, capsys, tmp_path):
+        path = tmp_path / "sig.json"
+        path.write_text(json.dumps({"connectives": {"mu": "forall[R1]{ p1 }"}}))
+        code, out, _ = self.classify(capsys, path, "mu")
+        assert code == 0 and json.loads(out)["prefix"] == "A"
+        path.write_text(json.dumps({"connectives": {"mu": "exists[R1] forall[R2]{ p1 }"}}))
+        code, out, _ = self.classify(capsys, path, "mu")
+        assert code == 0 and json.loads(out)["prefix"] == "EA"
+
+    def test_malformed_document_refused_on_every_call(self, capsys, tmp_path):
+        path = tmp_path / "sig.json"
+        path.write_text(json.dumps({"connectives": {"box": "forall[R1]{ p1 &"}}))
+        first = self.classify(capsys, path, "box")
+        assert first[0] == 2 and first[1] == "" and first[2].startswith("input error: ")
+        assert self.classify(capsys, path, "box") == first
+        path.write_text(json.dumps({"connectives": {"box": "forall[R1]{ p1 }"}}))
+        code, out, _ = self.classify(capsys, path, "box")
+        assert code == 0 and json.loads(out)["is_standard"]
+
+    def test_table_is_read_only(self):
+        sig = FragmentSignature.from_dict({"connectives": {"box": "forall[R1]{ p1 }"}})
+        with pytest.raises(TypeError):
+            sig._table["dia"] = LAM4
+        with pytest.raises(TypeError):
+            del sig._table["box"]
+        assert "dia" not in sig and sig.get("box") == LAM1
+
+    def test_problem_list_is_fresh_on_each_call(self):
+        sig = FragmentSignature({"box": LAM1}, include_builtins=False)
+        problems = validate_standard_fragment(sig)
+        assert problems
+        problems.clear()
+        problems.append("changed")
+        again = validate_standard_fragment(sig)
+        assert again and "changed" not in again
+        assert again == validate_standard_fragment(FragmentSignature({"box": LAM1}, include_builtins=False))
+
+    def test_least_recent_text_compiled_again_past_the_bound(self, tmp_path):
+        bound = connective._compiled_signature.cache_parameters()["maxsize"]
+        path = tmp_path / "sig.json"
+
+        def load(k):
+            path.write_text(json.dumps({"connectives": {f"c{k}": "forall[R1]{ p1 }"}}))
+            return FragmentSignature.from_file(str(path))
+
+        first = load(0)
+        assert load(0) is first
+        for k in range(1, bound + 1):
+            load(k)
+        again = load(0)
+        assert again is not first and again.names() == first.names()
+        assert load(0) is again
