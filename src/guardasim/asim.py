@@ -31,12 +31,17 @@ against it and those that passed, and tests a later row's candidates only
 where they are new.  The solver keeps these memos for its whole solve, since
 they depend on no relation.
 
-The solver sweeps the conditions in turn, each reading the relation the
-previous one left; with one model object on both sides, one row list
-serves both directions and each step computes one.  A fragment whose
-conditions read only the symmetric part (a degree-0 negation, or rest cores
-alone) skips them: partition refinement finds the largest bisimulation,
-the result or the witness of one narrowing.
+The solver bounds, then sweeps.  An asimulation for a fragment is one for
+each of its sub-fragments, so the largest asimulation lies inside that of
+any sub-fragment.  The bound is the exact answer of the largest
+sub-fragment partition refinement solves: with a degree-0 negation, the
+largest bisimulation along the chains of the degree-1 non-constant
+conditions; otherwise the atom rows narrowed once by the non-special rest
+cores, with their bisimulation as the witness.  When that sub-fragment is
+the whole fragment the bound is the answer; otherwise the sweeps start from
+it, taking the conditions in turn, each reading the relation the previous
+one left.  With one model object on both sides, one row list serves both
+directions and each step computes one.
 """
 
 from __future__ import annotations
@@ -658,27 +663,40 @@ def largest_asimulation(
     """Greatest fixpoint of the condition functional below the atom-preserving
     relation; empty exactly when no asimulation exists.
 
-    With every condition of degree at most 1 on a non-constant core, the
-    gfp's symmetric part is an atom-respecting bisimulation along the
-    chains, so it lies in the largest one, B.  A degree-0 cut makes the gfp
-    symmetric and B post-fixed, so the gfp is B.  If every condition reads
-    only the symmetric part (non-special rest cores), the atom pairs passing
-    each condition with witness B hold B, so they are post-fixed: the gfp.
-    Other fragments take the sweeps.
+    A fragment's conditions include each sub-fragment's, so its gfp lies
+    inside the sub-fragment's.  ``_bound`` solves the largest sub-fragment
+    that partition refinement solves exactly; if that is the whole fragment
+    its answer is the gfp, and otherwise the sweeps start from it.
     """
     if strict:
         _require_standard(sig)
     conds = [cond for _, cond in _conditions(sig, strict)]
-    flat = conds and all(c.inner is None and c.kind is not CoreCandidateKind.FULL for c in conds)
-    if flat and not all(c.guards for c in conds):
-        rows = _bisimulation(conds, theta_preds, m1, m2)
-    elif flat and all(not c.special and c.kind is CoreCandidateKind.SYMMETRIC_PART for c in conds):
-        rows, witness = _atom_rows(m1, m2, theta_preds), [_bisimulation(conds, theta_preds, m1, m2)]
-        for cond in conds:
+    rows, exact = _bound(conds, theta_preds, m1, m2)
+    return _relation(rows if exact else _sweeps(conds, rows, m1, m2), m1, m2)
+
+
+def _bound(conds, theta_preds: Sequence[str], m1: Model, m2: Model) -> tuple[dict[str, list[int]], bool]:
+    """The gfp of the largest sub-fragment a refinement route solves, as
+    rows, and whether that sub-fragment is the whole fragment.
+
+    For conditions of degree at most 1 on non-constant cores, the gfp's
+    symmetric part is an atom-respecting bisimulation along their chains,
+    so it lies in the largest one, B.  A degree-0 cut among them makes the
+    gfp symmetric and B post-fixed, so their gfp is B.  Without one, the
+    non-special rest cores read only the symmetric part: the atom pairs
+    passing each with witness B (along their own chains) hold B, so they
+    are post-fixed, their gfp.  The other conditions are left to the sweeps.
+    """
+    flat = [c for c in conds if c.inner is None and c.kind is not CoreCandidateKind.FULL]
+    if not all(c.guards for c in flat):
+        return _bisimulation(flat, theta_preds, m1, m2), len(flat) == len(conds)
+    rest = [c for c in flat if not c.special and c.kind is CoreCandidateKind.SYMMETRIC_PART]
+    rows = _atom_rows(m1, m2, theta_preds)
+    if rest:
+        witness = [_bisimulation(rest, theta_preds, m1, m2)]
+        for cond in rest:
             rows = cond.passing(rows, witness, m1, m2)
-    else:
-        rows = _sweeps(conds, theta_preds, m1, m2)
-    return _relation(rows, m1, m2)
+    return rows, len(rest) == len(conds)
 
 
 def _bisimulation(conds, theta_preds: Sequence[str], m1: Model, m2: Model) -> dict[str, list[int]]:
@@ -711,17 +729,19 @@ def _bisimulation(conds, theta_preds: Sequence[str], m1: Model, m2: Model) -> di
     return _both(fwd) if m1 is m2 else {FWD: fwd, BWD: transpose(fwd, len(m2))}
 
 
-def _sweeps(conds, theta_preds: Sequence[str], m1: Model, m2: Model) -> dict[str, list[int]]:
-    """The greatest fixpoint by sweeping the conditions in turn, each reading
-    the relation the previous one left, until every condition in a row
-    leaves it unchanged.  Each step keeps a superset of the gfp and the end
-    is post-fixed, so any order gives the same result; sweep k lies inside
-    round k of the iteration that fixes every witness at the start of the
-    round.  Inverse rows are built once per change, if a condition reads them,
-    and the conditions' memos serve the whole solve."""
+def _sweeps(conds, start: dict[str, list[int]], m1: Model, m2: Model) -> dict[str, list[int]]:
+    """The greatest fixpoint by sweeping the conditions in turn from the rows
+    ``start``, each reading the relation the previous one left, until every
+    condition in a row leaves it unchanged.  Each step keeps a superset of
+    the gfp and the end is post-fixed, so from any start that holds the gfp
+    and lies inside the atom rows, in any order, the result is the gfp; from
+    the atom rows, sweep k lies inside round k of the iteration that fixes
+    every witness at the start of the round.  Inverse rows are built once
+    per change, if a condition reads them, and the conditions' memos serve
+    the whole solve."""
     steps = [(cond, cond.reads_inverse()) for cond in conds]
     memos = {}
-    a, inv = _atom_rows(m1, m2, theta_preds), None
+    a, inv = start, None
     settled = 0  # the conditions in a row that have left a unchanged
     for cond, reads_inverse in cycle(steps):
         if settled == len(steps):

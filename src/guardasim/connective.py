@@ -336,9 +336,6 @@ def validate_standard_fragment(sig: FragmentSignature) -> list[str]:
 def _standard_problems(sig: FragmentSignature) -> list[str]:
     violations = []
     for mu in sig:
-        if normalize(mu) != mu:
-            violations.append(f"{mu.name}: not normalized (constant-core wrapper block)")
-            continue
         cls = classify_connective(mu)
         if cls.is_standard:
             continue

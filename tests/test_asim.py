@@ -594,7 +594,8 @@ class TestLargestAsimulation:
             m1 = random_model(rng.randint(1, 8), ["R1"], ["P1"], 0.35, 0.5, 900 + trial)
             m2 = m1 if trial % 3 == 0 else random_model(rng.randint(1, 8), ["R1"], ["P1"], 0.35, 0.5, 1000 + trial)
             theta = theta_of(m1, m2)
-            out = asim._relation(asim._sweeps(conds, theta, m1, m2), m1, m2)
+            rows = asim._sweeps(conds, asim._atom_rows(m1, m2, theta), m1, m2)
+            out = asim._relation(rows, m1, m2)
             assert out.fwd == partition_refinement_bisim(m1, m2, theta)
             assert out.bwd == frozenset((b, a) for (a, b) in out.fwd)
 
@@ -652,13 +653,14 @@ class TestLargestAsimulation:
             cases.append((m1, m2, theta_of(m1, m2)))
         sigs = [sig_modal_intuitionistic(), sig_intuitionistic()]
         conds = [[cond for _, cond in asim._conditions(sig, True)] for sig in sigs]
-        shared = [asim._sweeps(c, theta, m1, m2) for c in conds for m1, m2, theta in cases]
+        starts = [(asim._atom_rows(m1, m2, theta), m1, m2) for m1, m2, theta in cases]
+        shared = [asim._sweeps(c, *start) for c in conds for start in starts]
         passing, witnesses = asim._Condition.passing, asim._Condition.witnesses
         monkeypatch.setattr(asim._Condition, "passing",
                             lambda self, cand, ws, m1, m2, memos=None: passing(self, cand, ws, m1, m2))
         monkeypatch.setattr(asim._Condition, "witnesses",
                             lambda self, a, inv, m1, m2, memos=None: witnesses(self, a, inv, m1, m2))
-        assert [asim._sweeps(c, theta, m1, m2) for c in conds for m1, m2, theta in cases] == shared
+        assert [asim._sweeps(c, *start) for c in conds for start in starts] == shared
 
 
 class TestInvariance:

@@ -10,8 +10,10 @@ separate loads of the model; the sweeps are checked to reach one result in
 any order of the conditions, and to build inverse rows only for conditions
 that read them.  Fragments whose conditions read only the symmetric part are
 solved by partition refinement, which is checked against the sweeps and the
-reference, on the benchmark's models of 144 and 400 elements too, and each
-signature is checked to take its route.  A self pair's relation document
+reference, on the benchmark's models of 144 and 400 elements too; other
+fragments sweep from the answer of the largest sub-fragment refinement
+solves, checked the same way on mixes of refined and swept connectives; and
+each signature is checked to take its route.  A self pair's relation document
 whose two lists are equal is read once, mirrored: its reports and error
 messages are checked against two separate loads of the model and against
 the reference, and its reads are counted."""
@@ -314,11 +316,12 @@ def test_verifier_reads_documents_like_relations(name):
 
 
 def swept(sig, theta, m1, m2, strict=True):
-    """The relation the sweeps reach.  The solver takes partition refinement
-    instead when every condition reads only the symmetric part, so the tests
-    of the sweeps' own mechanisms call them directly."""
+    """The relation the sweeps reach from the atom rows.  The solver starts
+    them from a sub-fragment's answer, found by partition refinement, or
+    takes that answer when the sub-fragment is the whole fragment, so the
+    tests of the sweeps' own mechanisms call them directly."""
     conds = [cond for _, cond in asim._conditions(sig, strict)]
-    return asim._relation(asim._sweeps(conds, theta, m1, m2), m1, m2)
+    return asim._relation(asim._sweeps(conds, asim._atom_rows(m1, m2, theta), m1, m2), m1, m2)
 
 
 def dense_models(rng):
@@ -548,8 +551,11 @@ REFINED = {
     "imp12": sig_of({"imp12": "forall[R1,R2]{ ~p1 | p2 }"}),
     "dia_butnot": sig_of({"butnot": "exists[R1]{ p1 & ~p2 }"}),
 }
-# A degree-2 connective, a constant core, a special core without a negation
-# and a signature of built-ins only keep the sweeps.
+# A degree-2 connective, a constant core or a special core without a
+# negation needs the sweeps.  The first three have a sub-fragment that
+# refinement solves (lambda5 is a rest core, the others have a negation),
+# whose answer the sweeps start from; a special core without a negation
+# starts them from the atom rows, and built-ins alone need no sweep.
 SWEPT = {
     "modal_intuitionistic": ALL_SIGS["modal_intuitionistic"](),
     "not_some_box": sig_of({"not": "{ ~p1 }", "some": "exists[R1]{ T }", "box": "forall[R1]{ p1 }"}),
@@ -577,23 +583,75 @@ def test_refinement_matches_sweeps_and_reference(name):
 
 
 def test_each_signature_takes_its_route(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("wrong route")
+    # A refined signature is solved by one refinement route, without the
+    # sweeps.  The first three swept ones run one colour refinement and
+    # sweep from a start that holds the gfp and lies inside the atom rows,
+    # strictly on some pairs; the last two run none, and only the special
+    # one sweeps, from the atom rows.
+    bisimulations = counting(monkeypatch, asim, "_bisimulation")
+    starts = []
+    sweeps = asim._sweeps
 
-    pairs = refinement_pairs(41)
-    with monkeypatch.context() as patch:
-        patch.setattr(asim, "_bisimulation", refuse)
-        for sig in SWEPT.values():
-            for m1, m2 in pairs:
-                theta = theta_of(m1, m2)
-                assert asim.largest_asimulation(sig, theta, m1, m2, strict=False) == \
-                    ref.largest_asimulation(sig, theta, m1, m2, strict=False)
-    monkeypatch.setattr(asim, "_sweeps", refuse)
-    for sig in REFINED.values():
-        for m1, m2 in pairs:
+    def logged_sweeps(conds, start, m1, m2):
+        starts.append(start)
+        return sweeps(conds, start, m1, m2)
+
+    monkeypatch.setattr(asim, "_sweeps", logged_sweeps)
+    tighter = 0
+    for name, sig in {**REFINED, **SWEPT}.items():
+        for m1, m2 in refinement_pairs(41):
             theta = theta_of(m1, m2)
-            assert asim.largest_asimulation(sig, theta, m1, m2, strict=False) == \
-                ref.largest_asimulation(sig, theta, m1, m2, strict=False)
+            bisimulations.clear()
+            starts.clear()
+            want = ref.largest_asimulation(sig, theta, m1, m2, strict=False)
+            assert asim.largest_asimulation(sig, theta, m1, m2, strict=False) == want
+            if name in REFINED:
+                assert not starts, name
+            elif name in ("special", "builtins"):
+                assert not bisimulations, name
+                assert starts == ([asim._atom_rows(m1, m2, theta)] if name == "special" else []), name
+            else:
+                assert len(bisimulations) == 1 and len(starts) == 1, name
+                start = asim._relation(starts[0], m1, m2)
+                atoms = asim._relation(asim._atom_rows(m1, m2, theta), m1, m2)
+                assert want.subset_of(start) and start.subset_of(atoms), name
+                tighter += start != atoms
+    assert tighter >= 20, tighter
+
+
+# Mixes of a refined sub-fragment with connectives only the sweeps solve: a
+# degree-2 connective, a special core and, under strict=False only, a
+# degree-2 connective that is not regular.
+AE = "forall[R2] exists[R3]{ p1 }"
+MIXED = {
+    "imp_ae": (sig_of({"imp": IMP, "ae": AE}), True),
+    "not_imp_ae": (sig_of({"not": "{ ~p1 }", "imp": IMP, "ae": AE}), True),
+    "imp_butnot": (sig_of({"imp": IMP, "butnot": "forall[R2]{ p2 & ~p1 }"}), True),
+    "imp_irregular_degree2": (sig_of({"imp": IMP, "odd": "exists[R2] forall[R1]{ ~p1 | p2 }"}), False),
+}
+
+
+@pytest.mark.parametrize("name", MIXED)
+def test_bound_then_sweeps_match_sweeps_and_reference(monkeypatch, name):
+    # The sweeps from the bound reach the result of the sweeps from the atom
+    # rows and of the reference, on pairs and on self pairs.  The counts
+    # guard against vacuity: the bound removes atom pairs, and the sweeps
+    # remove pairs of the bound.
+    sig, strict = MIXED[name]
+    bounds = counting(monkeypatch, asim, "_bound")
+    cut, swept_off = 0, 0
+    for m1, m2 in refinement_pairs(sum(map(ord, name)) * 43):
+        theta = theta_of(m1, m2)
+        bounds.clear()
+        got = asim.largest_asimulation(sig, theta, m1, m2, strict=strict)
+        assert got == swept(sig, theta, m1, m2, strict=strict)
+        assert got == ref.largest_asimulation(sig, theta, m1, m2, strict=strict)
+        assert asim._mirrored(got._rows) == (m1 is m2)
+        (rows, exact), = bounds
+        assert not exact
+        cut += rows != asim._atom_rows(m1, m2, theta)
+        swept_off += rows != got._rows
+    assert cut >= 3 and swept_off >= 3, (cut, swept_off)
 
 
 @pytest.fixture
@@ -609,9 +667,9 @@ def workloads(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [144, 400])
-@pytest.mark.parametrize("name", ["modal", "intuitionistic"])
+@pytest.mark.parametrize("name", ["modal", "intuitionistic", "modal_intuitionistic"])
 def test_refinement_matches_sweeps_at_scale(workloads, name, n):
-    sig = REFINED[name]
+    sig = {**REFINED, **SWEPT}[name]
     rng = random.Random(n)
     m1, m2 = (load(workloads.model_doc(rng, n)) for _ in range(2))
     for mx, my in ((m1, m2), (m1, m1)):

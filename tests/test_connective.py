@@ -192,6 +192,23 @@ class TestValidateStandardFragment:
         problems = validate_standard_fragment(sig)
         assert any("nope" in p for p in problems)
 
+    def test_constant_core_wrappers_judged_normalized(self):
+        # A signature stores each connective normalized, so its verdict is
+        # the one for the wrapper-free connective: no "not normalized"
+        # problem, and a degree-3 wrapper is judged at degree 2.
+        sig = FragmentSignature.from_dict({"connectives": {
+            "some": "exists[R1] forall[R2]{ T }",
+            "never": "forall[R1] exists[R2]{ F }",
+            "t": "forall[R1]{ T }",
+        }})
+        assert [connective_text(sig.get(n)) for n in ("some", "never", "t")] == \
+            ["exists[R1] { T }", "forall[R1] { F }", "{ T }"]
+        assert validate_standard_fragment(sig) == []
+        deep = FragmentSignature({"w": parse_connective("forall[R1] exists[R2] forall[R3]{ T }", "w")})
+        assert deep.get("w") == normalize(deep.get("w")) and deep.get("w").degree == 2
+        assert validate_standard_fragment(deep) == [
+            "w: degree-2 connective is not regular (constant core or innermost block fails weak specialness)"]
+
 
 class TestStdTranslation:
     def test_diamond_shape(self):
