@@ -20,7 +20,8 @@ rows and inverse rows once per call and every connective's check reads
 those; atom transfer is row algebra too, the pairs outside the
 atom-preserving rows.  A relation document is read straight into rows and
 inverse rows, by ``bitrows.read_pairs``; with one model object on both
-sides and equal lists, once, into mirrored rows.
+sides and equal lists, once, into mirrored rows.  A relation that carries
+no rows over the two model objects checked is read as its document.
 
 Within one check, each distinct set is worked out once per partner model.
 The rows of a relation repeat (at the solver's first condition the
@@ -247,30 +248,16 @@ def _directions(m1: Model, m2: Model):
 
 # -- bit rows: per direction, one mask over the partner model per carrier element
 
-def _rows(a: CrossRelation, m1: Model, m2: Model) -> dict[str, list[int]]:
-    if a._rows is not None and a._models[0] is m1 and a._models[1] is m2:
-        return a._rows
-    out = {}
-    for d, mx, my in _directions(m1, m2):
-        rows = out[d] = [0] * len(mx)
-        ix, iy = mx.index, my.index
-        try:
-            for x, y in a.pairs(d):
-                rows[ix[x]] |= 1 << iy[y]
-        except KeyError:
-            _check_elements(a, m1, m2)
-            raise
-    return out
-
-
-def _check_elements(a: CrossRelation, m1: Model, m2: Model) -> None:
-    """Raise ``RelationError`` naming, in the wording of the document
-    reader, the first element in sorted pair order that a pair of ``a``
-    takes from outside its model."""
-    for d, mx, my in _directions(m1, m2):
-        for x, y in sorted(a.pairs(d)):
-            if x not in mx.index or y not in my.index:
-                raise RelationError(f"{d}: unknown element {x if x not in mx.index else y!r}")
+def _read(a: object, m1: Model, m2: Model) -> tuple[dict[str, list[int]], dict[str, list[int]] | None]:
+    """The rows of ``a``, a relation or a relation document, and its inverse
+    rows.  A relation carrying rows over these two model objects gives its
+    own rows and None for the inverse rows; any other is read as its
+    document, pairs sorted, by ``_doc_rows``."""
+    if isinstance(a, CrossRelation):
+        if a._rows is not None and a._models[0] is m1 and a._models[1] is m2:
+            return a._rows, None
+        a = a.to_doc()
+    return _doc_rows(a, m1, m2)
 
 
 def _doc_rows(doc: object, m1: Model, m2: Model) -> tuple[dict[str, list[int]], dict[str, list[int]]]:
@@ -565,42 +552,43 @@ def _compile(mu: GuardedConnective, cls: ConnectiveClass) -> _Condition:
                       core_candidate_kind(cls.core_class), inner)
 
 
-# The conditions of each signature object, by ``strict``; a signature is
-# immutable, and they depend on no model.
+# The conditions of each signature object; a signature is immutable, and
+# they depend on no model.  The entry points gate standardness before they
+# look them up, so one compile serves every ``strict``.
 _SIGNATURE_CONDITIONS = weakref.WeakKeyDictionary()
 
 
-def _conditions(connectives, strict: bool) -> tuple[tuple[str, _Condition], ...]:
+def _conditions(connectives) -> tuple[tuple[str, _Condition], ...]:
     """Each connective's name with its compiled condition, in order, once
-    per signature and ``strict``.  A monotone or constant degree-0 core
-    admits every relation, so it gets none."""
+    per signature.  A monotone or constant degree-0 core admits every
+    relation, so it gets none."""
     if not isinstance(connectives, FragmentSignature):
-        return _compile_all(connectives, strict)
-    by_strict = _SIGNATURE_CONDITIONS.setdefault(connectives, {})
-    got = by_strict.get(strict)
+        return _compile_all(connectives)
+    got = _SIGNATURE_CONDITIONS.get(connectives)
     if got is None:
-        got = by_strict[strict] = _compile_all(connectives, strict)
+        got = _SIGNATURE_CONDITIONS[connectives] = _compile_all(connectives)
     return got
 
 
-def _compile_all(connectives, strict: bool) -> tuple[tuple[str, _Condition], ...]:
+def _compile_all(connectives) -> tuple[tuple[str, _Condition], ...]:
     out = []
     for mu in connectives:
         if mu.degree > 2:
             raise NonStandardFragmentError(f"{mu.name}: degree {mu.degree} is not supported")
         cls = classify_connective(mu)
-        if strict and not cls.is_standard:
-            raise NonStandardFragmentError(f"{mu.name}: not a standard connective")
         if mu.degree or not cls.core_class.is_monotone:
             out.append((mu.name, _compile(mu, cls)))
     return tuple(out)
 
 
-def _reports(connectives, rows, inv, m1: Model, m2: Model, strict: bool) -> list[ViolationReport]:
-    """The first violation of each connective's condition on the relation
-    with the given rows and inverse rows, in order."""
+def _reports(conds, rows, inv, m1: Model, m2: Model) -> list[ViolationReport]:
+    """The first violation of each compiled condition on the relation with
+    the given rows and inverse rows, in order; inverse rows given as None
+    are built when a condition first reads them."""
     reports = []
-    for name, cond in _conditions(connectives, strict):
+    for name, cond in conds:
+        if inv is None and cond.reads_inverse():
+            inv = _inverse(rows, m1, m2)
         got = cond.violation(rows, cond.witnesses(rows, inv, m1, m2), m1, m2)
         if got is not None and not cond.guards:
             # along the empty chain, a failing pair is one whose mirror is missing
@@ -620,8 +608,11 @@ def connective_condition(
     connective is constrained pointwise, so the largest candidates decide
     membership.  Returns True or the first ViolationReport.
     """
-    rows = _rows(a, m1, m2)
-    got = _reports([mu], rows, _inverse(rows, m1, m2), m1, m2, strict)
+    rows, inv = _read(a, m1, m2)
+    conds = _conditions([mu])
+    if strict and not classify_connective(mu).is_standard:
+        raise NonStandardFragmentError(f"{mu.name}: not a standard connective")
+    got = _reports(conds, rows, inv, m1, m2)
     return got[0] if got else True
 
 
@@ -643,14 +634,10 @@ def is_asimulation(
     """
     if strict:
         _require_standard(sig)
-    if isinstance(a, CrossRelation):
-        rows = _rows(a, m1, m2)
-        inv = _inverse(rows, m1, m2)
-    else:
-        rows, inv = _doc_rows(a, m1, m2)
+    rows, inv = _read(a, m1, m2)
     if not any(rows[FWD]) and not any(rows[BWD]):
         return [ViolationReport("", "empty", None, "", (), "the empty relation is not an asimulation")]
-    return _atom_violations(theta_preds, rows, m1, m2) + _reports(sig, rows, inv, m1, m2, strict)
+    return _atom_violations(theta_preds, rows, m1, m2) + _reports(_conditions(sig), rows, inv, m1, m2)
 
 
 def largest_asimulation(
@@ -670,7 +657,7 @@ def largest_asimulation(
     """
     if strict:
         _require_standard(sig)
-    conds = [cond for _, cond in _conditions(sig, strict)]
+    conds = [cond for _, cond in _conditions(sig)]
     rows, exact = _bound(conds, theta_preds, m1, m2)
     return _relation(rows if exact else _sweeps(conds, rows, m1, m2), m1, m2)
 
@@ -763,7 +750,7 @@ def invariance_check(
     fv = sorted(free_vars(phi))
     if len(fv) > 1:
         raise ValueError(f"need at most one free variable, got {fv}")
-    rows = _rows(a, m1, m2)
+    rows = _read(a, m1, m2)[0]
     var = fv[0] if fv else "x"
     for d, mx, my in _directions(m1, m2):
         for i, js in name_ordered(rows[d], mx, my):
@@ -812,6 +799,6 @@ class _ClassProfiles:
     def violations(self, a: CrossRelation) -> int:
         """How many (class, pair of ``a``) have the class true at the pair's
         first element and false at its second."""
-        rows = _rows(a, self.m1, self.m2)
+        rows = _read(a, self.m1, self.m2)[0]
         return sum((px[i] & ~py[j]).bit_count()
                    for d, px, py in self.sides for i, row in enumerate(rows[d]) for j in bits(row))

@@ -10,12 +10,12 @@ and junct-collapsing rewrites valid for degree-1 modalities.
 A signature is immutable once built.  Kept per process, none of it
 depending on a model: the class of each connective (by connective, names
 aside); the signature compiled from each signature document (by its text
-and ``include_builtins``, the last 32 texts read), read from its file on
-every call, so a rewritten file gives the new signature and a document
-that fails to compile is refused again each time; and, per signature
-object, its standardness problems.  The solver in ``asim`` keeps each
-signature object's compiled conditions, by ``strict``.  Nothing keeps
-models, relations or anything computed from them.
+alone, the last 32 texts read), read from its file on every call, so a
+rewritten file gives the new signature and a document that fails to
+compile is refused again each time; and, per signature object, its
+standardness problems.  The solver in ``asim`` compiles each signature
+object's conditions once and keeps them.  Nothing keeps models,
+relations or anything computed from them.
 """
 
 from __future__ import annotations
@@ -260,12 +260,13 @@ class FragmentSignature:
     """A finite named set of guarded connectives, immutable once built.
 
     Connectives are normalized on construction.  The lattice built-ins
-    ``and``, ``or``, ``top``, ``bot`` are injected unless the source
-    defines those names itself.
+    ``and``, ``or``, ``top``, ``bot`` are always injected; a source that
+    defines one of those names replaces that built-in, so a signature
+    without a lattice built-in names a different connective in its place.
     """
 
-    def __init__(self, connectives: Mapping[str, GuardedConnective], include_builtins: bool = True):
-        table: dict[str, GuardedConnective] = dict(_BUILTINS) if include_builtins else {}
+    def __init__(self, connectives: Mapping[str, GuardedConnective]):
+        table: dict[str, GuardedConnective] = dict(_BUILTINS)
         for cname, mu in connectives.items():
             if not _NAME.fullmatch(cname):
                 raise ConnectiveError(f"{cname!r} is not a valid connective name")
@@ -279,20 +280,20 @@ class FragmentSignature:
         self._names = tuple(sorted(table))
 
     @classmethod
-    def from_dict(cls, doc: Mapping, include_builtins: bool = True) -> "FragmentSignature":
+    def from_dict(cls, doc: Mapping) -> "FragmentSignature":
         specs = doc.get("connectives") if isinstance(doc, Mapping) else None
         if not isinstance(specs, Mapping):
             raise ConnectiveError('signature document needs a "connectives" object')
         conns = {name: parse_connective(spec, name=name) for name, spec in specs.items()}
-        return cls(conns, include_builtins=include_builtins)
+        return cls(conns)
 
     @classmethod
-    def from_file(cls, path: str, include_builtins: bool = True) -> "FragmentSignature":
+    def from_file(cls, path: str) -> "FragmentSignature":
         """The signature the file's document defines.  The file is read on
         every call; a text compiled before gives the same signature object."""
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-        return _compiled_signature(cls, text, include_builtins)
+        return _compiled_signature(text)
 
     def to_doc(self) -> dict:
         return {"connectives": {name: connective_text(self._table[name]) for name in self._names}}
@@ -321,10 +322,10 @@ class FragmentSignature:
 
 
 @functools.lru_cache(maxsize=32)
-def _compiled_signature(cls: type, text: str, include_builtins: bool) -> FragmentSignature:
+def _compiled_signature(text: str) -> FragmentSignature:
     """The signature a document text defines, compiled once per text among
     the last 32; a text that fails raises again on every call."""
-    return cls.from_dict(json.loads(text), include_builtins=include_builtins)
+    return FragmentSignature.from_dict(json.loads(text))
 
 
 def validate_standard_fragment(sig: FragmentSignature) -> list[str]:
@@ -465,8 +466,6 @@ def modality_collapse(
     mu: GuardedConnective,
     psis: Sequence[FragmentFormula],
     mode: str,
-    and_name: str = "and",
-    or_name: str = "or",
 ) -> FragmentFormula:
     """Collapse a conjunction/disjunction of one-argument-per-slot applications
     into a single application.
@@ -485,9 +484,9 @@ def modality_collapse(
             f"{mu.name}: a {quant} block collapses a {expected_mode}, not a {mode}"
         )
     if cls.core_class.is_monotone:
-        op = and_name if quant == "forall" else or_name
+        op = "and" if quant == "forall" else "or"
     else:
-        op = or_name if quant == "forall" else and_name
+        op = "or" if quant == "forall" else "and"
     folded = _fold(list(psis), op)
     return Apply(mu.name, (folded,) * mu.arity)
 
@@ -495,8 +494,6 @@ def modality_collapse(
 def unify_args(
     mu: GuardedConnective,
     psis: Sequence[FragmentFormula],
-    and_name: str = "and",
-    or_name: str = "or",
 ) -> FragmentFormula:
     """Rewrite mu(psi_1,...,psi_k) into mu(F,...,F) with a single argument F,
     the lattice combination of the psis taken from the core's clause form."""
@@ -505,6 +502,6 @@ def unify_args(
         raise ConnectiveError(f"{mu.name}: expected {mu.arity} formulas, got {len(psis)}")
     form = monotone_lattice_expr(mu.core)
     clauses = sorted((tuple(sorted(c)) for c in form.positive))
-    juncts = [_fold([psis[k - 1] for k in clause], and_name) for clause in clauses]
-    combined = _fold(juncts, or_name)
+    juncts = [_fold([psis[k - 1] for k in clause], "and") for clause in clauses]
+    combined = _fold(juncts, "or")
     return Apply(mu.name, (combined,) * mu.arity)

@@ -485,19 +485,12 @@ def enumerate_fragment(
     sig: FragmentSignature,
     preds: Sequence[str],
     depth: int,
-    dedup_models: tuple[Model, Model] | None = None,
     budget: int | None = 1_000_000,
 ) -> list[FragmentFormula]:
-    """Fragment formulas of nesting depth <= depth over the given atoms.
-
-    With a model pair supplied, formulas are deduplicated by their joint
-    truth vector; otherwise deduplication is syntactic.  Order is
-    deterministic.
+    """Fragment formulas of nesting depth <= depth over the given atoms,
+    deduplicated syntactically, in a deterministic order.  Deduplication by
+    the joint truth vector over a model pair is ``semantic_classes``.
     """
-    if dedup_models is not None:
-        m1, m2 = dedup_models
-        return [c.formula for c in semantic_classes(sig, preds, depth, m1, m2, budget)]
-
     if depth < 0:
         raise ValueError("depth must be >= 0")
     out: list[FragmentFormula] = list(dict.fromkeys(Atom(p) for p in preds))

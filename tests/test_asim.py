@@ -270,7 +270,7 @@ class TestOutsideElements:
     refused with the document reader's wording, at every entry point."""
 
     OUTSIDE = rel(fwd=[("a", "zz")])
-    MESSAGE = "fwd: unknown element 'zz'"
+    MESSAGE = "fwd[0]: unknown element 'zz'"
 
     def test_is_asimulation(self):
         with pytest.raises(RelationError) as caught:
@@ -293,10 +293,49 @@ class TestOutsideElements:
         a = rel(fwd=[("a2", "a")], bwd=[("b", "a"), ("a2", "yy"), ("a", "xx")])
         with pytest.raises(RelationError) as caught:
             is_asimulation(sig_modal(), ["P1"], CHAIN, SINGLE, a)
-        assert str(caught.value) == "fwd: unknown element 'a'"
+        assert str(caught.value) == "fwd[0]: unknown element 'a'"
         with pytest.raises(RelationError) as caught:
             is_asimulation(sig_modal(), ["P1"], CHAIN, SINGLE, rel(bwd=[("b", "a"), ("a", "a2"), ("b", "xx")]))
-        assert str(caught.value) == "bwd: unknown element 'a'"
+        assert str(caught.value) == "bwd[0]: unknown element 'a'"
+        with pytest.raises(RelationError) as caught:
+            is_asimulation(sig_modal(), ["P1"], CHAIN, SINGLE, rel(fwd=[("a2", "b"), ("a", "b")], bwd=[("b", "zz")]))
+        assert str(caught.value) == "bwd[0]: unknown element 'zz'"
+
+    def test_malformed_pair_refused_at_every_entry_point(self):
+        # the pair's place is counted in sorted order, so ("a", "b", "c")
+        # comes second, after ("a", "a2")
+        bad = rel(fwd=[("a", "a2"), ("a", "b", "c")])
+        message = "fwd[1]: expected a pair of element names"
+        calls = [
+            lambda: is_asimulation(sig_modal(), ["P1"], CHAIN, CHAIN, bad),
+            lambda: connective_condition(parse_connective("forall[R1]{ p1 }"), bad, CHAIN, CHAIN),
+            lambda: invariance_check(parse_fo("P1(x)"), bad, CHAIN, CHAIN),
+        ]
+        for call in calls:
+            with pytest.raises(RelationError) as caught:
+                call()
+            assert str(caught.value) == message
+
+    def test_mirrored_pair_set_reads_like_its_document_and_rows(self):
+        # A self-pair relation with equal directions is read once, mirrored,
+        # and reports what its document and its row relation report.
+        rng = random.Random(61)
+        seen = 0
+        for trial in range(12):
+            m = random_model(rng.randint(1, 6), ["R1", "R2"], ["P1", "P2"], 0.35, 0.5, 1300 + trial)
+            theta = theta_of(m, m)
+            pairs = [(x, y) for x in m.domain for y in m.domain if rng.random() < 0.6]
+            a = rel(fwd=pairs, bwd=pairs)
+            doc = a.to_doc()
+            rows = relation_from_doc(doc, m, m)
+            assert doc[FWD] == doc[BWD] and asim._mirrored(asim._read(a, m, m)[0])
+            for sig in (sig_modal(), sig_modal_intuitionistic()):
+                got = is_asimulation(sig, theta, m, m, a)
+                assert got == is_asimulation(sig, theta, m, m, doc) == is_asimulation(sig, theta, m, m, rows)
+                seen += bool(got)
+                for mu in sig:
+                    assert connective_condition(mu, a, m, m) == connective_condition(mu, rows, m, m)
+        assert seen
 
 
 class TestAtomPreserving:
@@ -589,7 +628,7 @@ class TestLargestAsimulation:
         # the test above compares refinement with refinement; here the
         # sweeps, which every other fragment takes, meet the oracle.
         rng = random.Random(37)
-        conds = [cond for _, cond in asim._conditions(sig_modal(), True)]
+        conds = [cond for _, cond in asim._conditions(sig_modal())]
         for trial in range(30):
             m1 = random_model(rng.randint(1, 8), ["R1"], ["P1"], 0.35, 0.5, 900 + trial)
             m2 = m1 if trial % 3 == 0 else random_model(rng.randint(1, 8), ["R1"], ["P1"], 0.35, 0.5, 1000 + trial)
@@ -626,20 +665,40 @@ class TestLargestAsimulation:
             if not sub.is_empty and not is_asimulation(sig, theta, m1, m2, sub):
                 assert sub.subset_of(big)
 
-    def test_conditions_compiled_once_per_signature(self):
-        sig = sig_modal_intuitionistic()
-        conds = asim._conditions(sig, True)
-        assert isinstance(conds, tuple) and asim._conditions(sig, True) is conds
-        assert asim._conditions(sig, False) == conds and asim._conditions(sig, False) is not conds
+    def test_conditions_compiled_once_per_signature(self, monkeypatch):
+        compiled = []
+        compile_all = asim._compile_all
+        monkeypatch.setattr(asim, "_compile_all", lambda conns: compiled.append(conns) or compile_all(conns))
+        m = random_model(4, ["R1", "R2"], ["P1", "P2"], 0.4, 0.5, 71)
+        theta = theta_of(m, m)
+        # one compile per signature object, whatever ``strict``
+        sig = FragmentSignature({mu.name: mu for mu in sig_modal_intuitionistic()})
+        conds = asim._conditions(sig)
+        for strict in (True, False, True):
+            is_asimulation(sig, theta, m, m, largest_asimulation(sig, theta, m, m, strict=strict), strict=strict)
+        assert isinstance(conds, tuple) and asim._conditions(sig) is conds and compiled == [sig]
         # a plain connective list is compiled on each call
-        listed = asim._conditions(list(sig), True)
-        assert listed == conds and asim._conditions(list(sig), True) is not listed
-        # a refusal is not kept: the same signature is refused again
+        listed = asim._conditions(list(sig))
+        assert listed == conds and asim._conditions(list(sig)) is not listed
+        # conditions kept from a lenient call never skip the gate
         odd = FragmentSignature.from_dict({"connectives": {"nope": "exists[R2] forall[R1]{ ~p1 | p2 }"}})
+        largest_asimulation(odd, theta, m, m, strict=False)
         for _ in range(2):
-            with pytest.raises(NonStandardFragmentError):
-                asim._conditions(odd, True)
-        assert [name for name, _ in asim._conditions(odd, False)] == ["nope"]
+            with pytest.raises(NonStandardFragmentError, match="nope"):
+                largest_asimulation(odd, theta, m, m, strict=True)
+        assert [name for name, _ in asim._conditions(odd)] == ["nope"]
+        # one connective is refused for its degree before its standardness
+        a = full_relation(m, m)
+        deep = parse_connective("forall[R1] exists[R1] forall[R1]{ p1 }", name="deep")
+        for strict in (True, False):
+            with pytest.raises(NonStandardFragmentError) as caught:
+                connective_condition(deep, a, m, m, strict=strict)
+            assert str(caught.value) == "deep: degree 3 is not supported"
+        with pytest.raises(NonStandardFragmentError) as caught:
+            connective_condition(odd.get("nope"), a, m, m)
+        assert str(caught.value) == "nope: not a standard connective"
+        got = connective_condition(odd.get("nope"), a, m, m, strict=False)
+        assert got is True or isinstance(got, ViolationReport)
 
     def test_sweep_memos_shared_over_a_solve_match_fresh_ones(self, monkeypatch):
         # The sweeps hand each condition one memo store for the whole solve;
@@ -652,7 +711,7 @@ class TestLargestAsimulation:
                 rng.randint(1, 7), ["R1", "R2", "R3"], ["P1", "P2"], 0.35, 0.5, 1200 + trial)
             cases.append((m1, m2, theta_of(m1, m2)))
         sigs = [sig_modal_intuitionistic(), sig_intuitionistic()]
-        conds = [[cond for _, cond in asim._conditions(sig, True)] for sig in sigs]
+        conds = [[cond for _, cond in asim._conditions(sig)] for sig in sigs]
         starts = [(asim._atom_rows(m1, m2, theta), m1, m2) for m1, m2, theta in cases]
         shared = [asim._sweeps(c, *start) for c in conds for start in starts]
         passing, witnesses = asim._Condition.passing, asim._Condition.witnesses

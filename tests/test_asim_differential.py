@@ -301,7 +301,7 @@ def renamed_documents(seed, count):
 def test_document_reader_matches_relation_rows():
     for m1, m2, a, doc in renamed_documents(23, 15):
         assert asim.relation_from_doc(doc, m1, m2) == a
-        rows = asim._rows(a, m1, m2)
+        rows = asim._read(a, m1, m2)[0]
         assert asim._doc_rows(doc, m1, m2) == (rows, asim._inverse(rows, m1, m2))
 
 
@@ -315,12 +315,12 @@ def test_verifier_reads_documents_like_relations(name):
             assert got == asim.is_asimulation(sig, theta, m1, m2, asim.relation_from_doc(d, m1, m2))
 
 
-def swept(sig, theta, m1, m2, strict=True):
+def swept(sig, theta, m1, m2):
     """The relation the sweeps reach from the atom rows.  The solver starts
     them from a sub-fragment's answer, found by partition refinement, or
     takes that answer when the sub-fragment is the whole fragment, so the
     tests of the sweeps' own mechanisms call them directly."""
-    conds = [cond for _, cond in asim._conditions(sig, strict)]
+    conds = [cond for _, cond in asim._conditions(sig)]
     return asim._relation(asim._sweeps(conds, asim._atom_rows(m1, m2, theta), m1, m2), m1, m2)
 
 
@@ -453,7 +453,7 @@ def test_sweep_order_does_not_change_the_result(name, sig, strict):
         theta = theta_of(m1, m2)
         want = asim.largest_asimulation(sig, theta, m1, m2, strict=strict)
         for order in orders:
-            assert swept(permuted(sig, order), theta, m1, m2, strict=strict) == want, order
+            assert swept(permuted(sig, order), theta, m1, m2) == want, order
 
 
 def counting(monkeypatch, module, attr):
@@ -577,7 +577,7 @@ def test_refinement_matches_sweeps_and_reference(name):
     for m1, m2 in refinement_pairs(sum(map(ord, name)) * 17):
         theta = theta_of(m1, m2)
         got = asim.largest_asimulation(sig, theta, m1, m2, strict=False)
-        assert got == swept(sig, theta, m1, m2, strict=False)
+        assert got == swept(sig, theta, m1, m2)
         assert got == ref.largest_asimulation(sig, theta, m1, m2, strict=False)
         assert asim._mirrored(got._rows) == (m1 is m2)
 
@@ -644,7 +644,7 @@ def test_bound_then_sweeps_match_sweeps_and_reference(monkeypatch, name):
         theta = theta_of(m1, m2)
         bounds.clear()
         got = asim.largest_asimulation(sig, theta, m1, m2, strict=strict)
-        assert got == swept(sig, theta, m1, m2, strict=strict)
+        assert got == swept(sig, theta, m1, m2)
         assert got == ref.largest_asimulation(sig, theta, m1, m2, strict=strict)
         assert asim._mirrored(got._rows) == (m1 is m2)
         (rows, exact), = bounds

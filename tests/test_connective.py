@@ -37,6 +37,12 @@ LAM4 = parse_connective("exists[R1]{ p1 }", "lambda4")
 LAM5 = parse_connective("forall[R1]{ ~p1 | p2 }", "lambda5")
 
 
+def without_builtins(connectives):
+    """A signature whose lattice built-ins are each replaced by a degree-1
+    connective, so that it has none of them."""
+    return FragmentSignature({**{name: LAM1 for name in ("and", "or", "top", "bot")}, **connectives})
+
+
 class TestStructure:
     def test_degrees(self):
         assert LAM1.degree == 1
@@ -180,7 +186,7 @@ class TestValidateStandardFragment:
         assert any("deep" in p and "degree 3" in p for p in problems)
 
     def test_missing_builtins_reported(self):
-        sig = FragmentSignature({"box": LAM1}, include_builtins=False)
+        sig = without_builtins({"box": LAM1})
         problems = validate_standard_fragment(sig)
         assert any("conjunction" in p for p in problems)
         assert any("falsum" in p for p in problems)
@@ -393,8 +399,6 @@ class TestCompiledSignatures:
         second.write_text(text)
         sig = FragmentSignature.from_file(str(first))
         assert FragmentSignature.from_file(str(second)) is sig
-        assert FragmentSignature.from_file(str(first), include_builtins=False) is not sig
-        assert FragmentSignature.from_file(str(first), include_builtins=False).names() == ["box"]
 
     def test_rewritten_file_gives_the_new_answer(self, capsys, tmp_path):
         path = tmp_path / "sig.json"
@@ -424,14 +428,14 @@ class TestCompiledSignatures:
         assert "dia" not in sig and sig.get("box") == LAM1
 
     def test_problem_list_is_fresh_on_each_call(self):
-        sig = FragmentSignature({"box": LAM1}, include_builtins=False)
+        sig = without_builtins({"box": LAM1})
         problems = validate_standard_fragment(sig)
         assert problems
         problems.clear()
         problems.append("changed")
         again = validate_standard_fragment(sig)
         assert again and "changed" not in again
-        assert again == validate_standard_fragment(FragmentSignature({"box": LAM1}, include_builtins=False))
+        assert again == validate_standard_fragment(without_builtins({"box": LAM1}))
 
     def test_least_recent_text_compiled_again_past_the_bound(self, tmp_path):
         bound = connective._compiled_signature.cache_parameters()["maxsize"]

@@ -198,7 +198,7 @@ def test_syntactic_enumeration_matches_reference(sig_name):
         for budget in (None, -1, 0, 1, 30, 300, 5000):
             if budget is None and depth > FULL_SYNTACTIC_DEPTH.get(sig_name, 2):
                 continue
-            got = _outcome(enumerate_fragment, sig, preds, depth, None, budget)
+            got = _outcome(enumerate_fragment, sig, preds, depth, budget)
             want = _outcome(ref.enumerate_fragment, sig, preds, depth, budget)
             assert got == want, (sig_name, depth, budget)
 
