@@ -256,7 +256,10 @@ def _read(a: object, m1: Model, m2: Model) -> tuple[dict[str, list[int]], dict[s
     if isinstance(a, CrossRelation):
         if a._rows is not None and a._models[0] is m1 and a._models[1] is m2:
             return a._rows, None
-        a = a.to_doc()
+        try:
+            a = a.to_doc()
+        except TypeError:  # pairs whose names are of mixed types do not sort
+            raise RelationError("relation: expected a pair of element names") from None
     return _doc_rows(a, m1, m2)
 
 

@@ -13,28 +13,28 @@ depth, deduplicated syntactically or by the truth vector on a model pair,
 whose two models share one joint vector (the first one in the low bits).
 Layer l applies each connective to the argument lists that use a class of
 layer l-1, in ``itertools.product`` order, so the classes of depth <= d are
-a prefix of every deeper enumeration.  It runs row by row: a row fixes all
-but the last argument and folds them into two masks, ``on`` and ``off``, and
-each last argument v of the row then costs ``off ^ (on ^ off) & v``; the
-prefix's last argument is folded inline, so a row costs no call but its
-budget charge and its kernel.  A core with no guard block needs nothing
-more; one with blocks looks the core vector up in its memo.  When the core
-is symmetric in its last two arguments, a row with prefix (..., i) skips the
-last arguments below i: the mirrored argument list came first in the same
-layer and gave the same vector.  The budget still counts every argument list
-of the product order, evaluated or not, so its exhaustion point does not
-move.  A class's witness is its connective's name and its argument classes'
-indices; only the callers that return formulas build them (``class_vectors``
-builds none).  The distinguishing search stops at the first class that
-separates.
+a prefix of every deeper enumeration.  A row fixes all but the last argument
+and folds them into two masks, ``on`` and ``off``; each last argument v of
+the row then costs ``off ^ (on ^ off) & v``.  When the core is symmetric in
+its last two arguments, a row with prefix (..., i) skips the last arguments
+below i: the mirrored argument list came first in the same layer and gave
+the same vector.  The budget still counts every argument list of the
+product order, evaluated or not, so its exhaustion point does not move.
+
+``class_vectors`` computes each connective's part of a layer at once, in
+one comprehension over its rows, and applies the guard blocks once per
+distinct core vector through tables of subset unions of 8 source rows each.
+``semantic_classes`` and ``distinguishing_formula`` take the rows one at a
+time, as they build each class's first witness and the search stops at the
+first class that separates; for them the tables cost more than they save.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import accumulate
-from typing import Callable, Iterable, Mapping, Sequence
+from functools import partial
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .bitrows import union
 from .connective import FragmentSignature, GuardedConnective, std_translation
@@ -232,6 +232,7 @@ class _Joint:
         self.models = tuple(models)
         self.full = (1 << sum(len(m) for m in self.models)) - 1
         self._sources: dict[tuple[str, ...], list[int]] = {}
+        self._unions: dict[tuple[str, ...], Callable[[int], int]] = {}
 
     def atom(self, pred: str) -> int:
         vec = shift = 0
@@ -247,15 +248,42 @@ class _Joint:
             rows = self._sources[guards] = []
             shift = 0
             for m in self.models:
-                rows.extend(row << shift for row in m.chain_rows(guards)[1])
+                rows += [row << shift for row in m.chain_rows(guards)[1]]
                 shift += len(m)
         return rows
+
+    def union(self, guards: tuple[str, ...]) -> Callable[[int], int]:
+        """``bitrows.union`` over ``sources(guards)`` by lookups: entry s of
+        table c is the union of rows 8c + j over the bits j of s."""
+        got = self._unions.get(guards)
+        if got is None:
+            rows, tables = self.sources(guards), []
+            for at in range(0, len(rows), 8):
+                tables.append([0])
+                for row in rows[at:at + 8]:
+                    tables[-1] += [x | row for x in tables[-1]]
+            got = tables[0].__getitem__ if len(tables) == 1 else partial(_lookup, tables)
+            self._unions[guards] = got
+        return got
+
+
+def _lookup(tables: list[list[int]], mask: int) -> int:
+    out = 0
+    for table in tables:
+        out |= table[mask & 255]
+        mask >>= 8
+    return out
 
 
 def _fold(masks: list[int], v: int) -> list[int]:
     """Fix the first remaining core argument to the truth vector ``v``."""
     half = len(masks) >> 1
     return [v & hi | ~v & lo for lo, hi in zip(masks[:half], masks[half:])]
+
+
+# ``_Kernel.cores`` cuts a layer into lists of at most this many candidates,
+# so that a call with no budget never holds a whole layer at once.
+_BATCH = 1 << 16
 
 
 class _Kernel(dict):
@@ -268,22 +296,47 @@ class _Kernel(dict):
     (``union(sources, S)`` holds the elements with a guard-path endpoint in
     S), and computes each entry once; with no blocks that map is the
     identity, so ``row`` skips it.  ``symmetric``: the core does not change
-    when its last two arguments swap, which maps table entry r to r ^ 3."""
+    when its last two arguments swap, which maps table entry 4k + 1 to 4k + 2."""
 
     def __init__(self, joint: _Joint, mu: GuardedConnective):
         self.full = joint.full
         self.arity = mu.arity
-        self.masks = masks = [self.full if mu.core.value_at(r) else 0 for r in range(mu.core.size)]
-        self.blocks = [(b.quantifier == "forall", joint.sources(b.guards)) for b in reversed(mu.blocks)]
-        self.symmetric = mu.arity >= 2 and all(
-            masks[r] == masks[r ^ 3] for r in range(len(masks)) if r & 3 == 1)
+        self.masks = masks = [self.full if mu.core.bits >> r & 1 else 0 for r in range(1 << mu.arity)]
+        self.joint = joint
+        self.blocks = [(b.quantifier == "forall", b.guards, joint.sources(b.guards))
+                       for b in reversed(mu.blocks)]
+        self.symmetric = mu.arity >= 2 and masks[1::4] == masks[2::4]
 
     def __missing__(self, vec: int) -> int:
         full, core = self.full, vec
-        for forall, sources in self.blocks:
+        for forall, _, sources in self.blocks:
             vec = full & ~union(sources, full & ~vec) if forall else union(sources, vec)
         self[core] = vec
         return vec
+
+    def image(self, cores: Iterable[int]) -> list[int]:
+        """``[self[v] for v in cores]`` through the joint's tables, unkept."""
+        full = self.full
+        for forall, guards, _ in self.blocks:
+            table = self.joint.union(guards)
+            cores = [full ^ table(full ^ v) for v in cores] if forall else list(map(table, cores))
+        return cores
+
+    def cores(self, vecs: list[int], count: int, start: int) -> Iterator[list[int]]:
+        """The core vectors of ``_classes``' rows of one layer, in order, in
+        lists of whole rows of at most ``_BATCH`` candidates (or one row)."""
+        if self.arity == 1:
+            off, on = self.masks
+            yield [off ^ (on ^ off) & v for v in vecs[start:count]]
+            return
+        step = max(1, _BATCH // count)
+        for _, (m0, m1, m2, m3), outer in _rows(vecs, count, start, self.arity - 2, _fold, self.masks):
+            # lo per last prefix index, skipping as _classes does
+            los = [outer] * outer + (list(range(outer, count)) if self.symmetric else [0] * (count - outer))
+            for at in range(0, count, step):
+                yield [off ^ flip & v for u, lo in zip(vecs[at:at + step], los[at:at + step])
+                       for off in (u & m2 | ~u & m0,) for flip in ((u & m3 | ~u & m1) ^ off,)
+                       for v in vecs[lo:count]]
 
     def row(self, off: int, on: int, vecs: Sequence[int]) -> list[int]:
         """The vectors of one row, whose prefix folded the masks to ``[off, on]``,
@@ -366,7 +419,8 @@ def _rows(items: Sequence, count: int, start: int, width: int, fold: Callable, s
 
 
 def _charge(checked: int, row: int, budget: int | None) -> int:
-    """Count one row, raising as a check before each candidate would."""
+    """Count one row, or all the rows of a layer and connective, raising as a
+    check before each candidate would."""
     if budget is not None and row and checked + row > budget:
         raise BudgetExceeded(max(checked, budget))
     return checked + row
@@ -406,12 +460,29 @@ def class_vectors(
     budget: int | None = 1_000_000,
 ) -> tuple[list[int], list[int]]:
     """The joint vectors ``vec1 | vec2 << len(m1)`` of ``semantic_classes``
-    and ``ends``: ``ends[d]`` classes have depth <= d, for d in 0..depth."""
-    vecs, sizes = [], [0] * (depth + 1)
-    for _w, v, layer in _classes(sig, preds, depth, _Joint((m1, m2)), budget):
-        vecs.append(v)
-        sizes[layer] += 1
-    return vecs, list(accumulate(sizes))
+    and ``ends``: ``ends[d]`` classes have depth <= d, for d in 0..depth.
+    Each connective's part of a layer is computed at once, not row by row."""
+    _, vecs, kernels = _first_layer(sig, preds, depth, _Joint((m1, m2)))
+    vecs = list(dict.fromkeys(vecs))
+    seen, ends = set(vecs), [len(vecs)]
+    checked = start = 0
+    for _layer in range(depth):
+        count = len(vecs)
+        for _, kernel in kernels:
+            # all rows at once: charged one by one, they would raise here too,
+            # with the same count
+            checked = _charge(checked, count ** kernel.arity - start ** kernel.arity, budget)
+            for cores in kernel.cores(vecs, count, start):
+                if kernel.blocks:
+                    cores = kernel.image(dict.fromkeys(cores))
+                new = [v for v in dict.fromkeys(cores) if v not in seen]
+                seen.update(new)
+                vecs += new
+        ends.append(len(vecs))
+        if len(vecs) == count:
+            break
+        start = count
+    return vecs, ends + [len(vecs)] * (depth + 1 - len(ends))
 
 
 def _formulas(classes):
@@ -425,12 +496,27 @@ def _formulas(classes):
         yield w, vec
 
 
+def _first_layer(sig, preds, depth, joint):
+    """Layer 0's witnesses and vectors, the atoms and then the nullary
+    connectives, and each other connective's name and kernel."""
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    lasts, out = [Atom(p) for p in preds], [joint.atom(p) for p in preds]
+    kernels = []
+    for name in sig.names():
+        kernel = _Kernel(joint, sig.get(name))
+        if kernel.arity == 0:
+            lasts.append((name,))
+            out.append(kernel.apply(()))
+        else:
+            kernels.append((name, kernel))
+    return lasts, out, kernels
+
+
 def _classes(sig, preds, depth, joint, budget):
     """Each class of ``semantic_classes`` on ``joint`` as it is admitted: its
     witness, its joint vector and its layer.  A witness is an atom, or a
     connective's name followed by the indices of its argument classes."""
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
     vecs: list[int] = []
     seen: set[int] = set()
 
@@ -442,15 +528,7 @@ def _classes(sig, preds, depth, joint, budget):
                 yield (*head, last) if head else last, vec, layer
 
     # an empty head admits the atoms and constants themselves
-    lasts, out = [Atom(p) for p in preds], [joint.atom(p) for p in preds]
-    kernels = []
-    for name in sig.names():
-        kernel = _Kernel(joint, sig.get(name))
-        if kernel.arity == 0:
-            lasts.append((name,))
-            out.append(kernel.apply(()))
-        else:
-            kernels.append((name, kernel))
+    lasts, out, kernels = _first_layer(sig, preds, depth, joint)
     yield from admit((), lasts, out, 0)
 
     checked = 0

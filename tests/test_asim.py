@@ -316,6 +316,19 @@ class TestOutsideElements:
                 call()
             assert str(caught.value) == message
 
+    def test_mixed_name_types_refused_at_every_entry_point(self):
+        # an int name beside str names that does not sort, in either direction
+        for bad in (rel(fwd=[(1, "a2"), ("a", "a2")]), rel(bwd=[("a", 2), ("a", "a2")])):
+            calls = [
+                lambda: is_asimulation(sig_modal(), ["P1"], CHAIN, CHAIN, bad),
+                lambda: connective_condition(parse_connective("forall[R1]{ p1 }"), bad, CHAIN, CHAIN),
+                lambda: invariance_check(parse_fo("P1(x)"), bad, CHAIN, CHAIN),
+            ]
+            for call in calls:
+                with pytest.raises(RelationError) as caught:
+                    call()
+                assert str(caught.value) == "relation: expected a pair of element names"
+
     def test_mirrored_pair_set_reads_like_its_document_and_rows(self):
         # A self-pair relation with equal directions is read once, mirrored,
         # and reports what its document and its row relation report.

@@ -11,6 +11,7 @@ import pytest
 
 from guardasim import asim, formula
 from guardasim.asim import CrossRelation
+from guardasim.bitrows import union
 from guardasim.connective import FragmentSignature
 from guardasim.formula import (
     BudgetExceeded,
@@ -250,6 +251,108 @@ def test_every_budget_matches_reference(sig_name):
         got = _outcome(semantic_classes, sig, theta, depth, m1, m2, budget)
         want = _outcome(ref.semantic_classes, sig, theta, depth, m1, m2, budget)
         assert _triples(got) == _triples(want), (sig_name, budget)
+
+
+def _row_path_vectors(sig, theta, depth, m1, m2, budget):
+    """What ``class_vectors`` must return, read off the row path: the joint
+    vectors of ``semantic_classes`` and their per-depth counts, or the
+    budget's count."""
+    got = _outcome(semantic_classes, sig, theta, depth, m1, m2, budget)
+    if isinstance(got, tuple):
+        return got
+    layers = [fragment_depth(c.formula) for c in got]
+    return [c.vec1 | c.vec2 << len(m1) for c in got], [sum(x <= d for x in layers) for d in range(depth + 1)]
+
+
+@pytest.mark.parametrize("sig_name", sorted(EXHAUSTIVE_SEEDS))
+def test_class_vectors_every_budget_matches_the_row_path(sig_name):
+    """Every budget from -1 to the full candidate count: a layer computed at
+    once raises with the count the row path's per-row charges stop at."""
+    sig = SIGS[sig_name]
+    depth = FULL_DEPTH.get(sig_name, 3)
+    for _k, m1, m2 in _pairs(EXHAUSTIVE_SEEDS[sig_name], 2):
+        theta = theta_of(m1, m2)
+        through: list[int] = []
+        ref.semantic_classes(sig, theta, depth, m1, m2, None, through)
+        for budget in range(-1, through[-1] + 1):
+            got = _outcome(formula.class_vectors, sig, theta, depth, m1, m2, budget)
+            assert got == _row_path_vectors(sig, theta, depth, m1, m2, budget), (sig_name, budget)
+
+
+def test_union_tables_match_the_bit_loop():
+    """A union read from the joint's tables equals ``bitrows.union`` for every
+    mask of 1, 7, 8, 9, 16 and 17 source rows, one to three tables, and a
+    block applied through them equals the row path's, under forall and
+    under exists."""
+    sig = FragmentSignature.from_dict({"connectives": {
+        "box": "forall[R1]{ p1 }",
+        "dia": "exists[R1]{ p1 }",
+    }})
+    rng = random.Random(29)
+    for n in (1, 7, 8, 9, 16, 17):
+        models = [random_model(k, ["R1"], ["P1"], 0.3, 0.5, rng.randrange(1 << 30))
+                  for k in (n - n // 2, n // 2) if k]
+        joint = formula._Joint(models)
+        sources = joint.sources(("R1",))
+        table = joint.union(("R1",))
+        masks = range(1 << n)
+        assert len(sources) == n and any(sources)
+        assert [table(s) for s in masks] == [union(sources, s) for s in masks], n
+        for name in ("box", "dia"):
+            kernel = formula._Kernel(joint, sig.get(name))
+            assert kernel.image(list(masks)) == [kernel[v] for v in masks], (n, name)
+
+
+WIDE_SIGS = ["modal", "modal_intuitionistic", "nullary_guarded", "symmetric_guarded"]
+
+
+@pytest.mark.parametrize("sig_name", WIDE_SIGS)
+def test_class_vectors_match_the_row_path_on_wide_joints(sig_name):
+    """Joints of 17-24 bits, whose blocks read three tables each (lambda3 of
+    modal_intuitionistic has two blocks, nullary_guarded has blocks on
+    nullary connectives), against the row path."""
+    sig = SIGS[sig_name]
+    rng = random.Random(7100 + len(sig_name))
+    for k in range(3):
+        n = rng.randint(17, 24)
+        m1, m2 = (random_model(size, RELATIONS, ["P1", "P2"], 0.15, 0.5, rng.randrange(1 << 30))
+                  for size in (n // 2, n - n // 2))
+        theta = theta_of(m1, m2)
+        for depth, budget in ((2, None), (3, 3000), (3, 30000)):
+            got = _outcome(formula.class_vectors, sig, theta, depth, m1, m2, budget)
+            assert got == _row_path_vectors(sig, theta, depth, m1, m2, budget), (sig_name, k, depth, budget)
+
+
+def test_class_vectors_cut_a_layer_larger_than_the_batch(monkeypatch):
+    """A layer of more than ``_BATCH`` candidates under budget=None: an
+    and/or layer over 295 classes is cut into lists of whole rows of at most
+    ``_BATCH`` candidates, the lists hold the candidates the row path
+    evaluates, symmetric skips included, and the vectors equal its own."""
+    sig = SIGS["modal"]
+    rng = random.Random(0)
+    m1, m2 = (random_model(5, ["R1"], ["P1", "P2"], 0.3, 0.5, rng.randrange(1 << 30)) for _ in range(2))
+    theta = theta_of(m1, m2)
+    lists, real = [], formula._Kernel.cores
+
+    def cores(kernel, vecs, count, start):
+        if kernel.arity == 1:
+            want = count - start
+        else:
+            want = sum(count - (max(start, i) if kernel.symmetric else start if i < start else 0)
+                       for i in range(count))
+        lists.append((want, []))
+        for part in real(kernel, vecs, count, start):
+            lists[-1][1].append(len(part))
+            yield part
+
+    monkeypatch.setattr(formula._Kernel, "cores", cores)
+    got = formula.class_vectors(sig, theta, 4, m1, m2, None)
+    monkeypatch.undo()
+    assert got == _row_path_vectors(sig, theta, 4, m1, m2, None)
+    assert got[1][3] == 295 and 295 ** 2 - got[1][2] ** 2 > formula._BATCH
+    assert [want for want, _ in lists] == [sum(lens) for _, lens in lists]
+    assert max(max(lens) for _, lens in lists) <= formula._BATCH
+    assert max(len(lens) for _, lens in lists) > 1
 
 
 def test_symmetric_rows_skip_mirrored_argument_lists(monkeypatch):
