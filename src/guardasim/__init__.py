@@ -54,7 +54,6 @@ from .formula import (
     SemanticClass,
     class_vectors,
     distinguishing_formula,
-    enumerate_fragment,
     eval_fo,
     eval_fragment,
     fragment_truth_set,

@@ -68,7 +68,7 @@ from .connective import (
     validate_standard_fragment,
 )
 from .formula import class_vectors, eval_fo
-from .model import Model, name_ordered, pair_set, sorted_pairs
+from .model import Model, pair_set, sorted_pairs
 from .syntax import FoFormula, free_vars
 
 FWD = "fwd"
@@ -196,15 +196,16 @@ class CrossRelation:
         q1 = list(map(encode_basestring_ascii, m1.domain))
         q2 = q1 if m2 is m1 else list(map(encode_basestring_ascii, m2.domain))
 
-        def text(rows: list[int], mx: Model, my: Model, xs: list[str], ys: list[str]) -> str:
+        def text(rows: list[int], xs: list[str], ys: list[str]) -> str:
             out = []
-            for i, js in name_ordered(rows, mx, my):
-                head = "[" + xs[i] + ", "
-                out.append(head + ("], " + head).join(map(ys.__getitem__, js)) + "]")
+            for x, row in zip(xs, rows):
+                if row:
+                    head = "[" + x + ", "
+                    out.append(head + ("], " + head).join(map(ys.__getitem__, bits(row))) + "]")
             return "[" + ", ".join(out) + "]"
 
-        fwd = text(self._rows[FWD], m1, m2, q1, q2)
-        parts = {FWD: fwd, BWD: fwd if _mirrored(self._rows) else text(self._rows[BWD], m2, m1, q2, q1)}
+        fwd = text(self._rows[FWD], q1, q2)
+        parts = {FWD: fwd, BWD: fwd if _mirrored(self._rows) else text(self._rows[BWD], q2, q1)}
         parts.update((key, json.dumps(value, sort_keys=True)) for key, value in extra.items())
         return "{" + ", ".join(json.dumps(key) + ": " + parts[key] for key in sorted(parts)) + "}"
 
@@ -349,10 +350,8 @@ def _atom_violations(theta_preds: Sequence[str], rows, m1: Model, m2: Model) -> 
     preds = sorted(theta_preds)
     allowed = _atom_rows(m1, m2, preds)
     for d, mx, my in _directions(m1, m2):
-        failing = [row & ~ok for row, ok in zip(rows[d], allowed[d])]
-        for i, js in name_ordered(failing, mx, my):
-            x = mx.domain[i]
-            for y in map(my.domain.__getitem__, js):
+        for x, row, ok in zip(mx.domain, rows[d], allowed[d]):
+            for y in map(my.domain.__getitem__, bits(row & ~ok)):
                 p = next(p for p in preds if mx.has_pred(p, x) and not my.has_pred(p, y))
                 reports.append(ViolationReport("", "atom", (x, y), d, (), f"{p} not transferred"))
     return reports
@@ -516,13 +515,16 @@ class _Condition:
 
     def violation(self, cand, witnesses, m1: Model, m2: Model) -> ViolationReport | None:
         """The first failing pair of ``cand`` in sorted order, with the first
-        unmatched endpoint in sorted order and its witness path."""
+        unmatched endpoint in sorted order and its witness path: indices are
+        in name order, so these are the lowest bit of the first non-zero row
+        of failing pairs and the first failing bit among the endpoints."""
         ok = self.passing(cand, witnesses, m1, m2)
         for d, mx, my in _directions(m1, m2):
-            first = next(name_ordered([c & ~o for c, o in zip(cand[d], ok[d])], mx, my), None)
-            if first is None:
+            failing = [c & ~o for c, o in zip(cand[d], ok[d])]
+            i = next((i for i, row in enumerate(failing) if row), None)
+            if i is None:
                 continue
-            i, j = first[0], first[1][0]
+            j = next(bits(failing[i]))
             x_ends, y_ends = mx.chain_rows(self.guards)[0][i], my.chain_rows(self.guards)[0][j]
             ws = [w[d] for w in witnesses]
             if self.back:
@@ -532,7 +534,7 @@ class _Condition:
             else:
                 start, side, ends = i, mx, x_ends
                 misses = [[not w[e] & y_ends for w in ws] for e in range(len(mx))]
-            end = min((e for e in bits(ends) if any(misses[e])), key=side.domain.__getitem__)
+            end = next(e for e in bits(ends) if any(misses[e]))
             detail = ""
             if self.special:
                 detail = f"no witness related {'to' if misses[end][0] else 'from'} the endpoint"
@@ -756,9 +758,8 @@ def invariance_check(
     rows = _read(a, m1, m2)[0]
     var = fv[0] if fv else "x"
     for d, mx, my in _directions(m1, m2):
-        for i, js in name_ordered(rows[d], mx, my):
-            x = mx.domain[i]
-            for y in map(my.domain.__getitem__, js):
+        for x, row in zip(mx.domain, rows[d]):
+            for y in map(my.domain.__getitem__, bits(row)):
                 if eval_fo(mx, {var: x}, phi) and not eval_fo(my, {var: y}, phi):
                     return (x, y), d
     return None

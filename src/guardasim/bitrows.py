@@ -54,22 +54,18 @@ def union(rows: Sequence[int], mask: int) -> int:
 _PAIR = {list, tuple}
 
 
-def _named(index: dict) -> bool:
-    """Whether every key is a ``str``, so that no lookup accepts a non-string."""
-    return set(map(type, index)) <= {str}
-
-
 def read_pairs(entries, ix: dict, iy: dict, rows: list[int], mirror: list[int] | None,
                where: str, error: type[Exception]) -> None:
     """OR each pair (x, y) of ``entries`` into ``rows`` as bit ``iy[y]`` of
     row ``ix[x]``, and into ``mirror`` (unless None) as bit ``ix[x]`` of row
     ``iy[y]``.
 
-    With every entry a list or tuple (checked at once) and only ``str`` keys
-    in both dicts, a successful lookup is the type test and the membership
-    test in one: anything else either misses the dict or is unhashable.  So
-    the bulk pass raises on any list the validating loop would refuse."""
-    if set(map(type, entries)) <= _PAIR and _named(ix) and _named(iy):
+    Both dicts must have only ``str`` keys, as a model's index has.  With
+    every entry a list or tuple (checked at once), a successful lookup is
+    then the type test and the membership test in one: anything else either
+    misses the dict or is unhashable.  So the bulk pass raises on any list
+    the validating loop would refuse."""
+    if set(map(type, entries)) <= _PAIR:
         bit_x, bit_y = identity(len(ix)), identity(len(iy))
         try:
             if mirror is None:
@@ -109,13 +105,11 @@ def _checked_pairs(entries, ix, iy, rows, mirror, where, error) -> None:
 
 def read_names(names, index: dict, where: str, error: type[Exception]) -> int:
     """The row with bit ``index[name]`` set for each of ``names``, read as
-    ``read_pairs`` reads pairs."""
-    if _named(index):
-        try:
-            return sum(map(identity(len(index)).__getitem__, set(map(index.__getitem__, names))))
-        except (KeyError, TypeError):
-            pass
-    return _checked_names(names, index, where, error)
+    ``read_pairs`` reads pairs; ``index`` must have only ``str`` keys."""
+    try:
+        return sum(map(identity(len(index)).__getitem__, set(map(index.__getitem__, names))))
+    except (KeyError, TypeError):
+        return _checked_names(names, index, where, error)
 
 
 def _checked_names(names, index, where, error) -> int:

@@ -9,8 +9,8 @@ of every subformula is computed bottom-up.  The first-order route through
 the standard translation is the reference the direct route is tested against.
 
 The enumeration engine generates all fragment formulas up to a nesting
-depth, deduplicated syntactically or by the truth vector on a model pair,
-whose two models share one joint vector (the first one in the low bits).
+depth, deduplicated by the truth vector on a model pair, whose two models
+share one joint vector (the first one in the low bits).
 Layer l applies each connective to the argument lists that use a class of
 layer l-1, in ``itertools.product`` order, so the classes of depth <= d are
 a prefix of every deeper enumeration.  A row fixes all but the last argument
@@ -330,7 +330,7 @@ class _Kernel(dict):
             yield [off ^ (on ^ off) & v for v in vecs[start:count]]
             return
         step = max(1, _BATCH // count)
-        for _, (m0, m1, m2, m3), outer in _rows(vecs, count, start, self.arity - 2, _fold, self.masks):
+        for _, (m0, m1, m2, m3), outer in _rows(vecs, count, start, self.arity - 2, self.masks):
             # lo per last prefix index, skipping as _classes does
             los = [outer] * outer + (list(range(outer, count)) if self.symmetric else [0] * (count - outer))
             for at in range(0, count, step):
@@ -401,19 +401,19 @@ class SemanticClass:
     """One representative formula with its truth vectors on a model pair."""
 
     formula: FragmentFormula
-    vec1: int  # bit i = truth at m1.domain[i]
+    vec1: int  # bit i = truth at m1.domain[i], the i-th element name in sorted order
     vec2: int
 
 
-def _rows(items: Sequence, count: int, start: int, width: int, fold: Callable, state) -> Iterable:
+def _rows(items: Sequence, count: int, start: int, width: int, masks) -> Iterable:
     """The rows of one layer: each prefix of ``width`` indices into
-    ``items[:count]`` in ``itertools.product`` order, ``state`` folded over its
-    items, and ``lo``: ``start``, or 0 once the prefix uses an index >= start.
+    ``items[:count]`` in ``itertools.product`` order, ``masks`` folded by
+    ``_fold`` over its items, and ``lo``: ``start``, or 0 once the prefix uses an index >= start.
     Candidates (*prefix, i) for i in range(lo, count), row after row, are the
     product order of the argument lists that use a class of the previous layer."""
-    rows: Iterable = [((), state, start)]
+    rows: Iterable = [((), masks, start)]
     for _ in range(width):
-        rows = (((*prefix, i), fold(state, items[i]), 0 if i >= start else lo)
+        rows = (((*prefix, i), _fold(state, items[i]), 0 if i >= start else lo)
                 for prefix, state, lo in rows for i in range(count))
     return rows
 
@@ -541,7 +541,7 @@ def _classes(sig, preds, depth, joint, budget):
                 checked = _charge(checked, count - start, budget)
                 yield from admit((name,), range(start, count), row(*kernel.masks, vecs[start:count]), layer)
                 continue
-            for prefix, masks, outer in _rows(vecs, count, start, kernel.arity - 2, _fold, kernel.masks):
+            for prefix, masks, outer in _rows(vecs, count, start, kernel.arity - 2, kernel.masks):
                 # the prefix's last argument, vecs[i], folds the four masks to two
                 m0, m1, m2, m3 = masks
                 for i in range(count):
@@ -557,36 +557,6 @@ def _classes(sig, preds, depth, joint, budget):
         if len(vecs) == count:
             break
         start = count
-
-
-def enumerate_fragment(
-    sig: FragmentSignature,
-    preds: Sequence[str],
-    depth: int,
-    budget: int | None = 1_000_000,
-) -> list[FragmentFormula]:
-    """Fragment formulas of nesting depth <= depth over the given atoms,
-    deduplicated syntactically, in a deterministic order.  Deduplication by
-    the joint truth vector over a model pair is ``semantic_classes``.
-    """
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    out: list[FragmentFormula] = list(dict.fromkeys(Atom(p) for p in preds))
-    out += [Apply(name, ()) for name in sig.names() if sig.get(name).arity == 0]
-    connectives = [(name, sig.get(name).arity) for name in sig.names() if sig.get(name).arity]
-    checked = 0
-    start = 0
-    for _layer in range(depth):
-        count = len(out)
-        for name, arity in connectives:
-            # Distinct argument lists over distinct formulas give distinct
-            # formulas, so no later layer needs a syntactic check.
-            rows = _rows(out, count, start, arity - 1, lambda args, f: (*args, f), ())
-            for _prefix, args, lo in rows:
-                checked = _charge(checked, count - lo, budget)
-                out.extend([Apply(name, (*args, last)) for last in out[lo:count]])
-        start = count
-    return out
 
 
 def distinguishing_formula(

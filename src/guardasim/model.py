@@ -9,14 +9,20 @@ gives its transpose and each element's endpoints as a tuple of indices,
 for the loops that walk them.  A predicate's elements are one bit row.
 The frozenset views ``relations`` and ``predicates`` are built from the
 rows on first read; everything else reads the rows.  Each list is read by
-``bitrows.read_pairs`` or ``read_names``."""
+``bitrows.read_pairs`` or ``read_names``.
+
+Element indices are in name order: index i is the i-th element name in
+sorted order, so a row read bit by bit, and rows read in index order, list
+their elements in name order, the order of every output.  The domain is
+sorted once, at construction; only ``save`` and ``==`` read the order the
+document gave."""
 
 from __future__ import annotations
 
 import json
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .bitrows import bits, identity, read_names, read_pairs, union
 from .syntax import _PRED_NAME, _REL_NAME
@@ -31,10 +37,12 @@ class Model:
 
     Relation and predicate symbols absent from the model are read as empty,
     so a model over a finite piece of the vocabulary stands for its
-    completion with empty interpretations.
+    completion with empty interpretations.  ``domain`` lists the element
+    names in sorted order, and ``index`` maps each name to its place there,
+    its bit in every row; the order given is kept for ``save`` and ``==``.
     """
 
-    __slots__ = ("domain", "index", "_steps", "_pred_rows", "_chains", "_endpoints", "_order",
+    __slots__ = ("domain", "index", "_given", "_steps", "_pred_rows", "_chains", "_endpoints",
                  "_relations", "_predicates")
 
     def __init__(
@@ -43,10 +51,13 @@ class Model:
         relations: Mapping[str, Iterable[tuple[str, str]]] | None = None,
         predicates: Mapping[str, Iterable[str]] | None = None,
     ):
+        if not isinstance(domain, (list, tuple)) or not all(isinstance(x, str) for x in domain):
+            raise ModelError("domain: expected a list of strings")
         if not domain:
             raise ModelError("domain: must be non-empty")
-        self.domain: tuple[str, ...] = tuple(domain)
-        # index[el]: the position of el in the domain, its bit in every row
+        self._given = tuple(domain)
+        self.domain: tuple[str, ...] = tuple(sorted(domain))
+        # index[el]: the rank of el's name, its bit in every row
         self.index = members = {el: i for i, el in enumerate(self.domain)}
         if len(members) != len(self.domain):
             raise ModelError("domain: duplicate element names")
@@ -72,7 +83,7 @@ class Model:
 
         self._chains: dict[tuple[str, ...], tuple[tuple[int, ...], tuple[int, ...], int]] = {}
         self._endpoints: dict[tuple[str, ...], tuple[tuple[int, ...], ...]] = {}
-        self._order = self._relations = self._predicates = None
+        self._relations = self._predicates = None
 
     @property
     def relations(self) -> dict[str, frozenset[tuple[str, str]]]:
@@ -104,7 +115,7 @@ class Model:
     def successors(self, name: str, element: str) -> tuple[str, ...]:
         i = self.index.get(element)
         row = 0 if i is None else self.chain_rows((name,))[0][i]
-        return tuple(sorted(self.domain[j] for j in bits(row)))
+        return tuple(map(self.domain.__getitem__, bits(row)))
 
     def has_pred(self, name: str, element: str) -> bool:
         i = self.index.get(element)
@@ -121,14 +132,6 @@ class Model:
     def pred_row(self, name: str) -> int:
         """The elements holding the predicate, as a bit row over element indices."""
         return self._pred_rows.get(name, 0)
-
-    def name_order(self) -> tuple[list[int], list[int]]:
-        """The element indices sorted by name, and each index's place in that
-        order.  Built on first use and kept, like the chain rows."""
-        if self._order is None:
-            order = sorted(range(len(self.domain)), key=self.domain.__getitem__)
-            self._order = order, sorted(range(len(order)), key=order.__getitem__)
-        return self._order
 
     def chain_rows(self, guards: Sequence[str]) -> tuple[tuple[int, ...], tuple[int, ...], int]:
         """The guard chain as bit rows over element indices: ``ends[i]`` holds
@@ -198,7 +201,7 @@ class Model:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Model)
-            and self.domain == other.domain
+            and self._given == other._given
             and self._steps == other._steps
             and self._pred_rows == other._pred_rows
         )
@@ -214,20 +217,12 @@ def pair_set(rows: Sequence[int], mx: Model, my: Model) -> frozenset[tuple[str, 
     return frozenset((x, names[j]) for x, row in zip(mx.domain, rows) for j in bits(row))
 
 
-def name_ordered(rows: Sequence[int], mx: Model, my: Model) -> Iterator[tuple[int, list[int]]]:
-    """The pairs of ``rows``, read as by ``pair_set``, in sorted name order:
-    each nonempty row's index, in the name order of ``mx``, with its bits in
-    the name order of ``my``."""
-    key = my.name_order()[1].__getitem__
-    for i in mx.name_order()[0]:
-        if rows[i]:
-            yield i, sorted(bits(rows[i]), key=key)
-
-
 def sorted_pairs(rows: Sequence[int], mx: Model, my: Model) -> list[list[str]]:
-    """The pairs of ``rows`` as sorted ``[x, y]`` name lists."""
+    """The pairs of ``rows`` as ``[x, y]`` name lists, read as by
+    ``pair_set``; rows and bits in index order are pairs in name order, so
+    the list is sorted."""
     xs, ys = mx.domain, my.domain
-    return [[xs[i], ys[j]] for i, js in name_ordered(rows, mx, my) for j in js]
+    return [[xs[i], ys[j]] for i, row in enumerate(rows) for j in bits(row)]
 
 
 @dataclass(frozen=True)
@@ -247,16 +242,13 @@ def load(doc: object) -> Model:
     unknown = set(doc) - {"domain", "relations", "predicates"}
     if unknown:
         raise ModelError(f"document: unknown keys {sorted(unknown)}")
-    domain = doc.get("domain")
-    if not isinstance(domain, list) or not all(isinstance(x, str) for x in domain):
-        raise ModelError("domain: expected a list of strings")
     relations = doc.get("relations", {})
     predicates = doc.get("predicates", {})
     if not isinstance(relations, dict):
         raise ModelError("relations: expected an object")
     if not isinstance(predicates, dict):
         raise ModelError("predicates: expected an object")
-    return Model(domain, relations, predicates)
+    return Model(doc.get("domain"), relations, predicates)
 
 
 def loads(text: str) -> Model:
@@ -275,10 +267,10 @@ def load_file(path: str) -> Model:
 def save(m: Model) -> dict:
     """Canonical document: domain as given, pair and element lists sorted."""
     return {
-        "domain": list(m.domain),
+        "domain": list(m._given),
         "relations": {name: sorted_pairs(m._steps[name], m, m) for name in sorted(m._steps)},
         "predicates": {
-            name: sorted(map(m.domain.__getitem__, bits(m._pred_rows[name]))) for name in sorted(m._pred_rows)
+            name: list(map(m.domain.__getitem__, bits(m._pred_rows[name]))) for name in sorted(m._pred_rows)
         },
     }
 

@@ -758,6 +758,42 @@ def test_largest_document_is_the_sorted_pair_sets(capsys, tmp_path, sig, doc1, d
         assert run(capsys, *argv, *flags) == sorted_pairs_output(data(sig), m1, m2, points), points
 
 
+def reversed_domain(doc):
+    return {**doc, "domain": doc["domain"][::-1]}
+
+
+@pytest.mark.parametrize("sig", ["sig_modal.json", "sig_intuitionistic.json", "sig_modal_int.json"])
+@pytest.mark.parametrize("doc1,doc2", MODEL_PAIRS[:4])  # the GENERATED and SHUFFLED pairs
+def test_outputs_do_not_depend_on_the_domain_order(capsys, tmp_path, sig, doc1, doc2):
+    # The largest asimulation plus one pair outside it fails at that pair
+    # alone, since the conditions are monotone in their witnesses.  And
+    # every output is in name order, whatever order the domain lists.
+    outputs = []
+    for given in (lambda doc: doc, reversed_domain):
+        path1 = tmp_path / "m1.json"
+        path1.write_text(json.dumps(given(doc1)))
+        path2 = path1
+        if doc2 is not None:
+            path2 = tmp_path / "m2.json"
+            path2.write_text(json.dumps(given(doc2)))
+        models = ["--m1", str(path1), "--m2", str(path2)]
+        m1, m2 = model.load_file(str(path1)), model.load_file(str(path2))
+        largest = run(capsys, "largest", "--fragment", data(sig), *models)
+        doc = json.loads(largest[1])
+        outside = next([x, y] for x in m1.domain for y in m2.domain if [x, y] not in doc["fwd"])
+        relation = tmp_path / "rel.json"
+        relation.write_text(json.dumps({"fwd": doc["fwd"] + [outside], "bwd": doc["bwd"]}))
+        check = run(capsys, "check", "--fragment", data(sig), *models, "--relation", str(relation))
+        assert check[0] == 1
+        reports = [json.loads(line) for line in check[1].splitlines()]
+        assert reports and all((r["pair"], r["direction"]) == (outside, "fwd") for r in reports)
+        distinguish = [run(capsys, "distinguish", "--fragment", data(sig), *models, "--point1", x,
+                           "--point2", y, "--depth", "2")
+                       for x, y in ((m1.domain[0], m2.domain[-1]), (m1.domain[-1], m2.domain[0]), outside)]
+        outputs.append([largest, check, *distinguish])
+    assert outputs[0] == outputs[1]
+
+
 def test_commands_build_no_frozenset(capsys, monkeypatch, tmp_path):
     # The solver's relations and the models' pair views build frozensets only
     # for callers that read them; largest, check and experiment do not.  Nor

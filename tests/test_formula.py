@@ -10,7 +10,6 @@ from guardasim.formula import (
     BudgetExceeded,
     FormulaError,
     distinguishing_formula,
-    enumerate_fragment,
     eval_fo,
     eval_fragment,
     fragment_truth_set,
@@ -34,7 +33,6 @@ from guardasim.syntax import (
     RelAtom,
     Top,
     fo_text,
-    fragment_depth,
     fragment_text,
     free_vars,
 )
@@ -236,31 +234,6 @@ class TestRoundTrip:
 
 
 class TestEnumeration:
-    def test_depth_zero_contents(self):
-        sig = sig_modal()
-        out = enumerate_fragment(sig, ["P1"], 0)
-        assert Atom("P1") in out
-        assert Apply("top", ()) in out and Apply("bot", ()) in out
-        assert all(fragment_depth(f) == 0 for f in out)
-
-    def test_depth_one_contains_modal_applications(self):
-        sig = sig_modal()
-        out = enumerate_fragment(sig, ["P1"], 1)
-        assert Apply("dia", (Atom("P1"),)) in out
-        assert Apply("and", (Atom("P1"), Atom("P1"))) in out
-        assert len(set(out)) == len(out)
-
-    def test_deterministic_order(self):
-        sig = sig_modal()
-        a = enumerate_fragment(sig, ["P1"], 2)
-        b = enumerate_fragment(sig, ["P1"], 2)
-        assert a == b
-
-    def test_depth_bound_respected(self):
-        sig = sig_modal()
-        for f in enumerate_fragment(sig, ["P1"], 2):
-            assert fragment_depth(f) <= 2
-
     def test_semantic_dedup_sound(self):
         sig = sig_modal()
         classes = semantic_classes(sig, theta_of(CHAIN, SINGLE), 2, CHAIN, SINGLE)
@@ -281,8 +254,6 @@ class TestEnumeration:
 
     def test_budget_exhaustion_is_distinct(self):
         sig = sig_modal()
-        with pytest.raises(BudgetExceeded):
-            enumerate_fragment(sig, ["P1", "P2"], 3, budget=10)
         with pytest.raises(BudgetExceeded):
             semantic_classes(sig, ["P1", "P2"], 3, CHAIN, SINGLE, budget=5)
 

@@ -20,7 +20,6 @@ LISTED = {
     "connective.parse_connective": {"name": "mu"},
     "formula.class_vectors": {"budget": 1_000_000},
     "formula.distinguishing_formula": {"budget": 1_000_000},
-    "formula.enumerate_fragment": {"budget": 1_000_000},
     "formula.semantic_classes": {"budget": 1_000_000},
     "model.Model.__init__": {"relations": None, "predicates": None},
 }
