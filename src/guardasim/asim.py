@@ -15,13 +15,16 @@ A relation is one bit row per carrier element; the ``CrossRelation``s this
 module returns carry their rows and build their frozensets only when read.
 Each back/forth check is compiled once per connective into row algebra
 serving the solver and the verifier, and kept per signature object; witness
-paths are built only for violation reports.  The verifier turns its relation into
-rows and inverse rows once per call and every connective's check reads
-those; atom transfer is row algebra too, the pairs outside the
-atom-preserving rows.  A relation document is read straight into rows and
-inverse rows, by ``bitrows.read_pairs``; with one model object on both
-sides and equal lists, once, into mirrored rows.  A relation that carries
-no rows over the two model objects checked is read as its document.
+paths are built only for violation reports.  A check is one row loop per
+direction: ``passing`` computes every row, while the verifier stops at the
+first row that loses a pair, so a failing ``fwd`` costs no ``bwd`` row and a
+passing condition every row.  The verifier turns its relation into rows and
+inverse rows once per call and every connective's check reads those; atom
+transfer is row algebra too, read off each predicate's holder rows.  A
+relation document is read straight into rows and inverse rows, by
+``bitrows.read_pairs``; with one model object on both sides and equal lists,
+once, into mirrored rows.  A relation that carries no rows over the two
+model objects checked is read as its document.
 
 Within one check, each distinct set is worked out once per partner model.
 The rows of a relation repeat (at the solver's first condition the
@@ -51,7 +54,7 @@ import json
 import weakref
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import chain, cycle
+from itertools import chain, compress, cycle
 from json.encoder import encode_basestring_ascii
 from operator import and_, is_, or_
 from typing import Sequence
@@ -73,6 +76,7 @@ from .syntax import FoFormula, free_vars
 
 FWD = "fwd"
 BWD = "bwd"
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")  # binary digits as selectors for compress
 
 
 class NonStandardFragmentError(ConnectiveError):
@@ -189,7 +193,8 @@ class CrossRelation:
     def to_json(self, extra: dict) -> str:
         """``json.dumps({**self.to_doc(), **extra}, sort_keys=True)``, written
         row by row: each model's names quoted once, each row one join of its
-        pairs, and a mirrored relation's one text serving both directions."""
+        pairs, picked in name order by its binary digits, and a mirrored
+        relation's one text serving both directions."""
         if self._rows is None:
             return json.dumps({**self.to_doc(), **extra}, sort_keys=True)
         m1, m2 = self._models
@@ -201,7 +206,8 @@ class CrossRelation:
             for x, row in zip(xs, rows):
                 if row:
                     head = "[" + x + ", "
-                    out.append(head + ("], " + head).join(map(ys.__getitem__, bits(row))) + "]")
+                    digits = bin(row)[:1:-1].encode().translate(_DIGIT_BYTES)
+                    out.append(head + ("], " + head).join(compress(ys, digits)) + "]")
             return "[" + ", ".join(out) + "]"
 
         fwd = text(self._rows[FWD], q1, q2)
@@ -345,13 +351,18 @@ def _atom_rows(m1: Model, m2: Model, theta_preds: Sequence[str]) -> dict[str, li
 
 def _atom_violations(theta_preds: Sequence[str], rows, m1: Model, m2: Model) -> list[ViolationReport]:
     """The pairs of ``rows`` outside the atom-preserving rows, sorted by pair
-    within each direction, each with its first untransferred predicate."""
+    within each direction, each with its first untransferred predicate,
+    read off each predicate's holder rows; only failing rows are reported."""
     reports = []
     preds = sorted(theta_preds)
-    allowed = _atom_rows(m1, m2, preds)
     for d, mx, my in _directions(m1, m2):
-        for x, row, ok in zip(mx.domain, rows[d], allowed[d]):
-            for y in map(my.domain.__getitem__, bits(row & ~ok)):
+        bad, given = [0] * len(mx), rows[d]
+        for p in preds:
+            holders = my.pred_row(p)
+            for i in bits(mx.pred_row(p)):
+                bad[i] |= given[i] & ~holders
+        for x, row in compress(zip(mx.domain, bad), bad):
+            for y in map(my.domain.__getitem__, bits(row)):
                 p = next(p for p in preds if mx.has_pred(p, x) and not my.has_pred(p, y))
                 reports.append(ViolationReport("", "atom", (x, y), d, (), f"{p} not transferred"))
     return reports
@@ -441,46 +452,51 @@ class _Condition:
         return self.special or self.kind in (CoreCandidateKind.INVERSE, CoreCandidateKind.SYMMETRIC_PART)
 
     def passing(self, cand, witnesses, m1: Model, m2: Model, memos=None) -> dict[str, list[int]]:
-        """The pairs of ``cand`` that satisfy the condition, as rows; one
-        direction serves both when the inputs are mirrored.  ``memos`` keeps
-        the memos below by condition and partner model, so calls on the same
-        two models can share them: an entry depends on the partner model's
-        chain rows alone."""
-        if not self.guards:
-            # each element's one endpoint is itself: the pairs of cand in every witness
-            out = cand
-            for w in witnesses:
-                out = _meet(out, w)
-            return out
+        """The pairs of ``cand`` that satisfy the condition, as rows: every
+        row of ``_kept``, one direction serving both when the inputs are
+        mirrored.  ``memos`` keeps the memos of ``_kept`` by condition and
+        partner model, so calls on the same two models can share them: an
+        entry depends on the partner model's chain rows alone."""
         out = {}
         mirrored = _mirrored(cand, *witnesses)
-        sides = _directions(m1, m2)
         if memos is None:
             memos = {}
-        for d, mx, my in sides[:1] if mirrored else sides:
-            x_ends = mx.endpoint_indices(self.guards)
-            y_ends, y_sources, dead = my.chain_rows(self.guards)
-            ws = [w[d] for w in witnesses]
-            rows = out[d] = list(cand[d])
-            memo = memos.setdefault((self, id(my)), {})  # a self pair's directions share one
-            if self.back:
-                full = (1 << len(my)) - 1
-                # memo[cover]: the candidates tested against cover so far, and
-                # those of them that passed; whether a candidate passes depends
-                # on the cover alone, so no candidate is tested twice against one
-                for i, row in enumerate(rows):
-                    if row and not x_ends[i]:
-                        # no endpoint, so an empty cover: only candidates with none pass
-                        rows[i] = row & dead
-                    elif row:
-                        cover = full
-                        for w in ws:
-                            covered = 0
-                            for j in x_ends[i]:
-                                covered |= w[j]
-                            cover &= covered
-                        if cover == full:
-                            continue
+        for d, mx, my in _directions(m1, m2)[:1 if mirrored else 2]:
+            out[d] = list(self._kept(cand[d], [w[d] for w in witnesses], mx, my, memos))
+        if mirrored:
+            out[BWD] = out[FWD]
+        return out
+
+    def _kept(self, cand: list[int], ws: list[list[int]], mx: Model, my: Model, memos: dict):
+        """Each row of ``cand``, from ``mx`` into ``my``, cut to its pairs
+        passing against the witness rows ``ws``, yielded in index order.
+        With no guards each element's one endpoint is itself: the pairs of
+        the row in every witness row."""
+        if not self.guards:
+            for w in ws:
+                cand = map(and_, cand, w)
+            yield from cand
+            return
+        x_ends = mx.endpoint_indices(self.guards)
+        y_ends, y_sources, dead = my.chain_rows(self.guards)
+        memo = memos.setdefault((self, id(my)), {})  # a self pair's directions share one
+        if self.back:
+            full = (1 << len(my)) - 1
+            # memo[cover]: the candidates tested against cover so far, and
+            # those of them that passed; whether a candidate passes depends
+            # on the cover alone, so no candidate is tested twice against one
+            for i, row in enumerate(cand):
+                if row and not x_ends[i]:
+                    # no endpoint, so an empty cover: only candidates with none pass
+                    row &= dead
+                elif row:
+                    cover = full
+                    for w in ws:
+                        covered = 0
+                        for j in x_ends[i]:
+                            covered |= w[j]
+                        cover &= covered
+                    if cover != full:
                         tested, passed = memo.get(cover, (0, 0))
                         todo = row & ~tested
                         if todo:
@@ -497,36 +513,36 @@ class _Condition:
                                 # endpoint outside the cover fail
                                 todo, kept = full, full ^ union(y_sources, missing)
                             tested, passed = memo[cover] = tested | todo, passed | kept
-                        rows[i] = row & passed
-            else:
-                # memo[S]: the partner elements with an endpoint in the witness row S
-                for i, row in enumerate(rows):
-                    for j in x_ends[i] if row else ():
-                        for w in ws:
-                            s = w[j]
-                            hit = memo.get(s)
-                            if hit is None:
-                                hit = memo[s] = union(y_sources, s)
-                            row &= hit
-                    rows[i] = row
-        if mirrored:
-            out[BWD] = out[FWD]
-        return out
+                        row &= passed
+                yield row
+        else:
+            # memo[S]: the partner elements with an endpoint in the witness row S
+            for i, row in enumerate(cand):
+                for j in x_ends[i] if row else ():
+                    for w in ws:
+                        s = w[j]
+                        hit = memo.get(s)
+                        if hit is None:
+                            hit = memo[s] = union(y_sources, s)
+                        row &= hit
+                yield row
 
     def violation(self, cand, witnesses, m1: Model, m2: Model) -> ViolationReport | None:
         """The first failing pair of ``cand`` in sorted order, with the first
         unmatched endpoint in sorted order and its witness path: indices are
-        in name order, so these are the lowest bit of the first non-zero row
-        of failing pairs and the first failing bit among the endpoints."""
-        ok = self.passing(cand, witnesses, m1, m2)
-        for d, mx, my in _directions(m1, m2):
-            failing = [c & ~o for c, o in zip(cand[d], ok[d])]
-            i = next((i for i, row in enumerate(failing) if row), None)
-            if i is None:
-                continue
-            j = next(bits(failing[i]))
-            x_ends, y_ends = mx.chain_rows(self.guards)[0][i], my.chain_rows(self.guards)[0][j]
+        in name order, so these are the lowest bit of the first row of
+        ``_kept`` that loses a bit, where the rows stop (mirrored inputs
+        check ``fwd`` alone), and the first failing bit among the endpoints."""
+        memos = {}
+        for d, mx, my in _directions(m1, m2)[:1 if _mirrored(cand, *witnesses) else 2]:
             ws = [w[d] for w in witnesses]
+            for i, (row, kept) in enumerate(zip(cand[d], self._kept(cand[d], ws, mx, my, memos))):
+                if row != kept:
+                    break
+            else:
+                continue
+            j = next(bits(row ^ kept))
+            x_ends, y_ends = mx.chain_rows(self.guards)[0][i], my.chain_rows(self.guards)[0][j]
             if self.back:
                 covers = [union(w, x_ends) for w in ws]
                 start, side, ends = j, my, y_ends
@@ -589,7 +605,8 @@ def _compile_all(connectives) -> tuple[tuple[str, _Condition], ...]:
 def _reports(conds, rows, inv, m1: Model, m2: Model) -> list[ViolationReport]:
     """The first violation of each compiled condition on the relation with
     the given rows and inverse rows, in order; inverse rows given as None
-    are built when a condition first reads them."""
+    are built when a condition first reads them.  Only a passing condition
+    computes every row: a failing one stops at its first failing row."""
     reports = []
     for name, cond in conds:
         if inv is None and cond.reads_inverse():

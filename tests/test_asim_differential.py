@@ -16,7 +16,10 @@ solves, checked the same way on mixes of refined and swept connectives; and
 each signature is checked to take its route.  A self pair's relation document
 whose two lists are equal is read once, mirrored: its reports and error
 messages are checked against two separate loads of the model and against
-the reference, and its reads are counted."""
+the reference, and its reads are counted.  The largest asimulation with one
+outside pair added, in fwd, in bwd or in both, is checked against the
+reference, and the verifier's row loops are followed to check that a
+failing condition computes no row after its first failing one."""
 
 import importlib.util
 import itertools
@@ -362,34 +365,44 @@ def test_dense_models_reach_the_row_kernels(monkeypatch):
 
 def test_forth_matching_unions_each_witness_row_once(monkeypatch):
     # Whether a partner element has an endpoint in a witness row S depends
-    # on S and the partner model alone, so within one forth call no S is
-    # unioned against a partner's chain sources twice.  Two models give each
-    # direction its own sources tuple; one model object on both sides, with
-    # relations whose two directions differ, gives both directions one
-    # sources tuple and one memo.
-    calls = []  # per forth call: the (sources, S) of each union
+    # on S and the partner model alone, so under one memo no S is unioned
+    # against a partner's chain sources twice.  A memo lives for one call of
+    # the verifier's check or of ``passing``, and for a whole solve in the
+    # sweeps.  The shared row loop ``_kept`` runs once per direction and is
+    # followed lazily, row by row, as the verifier stops it at its first
+    # failing row.  Two models give each direction its own sources tuple;
+    # one model object on both sides, with relations whose two directions
+    # differ, gives both directions one sources tuple and one memo.
+    logs = {}  # per memo key of _kept: the (sources, S) of each union
+    running = []  # the log of the forth row loop computing a row now
     counts = {"forth": 0, "unions": 0}
-    union, passing = asim.union, asim._Condition.passing
+    union, kept = asim.union, asim._Condition._kept
 
     def logged_union(rows, mask):
-        if calls:
-            calls[-1].append((id(rows), mask))
+        if running:
+            running[-1].append((id(rows), mask))
         return union(rows, mask)
 
-    def logged_passing(self, *args):
+    def logged_kept(self, cand, ws, mx, my, memos):
+        rows = kept(self, cand, ws, mx, my, memos)
         if self.back or not self.guards:
-            return passing(self, *args)
-        calls.append([])
-        try:
-            return passing(self, *args)
-        finally:
-            log = calls.pop()
-            assert len(log) == len(set(log)), (self, len(log) - len(set(log)))
-            counts["forth"] += 1
-            counts["unions"] += len(log)
+            yield from rows
+            return
+        counts["forth"] += 1
+        # the log keeps memos alive, so its id is not reused by a later call
+        log = logs.setdefault((id(memos), self, id(my)), (memos, []))[1]
+        while True:
+            running.append(log)
+            try:
+                row = next(rows)
+            except StopIteration:
+                return
+            finally:
+                running.pop()
+            yield row
 
     monkeypatch.setattr(asim, "union", logged_union)
-    monkeypatch.setattr(asim._Condition, "passing", logged_passing)
+    monkeypatch.setattr(asim._Condition, "_kept", logged_kept)
     rng = random.Random(11)
     for _ in range(3):
         m1, m2 = dense_models(rng)
@@ -400,6 +413,9 @@ def test_forth_matching_unions_each_witness_row_once(monkeypatch):
                 big = swept(sig, theta, mx, my)
                 for a in [big, *perturbed(rng, big, mx, my)]:
                     asim.is_asimulation(sig, theta, mx, my, a)
+    for key, (_, log) in logs.items():
+        assert len(log) == len(set(log)), (key[1], len(log) - len(set(log)))
+    counts["unions"] = sum(len(log) for _, log in logs.values())
     assert counts["forth"] >= 60 and counts["unions"] >= 1000, counts
 
 
@@ -746,3 +762,114 @@ def test_self_pair_documents_raise_as_two_reads(doc, message, name):
         with pytest.raises(asim.RelationError) as caught:
             asim.is_asimulation(STANDARD[name], ["P1"], m, m2, doc)
         assert str(caught.value) == message
+
+
+# -- single outside pairs: the verifier stops at the first failing row
+
+# The reference signatures, a degree-0 cut, a special core without a
+# negation, and degree-2 connectives on rest cores.
+OUTSIDE_SIGS = [*ALL_SIGS, "negation", "exists_special", "rest_core_degree2"]
+
+
+def outside_pair_cases(seed, sig):
+    """(m1, m2, document, mirrored) over seeded pairs of two models and self
+    pairs: the largest asimulation with one pair outside it added to fwd
+    alone, to bwd alone, and one to each.  The added pairs keep every atom
+    where they can, so a connective's condition is what fails.  On a self
+    pair, the same pair added to both lists makes them equal, so the
+    document is read mirrored."""
+    for rng, m1, m2 in model_pairs(seed, 8):
+        for mx, my in ((m1, m2), (m1, m1)):
+            theta = theta_of(mx, my)
+            doc = asim.largest_asimulation(sig, theta, mx, my).to_doc()
+            atoms = asim.atom_preserving(mx, my, theta).to_doc()
+            outside = {}
+            for d, xs, ys in (("fwd", mx.domain, my.domain), ("bwd", my.domain, mx.domain)):
+                pairs = [[x, y] for x in xs for y in ys if [x, y] not in doc[d]]
+                outside[d] = [p for p in pairs if p in atoms[d]] or pairs
+            if not outside["fwd"] or not outside["bwd"]:
+                continue
+            for _ in range(3):
+                f, b = rng.choice(outside["fwd"]), rng.choice(outside["bwd"])
+                yield mx, my, {"fwd": sorted(doc["fwd"] + [f]), "bwd": doc["bwd"]}, False
+                yield mx, my, {"fwd": doc["fwd"], "bwd": sorted(doc["bwd"] + [b])}, False
+                yield mx, my, {"fwd": sorted(doc["fwd"] + [f]), "bwd": sorted(doc["bwd"] + [b])}, False
+                if mx is my and f in outside["bwd"]:
+                    yield mx, my, {"fwd": sorted(doc["fwd"] + [f]), "bwd": sorted(doc["bwd"] + [f])}, True
+
+
+@pytest.mark.parametrize("name", OUTSIDE_SIGS)
+def test_single_outside_pairs_match_reference(name):
+    # Each report, in order, with its pair, direction, endpoint path and
+    # detail, equals the reference's, which checks every pair.  The counts
+    # guard against vacuity: conditions fail in each direction, and some
+    # documents are read mirrored.
+    sig = STANDARD[name]
+    failed = {asim.FWD: 0, asim.BWD: 0}
+    mirrored = 0
+    for m1, m2, doc, equal_lists in outside_pair_cases(sum(map(ord, name)) * 29, sig):
+        theta = theta_of(m1, m2)
+        got = asim.is_asimulation(sig, theta, m1, m2, doc)
+        rel = CrossRelation(*(frozenset(map(tuple, doc[d])) for d in ("fwd", "bwd")))
+        assert got == ref.is_asimulation(sig, theta, m1, m2, rel), doc
+        for report in got:
+            failed[report.direction] += report.condition != "atom"
+        mirrored += equal_lists
+    assert min(failed.values()) >= 30 and mirrored >= 15, (failed, mirrored)
+
+
+def test_verifier_stops_at_the_first_failing_row(monkeypatch):
+    # Each call of the verifier's check of one condition follows its row
+    # loops row by row.  A condition that passes computes every row, in one
+    # direction when its inputs are mirrored and in both otherwise.  Once a
+    # row fails, the loop computes no later row and no other direction: a
+    # fwd failure computes no bwd row.
+    calls = []  # per check: [condition, mirrored, [[candidate rows, rows computed], ...], report]
+    running = []  # the check running now
+    kept, violation = asim._Condition._kept, asim._Condition.violation
+
+    def logged_violation(self, cand, witnesses, m1, m2):
+        call = [self, asim._mirrored(cand, *witnesses), [], None]
+        running.append(call)
+        try:
+            call[3] = violation(self, cand, witnesses, m1, m2)
+        finally:
+            running.pop()
+        calls.append(call)
+        return call[3]
+
+    def logged_kept(self, cand, *args):
+        rows = kept(self, cand, *args)
+        if not running:
+            yield from rows  # a witness's rows, computed before the check
+            return
+        loop = [cand, []]
+        running[-1][2].append(loop)
+        for row in rows:
+            loop[1].append(row)
+            yield row
+
+    monkeypatch.setattr(asim._Condition, "violation", logged_violation)
+    monkeypatch.setattr(asim._Condition, "_kept", logged_kept)
+    stops = {asim.FWD: 0, asim.BWD: 0}
+    early = 0  # failures with later rows left uncomputed
+    for name in OUTSIDE_SIGS:
+        sig = STANDARD[name]
+        for m1, m2, doc, _ in outside_pair_cases(sum(map(ord, name)) * 31, sig):
+            calls.clear()
+            asim.is_asimulation(sig, theta_of(m1, m2), m1, m2, doc)
+            for cond, mirrored, loops, report in calls:
+                if report is None:
+                    assert len(loops) == (1 if mirrored else 2)
+                    assert all(len(done) == len(cand) for cand, done in loops)
+                    continue
+                assert len(loops) == (1 if report.direction == asim.FWD else 2), (cond, report)
+                for cand, done in loops[:-1]:
+                    assert done == cand  # bwd fails after the whole of fwd passed
+                cand, done = loops[-1]
+                mx = m1 if report.direction == asim.FWD else m2
+                i = mx.index[report.pair[0]]
+                assert len(done) == i + 1 and done[:i] == cand[:i] and done[i] != cand[i]
+                stops[report.direction] += 1
+                early += i + 1 < len(cand)
+    assert min(stops.values()) >= 300 and early >= 500, (stops, early)
