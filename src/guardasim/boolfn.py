@@ -19,6 +19,11 @@ and both print through one clause printer given the two joiners.  The TFT
 and FTF witnesses come from one chain walk given the middle value, the
 fallback slots and the target table; the rest projections are segment
 substitutions of the two-point chain x < y = y.
+
+Every construction reads whole-table masks, in O(n * 2^n) word operations:
+chains and order violations are found as the lowest bit of a closure mask,
+and ``from_expr`` evaluates its parse tree once over the variables' column
+masks.  Arity 16 runs in well under a second.
 """
 
 from __future__ import annotations
@@ -27,8 +32,9 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable
 
+from . import bitrows
 from .syntax import _climb, _parse
 
 MAX_ARITY = 16
@@ -122,23 +128,25 @@ _NODES = {
 }
 
 
-def _eval_node(node, values: tuple[int, ...]) -> bool:
+def _eval_node(node, cols: tuple[int, ...], full: int) -> int:
+    """The table of ``node`` as a mask over all rows, from the variables'
+    column masks ``cols``."""
     tag = node[0]
     if tag == "var":
-        return bool(values[node[1] - 1])
+        return cols[node[1] - 1]
     if tag == "const":
-        return node[1]
+        return full if node[1] else 0
     if tag == "not":
-        return not _eval_node(node[1], values)
-    a = _eval_node(node[1], values)
-    b = _eval_node(node[2], values)
+        return full ^ _eval_node(node[1], cols, full)
+    a = _eval_node(node[1], cols, full)
+    b = _eval_node(node[2], cols, full)
     if tag == "and":
-        return a and b
+        return a & b
     if tag == "or":
-        return a or b
+        return a | b
     if tag == "imp":
-        return (not a) or b
-    return a == b  # iff
+        return (full ^ a) | b
+    return full ^ a ^ b  # iff
 
 
 def from_expr(text: str) -> TruthTable:
@@ -175,27 +183,25 @@ def from_expr(text: str) -> TruthTable:
         raise BoolExprError(f"variable p{over[0]} exceeds the arity cap {MAX_ARITY}", over[1])
     if zero is not None:
         raise BoolExprError("variables are numbered from p1", zero)
-    bits = 0
-    table = TruthTable(n, 0)
-    for i in range(1 << n):
-        if _eval_node(node, table.coordinates(i)):
-            bits |= 1 << i
-    return TruthTable(n, bits)
+    return TruthTable(n, _eval_node(node, _columns(n), (1 << (1 << n)) - 1))
 
 
 # -- order-theoretic machinery on packed tables -------------------------------
 
 @lru_cache(maxsize=None)
 def _low_masks(n: int) -> tuple[int, ...]:
-    """For each index-bit b, the mask of indices with bit b clear."""
-    masks = []
-    for b in range(n):
-        m = 0
-        for i in range(1 << n):
-            if not (i >> b) & 1:
-                m |= 1 << i
-        masks.append(m)
-    return tuple(masks)
+    """For each index-bit b, the mask of indices with bit b clear.  For b < n - 1
+    it is the arity n - 1 mask twice over; bit n - 1 is clear in the lower half."""
+    if n == 0:
+        return ()
+    half = 1 << (n - 1)
+    return (*(m | m << half for m in _low_masks(n - 1)), (1 << half) - 1)
+
+
+def _columns(n: int) -> tuple[int, ...]:
+    """Entry k - 1 is the column of p_k: the mask of the rows where p_k is true."""
+    full = (1 << (1 << n)) - 1
+    return tuple(full ^ m for m in reversed(_low_masks(n)))
 
 
 def _strict_down_or(bits: int, n: int) -> int:
@@ -221,6 +227,11 @@ def _strict_up_or(bits: int, n: int) -> int:
     """Mask where bit i is set iff some strict superset j of i has bit j set:
     the subset closure of the flipped table, flipped back."""
     return _flip(_strict_down_or(_flip(bits, n), n), n)
+
+
+def _chain_middles(mid: int, other: int, n: int) -> int:
+    """The points b of ``mid`` in a chain a < b < c with a and c in ``other``."""
+    return mid & _strict_down_or(other, n) & _strict_up_or(other, n)
 
 
 @dataclass(frozen=True)
@@ -264,8 +275,8 @@ def classify(f: TruthTable) -> BoolClass:
 
     ones = bits
     zeros = full & ~bits
-    tft = bool(zeros & _strict_down_or(ones, n) & _strict_up_or(ones, n))
-    ftf = bool(ones & _strict_down_or(zeros, n) & _strict_up_or(zeros, n))
+    tft = bool(_chain_middles(zeros, ones, n))
+    ftf = bool(_chain_middles(ones, zeros, n))
 
     return BoolClass(
         is_constant=constant,
@@ -347,9 +358,8 @@ class MonotoneDnf:
     negative: frozenset[frozenset[int]]
 
     def dnf_table(self, arity: int) -> TruthTable:
-        low = _low_masks(arity)
         full = (1 << (1 << arity)) - 1
-        var_mask = {k: full & ~low[arity - k] for k in range(1, arity + 1)}
+        var_mask = dict(enumerate(_columns(arity), 1))
         bits = 0
         for clauses, sign in ((self.positive, 0), (self.negative, full)):
             for clause in clauses:
@@ -381,12 +391,6 @@ class MonotoneDnf:
         return self._text(" | ", " & ", "T")
 
 
-def _indices(bits: int, size: int) -> Iterator[int]:
-    for i in range(size):
-        if (bits >> i) & 1:
-            yield i
-
-
 def _coords_set(index: int, n: int) -> frozenset[int]:
     return frozenset(k for k in range(1, n + 1) if (index >> (n - k)) & 1)
 
@@ -403,7 +407,7 @@ def monotone_lattice_expr(f: TruthTable) -> MonotoneDnf:
         raise ValueError("lattice form needs a non-constant monotone or anti-monotone function")
     g_bits = f.bits if cls.is_monotone else f.complement().bits
     minimal = g_bits & ~_strict_down_or(g_bits, f.arity)
-    clauses = frozenset(_coords_set(i, f.arity) for i in _indices(minimal, f.size))
+    clauses = frozenset(_coords_set(i, f.arity) for i in bitrows.bits(minimal))
     return MonotoneDnf(positive=clauses, negative=frozenset())
 
 
@@ -438,21 +442,15 @@ def diagonal(f: TruthTable) -> DiagonalValue:
 
 
 def _first_chain(f: TruthTable, middle_value: bool) -> tuple[int, int, int]:
-    """First (a, b, c) with a < b < c whose values are v,~v,v for v = not middle_value."""
-    size = f.size
-    for b in range(size):
-        if f.value_at(b) != middle_value:
-            continue
-        a = next((x for x in range(b) if x & b == x and f.value_at(x) != middle_value), None)
-        if a is None:
-            continue
-        c = next(
-            (y for y in range(b + 1, size) if y & b == b and f.value_at(y) != middle_value),
-            None,
-        )
-        if c is not None:
-            return a, b, c
-    raise ValueError("no witnessing chain exists")
+    """First (a, b, c) with a < b < c whose values are v,~v,v for v = not middle_value:
+    b is the lowest chain middle, a and c its lowest strict subset and superset of value v."""
+    full = (1 << f.size) - 1
+    mid = f.bits if middle_value else full ^ f.bits
+    other = full ^ mid
+    b = next(bitrows.bits(_chain_middles(mid, other, f.arity)))
+    a = next(x for x in range(b) if x & b == x and other >> x & 1)
+    c = next(y for y in range(b + 1, f.size) if y & b == b and other >> y & 1)
+    return a, b, c
 
 
 def _segment_substitution(
@@ -511,14 +509,12 @@ def ftf_substitution(f: TruthTable) -> Substitution:
 
 def _interval_projection(f: TruthTable, lo_value: bool) -> Substitution:
     """Substitution over {p1, T, F} from the first x < y with f(x)=lo_value,
-    f(y)=~lo_value: the segment substitution of the chain x < y = y."""
-    for y in range(f.size):
-        if f.value_at(y) == lo_value:
-            continue
-        for x in range(y):
-            if x & y == x and f.value_at(x) == lo_value:
-                return _segment_substitution(f, x, y, y, Slot.P1, Slot.P1)
-    raise ValueError("no order violation found")
+    f(y)=~lo_value, y the lowest such upper point: the segment substitution
+    of the chain x < y = y."""
+    lo = (f if lo_value else f.complement()).bits
+    y = next(bitrows.bits(~lo & _strict_down_or(lo, f.arity)))
+    x = next(x for x in range(y) if x & y == x and lo >> x & 1)
+    return _segment_substitution(f, x, y, y, Slot.P1, Slot.P1)
 
 
 def rest_projections(f: TruthTable) -> tuple[Substitution, Substitution]:
@@ -557,8 +553,8 @@ def non_ftf_dnf(f: TruthTable) -> MonotoneDnf:
     lower = ones & ~_strict_down_or(zeros, n)
     minimal_upper = upper & ~_strict_down_or(upper, n)
     maximal_lower = lower & ~_strict_up_or(lower, n)
-    positive = frozenset(_coords_set(i, n) for i in _indices(minimal_upper, size))
-    negative = frozenset(_coords_set(i ^ (size - 1), n) for i in _indices(maximal_lower, size))
+    positive = frozenset(_coords_set(i, n) for i in bitrows.bits(minimal_upper))
+    negative = frozenset(_coords_set(i ^ (size - 1), n) for i in bitrows.bits(maximal_lower))
     result = MonotoneDnf(positive=positive, negative=negative)
     if result.dnf_table(n) != f:
         raise AssertionError("internal error: two-sided DNF does not reproduce the function")

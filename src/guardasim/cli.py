@@ -18,8 +18,6 @@ import sys
 from . import asim, boolfn, connective, formula, model
 from .asim import NonStandardFragmentError
 from .syntax import fo_text, fragment_text, free_vars
-from .boolfn import BoolExprError
-from .connective import ConnectiveError
 from .formula import BudgetExceeded, FormulaError
 from .model import ModelError
 
@@ -223,8 +221,14 @@ def cmd_distinguish(args) -> int:
     m1, m2 = _load_models(args)
     pm1 = model.PointedModel(m1, args.point1)
     pm2 = model.PointedModel(m2, args.point2)
+    # a pair of the largest asimulation is separated at no depth (sandwich
+    # theorem); a negative --depth is left for the enumeration to refuse
+    theta = formula._model_preds(m1, m2)
+    related = args.depth >= 0 and asim.largest_asimulation(sig, theta, m1, m2).relates(
+        args.point1, args.point2)
     try:
-        found = formula.distinguishing_formula(sig, pm1, pm2, args.depth, budget=args.budget)
+        found = None if related else formula.distinguishing_formula(
+            sig, pm1, pm2, args.depth, budget=args.budget)
     except BudgetExceeded as e:
         raise ValueError(f"--budget {args.budget} exhausted after {e.checked} candidates") from None
     if found is None:
@@ -423,8 +427,7 @@ def main(argv=None) -> int:
     except NonStandardFragmentError as e:
         print(f"unsupported fragment: {e}", file=sys.stderr)
         return UNSUPPORTED
-    except (BoolExprError, ConnectiveError, FormulaError, ModelError,
-            asim.RelationError, ValueError, OSError, RecursionError) as e:
+    except (ValueError, OSError, RecursionError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return INPUT_ERROR
 

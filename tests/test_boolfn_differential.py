@@ -5,7 +5,8 @@ Each derived construction must give exactly what its hand-written twin
 gave: the same classification flags, dual tables, substitution slots,
 clause sets, texts, tables and first-order combinations, and the same
 error type and message where it refuses its input.  Every table up to
-arity 3 is checked, and a seeded sample at arities 4 and 5.
+arity 3 is checked, a seeded sample at arities 4 to 8, and up to arity 10
+the four tables whose first chain or pair sits highest in the index order.
 """
 
 import random
@@ -18,7 +19,11 @@ from guardasim.boolfn import MonotoneDnf, TruthTable
 from guardasim.connective import core_expr
 from guardasim.syntax import PredAtom
 
-SAMPLES = {4: 1500, 5: 400}
+SAMPLES = {4: 1500, 5: 400, 6: 200, 7: 100, 8: 50}
+
+# p1 and pN are the highest and lowest index bits, so these tables have
+# their first chain or pair at the far end of the index order
+EDGES = ("p1 -> p{n}", "p{n} -> p1", "p1 & ~p{n}", "~p1 & p{n}")
 
 CONSTRUCTIONS = [
     "classify", "tft_substitution", "ftf_substitution", "rest_projections",
@@ -27,10 +32,11 @@ CONSTRUCTIONS = [
 
 
 def tables(arity):
-    if arity not in SAMPLES:
+    if arity < 4:
         return [TruthTable(arity, bits) for bits in range(1 << (1 << arity))]
     rng = random.Random(arity)
-    return [TruthTable(arity, rng.randrange(1 << (1 << arity))) for _ in range(SAMPLES[arity])]
+    sample = [TruthTable(arity, rng.randrange(1 << (1 << arity))) for _ in range(SAMPLES.get(arity, 0))]
+    return sample + [boolfn.from_expr(e.format(n=arity)) for e in EDGES]
 
 
 def outcome(fn, *args):
@@ -56,7 +62,7 @@ def reference_readings(form, arity):
     )
 
 
-@pytest.mark.parametrize("arity", range(6))
+@pytest.mark.parametrize("arity", range(11))
 def test_constructions_match_reference(arity):
     args = [PredAtom(f"P{k}", "x") for k in range(1, arity + 1)]
     for f in tables(arity):

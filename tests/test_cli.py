@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,7 @@ from guardasim import asim, cli, connective, formula, model
 from guardasim.cli import main
 from guardasim.connective import FragmentSignature
 from guardasim.formula import parse_fo, parse_fragment, std_translate
+from guardasim.syntax import fragment_text
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -53,6 +55,28 @@ class TestClassifyBool:
     def test_parse_error_exits_2(self, capsys):
         code, _, err = run(capsys, "classify-bool", "--expr", "p1 &")
         assert code == 2 and "input error" in err
+
+    @pytest.mark.parametrize("expr, kinds, forms", [
+        ("p1 -> p16", "rest, TFT, exists-special", {
+            "to_implication": ["p1"] + ["F"] * 14 + ["p2"],
+            "to_p1": ["T"] + ["F"] * 14 + ["p1"],
+            "to_not_p1": ["p1"] + ["F"] * 15,
+        }),
+        ("p1 & ~p16", "rest, FTF, forall-special", {
+            "to_and_not": ["p1"] + ["F"] * 14 + ["p2"],
+            "to_p1": ["p1"] + ["F"] * 15,
+            "to_not_p1": ["T"] + ["F"] * 14 + ["p1"],
+        }),
+    ])
+    def test_arity_cap_in_bounded_time(self, capsys, expr, kinds, forms):
+        """At arity 16 the chain and pair searches read whole-table masks;
+        scanning pairs of rows took most of a minute."""
+        start = time.perf_counter()
+        code, out, err = run(capsys, "--json", "classify-bool", "--expr", expr)
+        assert time.perf_counter() - start <= 10
+        assert code == 0 and err.startswith(f"arity 16: {kinds}\n")
+        got = json.loads(out)["forms"]
+        assert {k: got[k] for k in forms} == forms
 
 
     @pytest.mark.parametrize("expr,pos", [("p0", 0), ("p0 | ~p1", 0), ("p1 & (p00 | p0)", 6)])
@@ -475,13 +499,71 @@ class TestDistinguish:
 
     @pytest.mark.parametrize("budget, checked", [("3", 3), ("-1", 0)])
     def test_exhausted_budget_is_input_error(self, capsys, budget, checked):
+        # (a, a2) is unrelated (dia(P1) separates it), so only the
+        # enumeration can answer it and run out of budget
         code, out, err = run(
             capsys, "distinguish", "--fragment", data("sig_modal.json"),
             "--m1", data("m_chain.json"), "--point1", "a",
-            "--m2", data("m_chain.json"), "--point2", "a", "--budget", budget,
+            "--m2", data("m_chain.json"), "--point2", "a2", "--budget", budget,
         )
         assert code == 2 and out == ""
         assert f"--budget {budget} exhausted after {checked} candidates" in err
+
+    def test_related_pair_is_answered_by_the_solver(self, capsys):
+        # (a, a) is related, so the solve answers before the enumeration
+        # could spend --budget 3
+        code, out, err = run(
+            capsys, "distinguish", "--fragment", data("sig_modal.json"),
+            "--m1", data("m_chain.json"), "--point1", "a",
+            "--m2", data("m_chain.json"), "--point2", "a", "--budget", "3", "--depth", "4",
+        )
+        assert (code, out, err) == (1, "none within depth 4\n", "")
+
+    @pytest.mark.parametrize("point1, depth, message", [
+        ("a", "-1", "depth must be >= 0"), ("b", "3", "point 'b' not in the domain"),
+    ])
+    def test_input_errors_come_before_the_solve(self, capsys, point1, depth, message):
+        # against (a, a), which the solve would answer "none"
+        code, out, err = run(
+            capsys, "distinguish", "--fragment", data("sig_modal.json"),
+            "--m1", data("m_chain.json"), "--point1", point1,
+            "--m2", data("m_chain.json"), "--point2", "a", "--depth", depth,
+        )
+        assert (code, out, err) == (2, "", f"input error: {message}\n")
+
+    @pytest.mark.parametrize("sig_file", ["sig_intuitionistic.json", "sig_modal.json", "sig_modal_int.json"])
+    def test_solver_first_matches_enumeration_to_closure(self, capsys, tmp_path, sig_file):
+        """Pairs the solver relates get "none" without enumerating; on every
+        pair the answer is that of an enumeration run until a layer adds
+        nothing, which the joint vector count bounds."""
+        sig = FragmentSignature.from_file(data(sig_file))
+        answers = set()
+        for trial in range(10):
+            ms, paths = [], []
+            for side in (1, 2):
+                # every third pair is a model and a copy of it, so that the
+                # modal signature's negation leaves related pairs too
+                k = side if trial % 3 else 1
+                m = model.random_model(1 + (trial + k) % 4, ["R1", "R2", "R3"], ["P1", "P2"],
+                                       0.35, 0.5, 900 + 10 * trial + k)
+                path = tmp_path / f"m{side}.json"
+                path.write_text(json.dumps(model.save(m)))
+                ms.append(m)
+                paths.append(str(path))
+            depth = 1 << (len(ms[0]) + len(ms[1]))
+            for a in ms[0].domain:
+                for b in ms[1].domain:
+                    want = formula.distinguishing_formula(
+                        sig, model.PointedModel(ms[0], a), model.PointedModel(ms[1], b), depth, None)
+                    code, out, _ = run(
+                        capsys, "--json", "distinguish", "--fragment", data(sig_file),
+                        "--m1", paths[0], "--point1", a, "--m2", paths[1], "--point2", b,
+                        "--depth", str(depth), "--budget", str(10 ** 9),
+                    )
+                    text = None if want is None else fragment_text(want)
+                    assert (code, json.loads(out)["formula"]) == (int(want is None), text), (trial, a, b)
+                    answers.add(code)
+        assert answers == {0, 1}
 
 
 class TestExperiment:
