@@ -565,6 +565,24 @@ class TestDistinguish:
                     answers.add(code)
         assert answers == {0, 1}
 
+    def test_matches_golden_commands(self, capsys, tmp_path):
+        """Each line of distinguish_golden.jsonl: a command over the
+        ``random_model`` pairs it names (``[size, seed, edge_prob]`` over
+        R1-R3 and P1-P2 at pred_prob 0.5; m2 may name m1's file) and what it
+        printed and returned when recorded, byte for byte."""
+        with open(data("distinguish_golden.jsonl"), encoding="utf-8") as fh:
+            lines = [json.loads(line) for line in fh]
+        assert len(lines) > 100 and {rec["code"] for rec in lines} == {0, 1, 2}
+        for k, rec in enumerate(lines):
+            paths = {}
+            for name, (size, seed, edge) in rec["models"].items():
+                paths[name] = str(tmp_path / f"{name}.json")
+                m = model.random_model(size, ["R1", "R2", "R3"], ["P1", "P2"], edge, 0.5, seed)
+                with open(paths[name], "w", encoding="utf-8") as out:
+                    json.dump(model.save(m), out)
+            argv = [data(arg) if arg.startswith("sig_") else paths.get(arg, arg) for arg in rec["argv"]]
+            assert run(capsys, *argv) == (rec["code"], rec["stdout"], rec["stderr"]), (k, rec["argv"])
+
 
 class TestExperiment:
     ARGS = (

@@ -20,7 +20,7 @@ from guardasim.formula import (
     semantic_classes,
 )
 from guardasim.model import PointedModel, random_model
-from guardasim.syntax import fragment_depth
+from guardasim.syntax import Apply, fragment_depth
 
 import reference_formula as ref
 from helpers import ALL_SIGS, theta_of
@@ -236,6 +236,55 @@ def test_every_budget_matches_reference(sig_name):
         got = _outcome(semantic_classes, sig, theta, depth, m1, m2, budget)
         want = _outcome(ref.semantic_classes, sig, theta, depth, m1, m2, budget)
         assert _triples(got) == _triples(want), (sig_name, budget)
+
+
+def _row_ends(sig, classes, depth):
+    """The reference's candidate count at the end of each row, keyed by the
+    layer, the connective and all but the last argument class, and the count
+    at the end of the enumeration, in the reference's product order."""
+    layers = [fragment_depth(c.formula) for c in classes]
+    ends, checked = {}, 0
+    for layer in range(1, depth + 1):
+        count = sum(x < layer for x in layers)
+        for name in sig.names():
+            for combo in product(range(count), repeat=sig.get(name).arity):
+                if combo and max(layers[i] for i in combo) == layer - 1:
+                    checked += 1
+                    ends[layer, name, combo[:-1]] = checked
+        if layer not in layers:
+            break
+    return ends, checked
+
+
+@pytest.mark.parametrize("sig_name", sorted(EXHAUSTIVE_SEEDS))
+def test_distinguishing_budget_stops_at_the_answers_row(sig_name):
+    """For every pair of points and every budget from -1 to the full count:
+    the unbounded answer comes back exactly when the budget covers the
+    charge through the end of its row (the argument lists that share its
+    prefix), or through the whole enumeration when there is none, and the
+    search raises with the budget's count otherwise."""
+    sig = SIGS[sig_name]
+    depth = FULL_DEPTH.get(sig_name, 3)
+    for k, m1, m2 in _pairs(EXHAUSTIVE_SEEDS[sig_name], 2):
+        classes = ref.semantic_classes(sig, theta_of(m1, m2), depth, m1, m2, None)
+        index = {c.formula: at for at, c in enumerate(classes)}
+        ends, total = _row_ends(sig, classes, depth)
+        for i1, a in enumerate(m1.domain):
+            for i2, b in enumerate(m2.domain):
+                want = next((c.formula for c in classes
+                             if (c.vec1 >> i1) & 1 and not (c.vec2 >> i2) & 1), None)
+                if want is None:
+                    charge = total
+                elif isinstance(want, Apply) and want.args:
+                    args = tuple(index[f] for f in want.args)
+                    charge = ends[fragment_depth(want), want.name, args[:-1]]
+                else:
+                    charge = 0
+                for budget in range(-1, total + 1):
+                    got = _outcome(distinguishing_formula, sig, PointedModel(m1, a),
+                                   PointedModel(m2, b), depth, budget)
+                    assert got == (want if charge <= max(budget, 0) else ("budget", max(budget, 0))), \
+                        (sig_name, k, a, b, budget)
 
 
 def _row_path_vectors(sig, theta, depth, m1, m2, budget):
