@@ -19,14 +19,14 @@ the row then costs ``off ^ (on ^ off) & v``.  When the core is symmetric in
 its last two arguments, a row with prefix (..., i) skips the last arguments
 below i: the mirrored argument list came first in the same layer and gave
 the same vector.  The budget still counts every argument list of the
-product order, evaluated or not, so its exhaustion point does not move.
+product order, evaluated or not.
 
-``class_vectors`` computes each connective's part of a layer at once, in
-one comprehension over its rows, and applies the guard blocks once per
-distinct core vector through tables of subset unions of 8 source rows each.
-``semantic_classes`` and ``distinguishing_formula`` take the rows one at a
-time, as they build each class's first witness and the search stops at the
-first class that separates; for them the tables cost more than they save.
+One loop computes each connective's part of a layer in lists of whole rows,
+a comprehension each, and applies the guard blocks once per distinct core
+vector through tables of subset unions of 8 source rows each.  A class's
+first witness is read off its vector's first position in its list.  A part
+that would pass the budget evaluates only the rows that fit, so a search
+still stops at the row that answers it.
 """
 
 from __future__ import annotations
@@ -295,8 +295,8 @@ class _Kernel(dict):
     kernel maps a core vector to the vector after the blocks, innermost first
     (``union(sources, S)`` holds the elements with a guard-path endpoint in
     S), and computes each entry once; with no blocks that map is the
-    identity, so ``row`` skips it.  ``symmetric``: the core does not change
-    when its last two arguments swap, which maps table entry 4k + 1 to 4k + 2."""
+    identity.  ``symmetric``: the core does not change when its last two
+    arguments swap, which maps table entry 4k + 1 to 4k + 2."""
 
     def __init__(self, joint: _Joint, mu: GuardedConnective):
         self.full = joint.full
@@ -322,29 +322,36 @@ class _Kernel(dict):
             cores = [full ^ table(full ^ v) for v in cores] if forall else list(map(table, cores))
         return cores
 
-    def cores(self, vecs: list[int], count: int, start: int) -> Iterator[list[int]]:
-        """The core vectors of ``_classes``' rows of one layer, in order, in
-        lists of whole rows of at most ``_BATCH`` candidates (or one row)."""
+    def cores(self, vecs: list[int], count: int, start: int,
+              room: int | None = None) -> Iterator[tuple[tuple, list[int]]]:
+        """The core vectors of one layer's rows, in order, in lists of whole
+        rows of at most ``_BATCH`` candidates (or one row), each with its span
+        ``(prefix, i, los)``: it starts at row (*prefix, i), row (*prefix, k)
+        takes the last arguments from ``los[k]`` on (for arity 1, the one row
+        takes them from ``i`` on, and ``los`` is None).  Given ``room``, only
+        the rows up to the first whose charge does not fit in it."""
         if self.arity == 1:
-            off, on = self.masks
-            yield [off ^ (on ^ off) & v for v in vecs[start:count]]
+            if room is None or count - start <= room:
+                off, on = self.masks
+                yield ((), start, None), [off ^ (on ^ off) & v for v in vecs[start:count]]
             return
         step = max(1, _BATCH // count)
-        for _, (m0, m1, m2, m3), outer in _rows(vecs, count, start, self.arity - 2, self.masks):
-            # lo per last prefix index, skipping as _classes does
+        for prefix, (m0, m1, m2, m3), outer in _rows(vecs, count, start, self.arity - 2, self.masks):
+            # lo per last prefix index, skipping as the symmetric core allows
             los = [outer] * outer + (list(range(outer, count)) if self.symmetric else [0] * (count - outer))
-            for at in range(0, count, step):
-                yield [off ^ flip & v for u, lo in zip(vecs[at:at + step], los[at:at + step])
-                       for off in (u & m2 | ~u & m0,) for flip in ((u & m3 | ~u & m1) ^ off,)
-                       for v in vecs[lo:count]]
-
-    def row(self, off: int, on: int, vecs: Sequence[int]) -> list[int]:
-        """The vectors of one row, whose prefix folded the masks to ``[off, on]``,
-        for each last argument in ``vecs``."""
-        flip = on ^ off
-        if self.blocks:
-            return [self[off ^ flip & v] for v in vecs]
-        return [off ^ flip & v for v in vecs]
+            stop = count
+            if room is not None:
+                # a row is charged count - outer below outer, count from there
+                cut = outer * (count - outer)
+                stop = min(count, room // (count - outer) if room < cut else outer + (room - cut) // count)
+                room -= cut + (count - outer) * count
+            for at in range(0, stop, step):
+                yield (prefix, at, los), [
+                    off ^ flip & v for u, lo in zip(vecs[at:min(at + step, stop)], los[at:at + step])
+                    for off in (u & m2 | ~u & m0,) for flip in ((u & m3 | ~u & m1) ^ off,)
+                    for v in vecs[lo:count]]
+            if stop < count:
+                return
 
     def apply(self, args: Sequence[int]) -> int:
         masks = self.masks
@@ -418,14 +425,6 @@ def _rows(items: Sequence, count: int, start: int, width: int, masks) -> Iterabl
     return rows
 
 
-def _charge(checked: int, row: int, budget: int | None) -> int:
-    """Count one row, or all the rows of a layer and connective, raising as a
-    check before each candidate would."""
-    if budget is not None and row and checked + row > budget:
-        raise BudgetExceeded(max(checked, budget))
-    return checked + row
-
-
 def semantic_classes(
     sig: FragmentSignature,
     preds: Sequence[str],
@@ -437,7 +436,7 @@ def semantic_classes(
     """All truth-vector classes of fragment formulas of nesting depth <= depth
     on the pair (m1, m2), each with its first witnessing formula.
 
-    Candidates are evaluated a row at a time over one joint vector of both models.
+    Candidates are evaluated over one joint vector of both models.
     Generation is layered and deterministic: layer l applies every connective
     to the argument lists that use a class of layer l-1, so the classes come
     out ordered by depth and those of depth <= d are exactly the classes of
@@ -460,36 +459,55 @@ def class_vectors(
     budget: int | None = 1_000_000,
 ) -> tuple[list[int], list[int]]:
     """The joint vectors ``vec1 | vec2 << len(m1)`` of ``semantic_classes``
-    and ``ends``: ``ends[d]`` classes have depth <= d, for d in 0..depth.
-    Each connective's part of a layer is computed at once, not row by row."""
-    _, vecs, kernels = _first_layer(sig, preds, depth, _Joint((m1, m2)))
-    vecs = list(dict.fromkeys(vecs))
-    seen, ends = set(vecs), [len(vecs)]
+    and ``ends``: ``ends[d]`` classes have depth <= d, for d in 0..depth."""
+    first, kernels = _first_layer(sig, preds, depth, _Joint((m1, m2)))
+    classes = dict.fromkeys(first)
+    ends = [len(classes)]
+    for _ in _batches(classes, ends, kernels, depth, budget):
+        pass
+    return list(classes), ends + [len(classes)] * (depth + 1 - len(ends))
+
+
+def _batches(classes, ends, kernels, depth, budget):
+    """The layers after layer 0, whose vectors are the keys of ``classes``:
+    each list of ``_Kernel.cores`` adds its new vectors in order of first
+    occurrence, and one that adds some is yielded with the connective's name,
+    its span, the distinct core vectors (the list itself with no blocks), their
+    images and the number of classes before it; ``ends`` gets the number after
+    each layer.  Past the budget, a (layer, connective) evaluates the rows
+    that fit, each charged ``count - lo`` before the symmetric skip, and
+    raises as a check before each candidate would."""
     checked = start = 0
     for _layer in range(depth):
+        vecs = list(classes)
         count = len(vecs)
-        for _, kernel in kernels:
-            # all rows at once: charged one by one, they would raise here too,
-            # with the same count
-            checked = _charge(checked, count ** kernel.arity - start ** kernel.arity, budget)
-            for cores in kernel.cores(vecs, count, start):
+        for name, kernel in kernels:
+            charge = count ** kernel.arity - start ** kernel.arity
+            room = budget - checked if budget is not None and charge and checked + charge > budget else None
+            for span, cores in kernel.cores(vecs, count, start, room):
                 if kernel.blocks:
-                    cores = kernel.image(dict.fromkeys(cores))
-                new = [v for v in dict.fromkeys(cores) if v not in seen]
-                seen.update(new)
-                vecs += new
-        ends.append(len(vecs))
-        if len(vecs) == count:
+                    keys = dict.fromkeys(cores)
+                    images = kernel.image(keys)
+                else:
+                    keys = images = cores
+                before = len(classes)
+                classes.update(dict.fromkeys(images))
+                if len(classes) > before:
+                    yield name, span, cores, keys, images, before
+            if room is not None:
+                raise BudgetExceeded(max(checked, budget))
+            checked += charge
+        ends.append(len(classes))
+        if len(classes) == count:
             break
         start = count
-    return vecs, ends + [len(vecs)] * (depth + 1 - len(ends))
 
 
 def _formulas(classes):
-    """Each class ``_classes`` yields with its witness built as a formula over
-    the earlier classes' formulas."""
+    """Each class ``_classes`` yields, its witness built as a formula over
+    the earlier classes' formulas, and its vector."""
     formulas = []
-    for w, vec, _layer in classes:
+    for vec, w in classes:
         if type(w) is tuple:
             w = Apply(w[0], tuple(map(formulas.__getitem__, w[1:])))
         formulas.append(w)
@@ -497,66 +515,46 @@ def _formulas(classes):
 
 
 def _first_layer(sig, preds, depth, joint):
-    """Layer 0's witnesses and vectors, the atoms and then the nullary
-    connectives, and each other connective's name and kernel."""
+    """Layer 0's classes, the atoms and then the nullary connectives, as a
+    dict from each vector to its first witness, and each other connective's
+    name and kernel."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    lasts, out = [Atom(p) for p in preds], [joint.atom(p) for p in preds]
-    kernels = []
+    first, kernels = {}, []
+    for p in preds:
+        first.setdefault(joint.atom(p), Atom(p))
     for name in sig.names():
         kernel = _Kernel(joint, sig.get(name))
         if kernel.arity == 0:
-            lasts.append((name,))
-            out.append(kernel.apply(()))
+            first.setdefault(kernel.apply(()), (name,))
         else:
             kernels.append((name, kernel))
-    return lasts, out, kernels
+    return first, kernels
 
 
 def _classes(sig, preds, depth, joint, budget):
     """Each class of ``semantic_classes`` on ``joint`` as it is admitted: its
-    witness, its joint vector and its layer.  A witness is an atom, or a
-    connective's name followed by the indices of its argument classes."""
-    vecs: list[int] = []
-    seen: set[int] = set()
-
-    def admit(head, lasts, out, layer):
-        for last, vec in zip(lasts, out):
-            if vec not in seen:
-                seen.add(vec)
-                vecs.append(vec)
-                yield (*head, last) if head else last, vec, layer
-
-    # an empty head admits the atoms and constants themselves
-    lasts, out, kernels = _first_layer(sig, preds, depth, joint)
-    yield from admit((), lasts, out, 0)
-
-    checked = 0
-    start = 0
-    for layer in range(1, depth + 1):
-        count = len(vecs)
-        for name, kernel in kernels:
-            symmetric, row = kernel.symmetric, kernel.row
-            if kernel.arity == 1:
-                checked = _charge(checked, count - start, budget)
-                yield from admit((name,), range(start, count), row(*kernel.masks, vecs[start:count]), layer)
+    joint vector and its witness.  A witness is an atom, or a connective's
+    name followed by the indices of its argument classes, read off the first
+    position of the vector in its list of ``_batches``."""
+    first, kernels = _first_layer(sig, preds, depth, joint)
+    yield from first.items()
+    classes = dict.fromkeys(first)
+    for name, (prefix, i, los), cores, keys, images, before in _batches(classes, [], kernels, depth, budget):
+        keys = keys if keys is cores else list(keys)
+        k = at = -1
+        row_at = 0  # the position of row i's first candidate
+        for vec in list(classes)[before:]:
+            # each new vector first occurs past the previous one
+            k = images.index(vec, k + 1)
+            at = k if keys is cores else cores.index(keys[k], at + 1)
+            if los is None:
+                yield vec, (name, i + at)
                 continue
-            for prefix, masks, outer in _rows(vecs, count, start, kernel.arity - 2, kernel.masks):
-                # the prefix's last argument, vecs[i], folds the four masks to two
-                m0, m1, m2, m3 = masks
-                for i in range(count):
-                    lo = outer if i < start else 0
-                    checked = _charge(checked, count - lo, budget)
-                    if symmetric and lo < i:
-                        # (..., i, j), j < i, repeats its mirror (..., j, i)
-                        lo = i
-                    u = vecs[i]
-                    out = row(u & m2 | ~u & m0, u & m3 | ~u & m1, vecs[lo:count])
-                    if not seen.issuperset(out):
-                        yield from admit((name, *prefix, i), range(lo, count), out, layer)
-        if len(vecs) == count:
-            break
-        start = count
+            while at - row_at >= len(los) - los[i]:
+                row_at += len(los) - los[i]
+                i += 1
+            yield vec, (name, *prefix, i, los[i] + at - row_at)
 
 
 def distinguishing_formula(

@@ -110,46 +110,3 @@ def semantic_classes(
             break
     return classes
 
-
-def enumerate_fragment(
-    sig: FragmentSignature,
-    preds: Sequence[str],
-    depth: int,
-    budget: int | None = 1_000_000,
-) -> list[FragmentFormula]:
-    """The syntactic enumeration (no model pair)."""
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    seen: set[FragmentFormula] = set()
-    out: list[FragmentFormula] = []
-    layer_of: dict[FragmentFormula, int] = {}
-    checked = 0
-
-    def admit(f: FragmentFormula, layer: int) -> bool:
-        if f in seen:
-            return False
-        seen.add(f)
-        out.append(f)
-        layer_of[f] = layer
-        return True
-
-    for p in preds:
-        admit(Atom(p), 0)
-    for name in sig.names():
-        if sig.get(name).arity == 0:
-            admit(Apply(name, ()), 0)
-
-    for layer in range(1, depth + 1):
-        prev = list(out)
-        for name in sig.names():
-            mu = sig.get(name)
-            if mu.arity == 0:
-                continue
-            for combo in itertools.product(prev, repeat=mu.arity):
-                if max(layer_of[c] for c in combo) != layer - 1:
-                    continue
-                if budget is not None and checked >= budget:
-                    raise BudgetExceeded(checked)
-                checked += 1
-                admit(Apply(name, tuple(combo)), layer)
-    return out

@@ -224,7 +224,8 @@ EXHAUSTIVE_SEEDS = {"nullary_guarded": 8011, "symmetric_guarded": 8011, "arity3"
 @pytest.mark.parametrize("sig_name", sorted(EXHAUSTIVE_SEEDS))
 def test_every_budget_matches_reference(sig_name):
     """Every budget from -1 to the reference's candidate count, so the
-    charge of every row is pinned, not only at the layer boundaries."""
+    charge of every row is pinned, not only at the layer boundaries: the
+    classes, and the joint vectors with their per-depth counts."""
     sig = SIGS[sig_name]
     depth = FULL_DEPTH.get(sig_name, 3)
     _k, m1, m2 = next(_pairs(EXHAUSTIVE_SEEDS[sig_name], 1))
@@ -236,6 +237,8 @@ def test_every_budget_matches_reference(sig_name):
         got = _outcome(semantic_classes, sig, theta, depth, m1, m2, budget)
         want = _outcome(ref.semantic_classes, sig, theta, depth, m1, m2, budget)
         assert _triples(got) == _triples(want), (sig_name, budget)
+        got = _outcome(formula.class_vectors, sig, theta, depth, m1, m2, budget)
+        assert got == _joint_vectors(want, len(m1), depth), (sig_name, budget)
 
 
 def _row_ends(sig, classes, depth):
@@ -287,30 +290,24 @@ def test_distinguishing_budget_stops_at_the_answers_row(sig_name):
                         (sig_name, k, a, b, budget)
 
 
-def _row_path_vectors(sig, theta, depth, m1, m2, budget):
-    """What ``class_vectors`` must return, read off the row path: the joint
-    vectors of ``semantic_classes`` and their per-depth counts, or the
-    budget's count."""
-    got = _outcome(semantic_classes, sig, theta, depth, m1, m2, budget)
-    if isinstance(got, tuple):
-        return got
-    layers = [fragment_depth(c.formula) for c in got]
-    return [c.vec1 | c.vec2 << len(m1) for c in got], [sum(x <= d for x in layers) for d in range(depth + 1)]
+def _joint_vectors(classes, n1, depth):
+    """What ``class_vectors`` returns for these classes: their joint vectors
+    and how many have depth <= d for each d; a budget's count as it is."""
+    if isinstance(classes, tuple):
+        return classes
+    layers = [fragment_depth(c.formula) for c in classes]
+    return [c.vec1 | c.vec2 << n1 for c in classes], [sum(x <= d for x in layers) for d in range(depth + 1)]
 
 
-@pytest.mark.parametrize("sig_name", sorted(EXHAUSTIVE_SEEDS))
-def test_class_vectors_every_budget_matches_the_row_path(sig_name):
-    """Every budget from -1 to the full candidate count: a layer computed at
-    once raises with the count the row path's per-row charges stop at."""
-    sig = SIGS[sig_name]
-    depth = FULL_DEPTH.get(sig_name, 3)
-    for _k, m1, m2 in _pairs(EXHAUSTIVE_SEEDS[sig_name], 2):
-        theta = theta_of(m1, m2)
-        through: list[int] = []
-        ref.semantic_classes(sig, theta, depth, m1, m2, None, through)
-        for budget in range(-1, through[-1] + 1):
-            got = _outcome(formula.class_vectors, sig, theta, depth, m1, m2, budget)
-            assert got == _row_path_vectors(sig, theta, depth, m1, m2, budget), (sig_name, budget)
+def _witnessed_vectors(sig, theta, depth, m1, m2, budget):
+    """What ``class_vectors`` must return, read off ``semantic_classes``
+    after checking each class's vectors against the reference truth vectors
+    of its witness."""
+    classes = _outcome(semantic_classes, sig, theta, depth, m1, m2, budget)
+    for c in () if isinstance(classes, tuple) else classes:
+        want = ref.truth_vector(m1, c.formula, sig), ref.truth_vector(m2, c.formula, sig)
+        assert (c.vec1, c.vec2) == want, c.formula
+    return _joint_vectors(classes, len(m1), depth)
 
 
 def test_union_tables_match_the_bit_loop():
@@ -344,7 +341,8 @@ WIDE_SIGS = ["modal", "modal_intuitionistic", "nullary_guarded", "symmetric_guar
 def test_class_vectors_match_the_row_path_on_wide_joints(sig_name):
     """Joints of 17-24 bits, whose blocks read three tables each (lambda3 of
     modal_intuitionistic has two blocks, nullary_guarded has blocks on
-    nullary connectives), against the row path."""
+    nullary connectives): each class's vectors are those of its witness
+    under the reference evaluator."""
     sig = SIGS[sig_name]
     rng = random.Random(7100 + len(sig_name))
     for k in range(3):
@@ -354,35 +352,49 @@ def test_class_vectors_match_the_row_path_on_wide_joints(sig_name):
         theta = theta_of(m1, m2)
         for depth, budget in ((2, None), (3, 3000), (3, 30000)):
             got = _outcome(formula.class_vectors, sig, theta, depth, m1, m2, budget)
-            assert got == _row_path_vectors(sig, theta, depth, m1, m2, budget), (sig_name, k, depth, budget)
+            assert got == _witnessed_vectors(sig, theta, depth, m1, m2, budget), (sig_name, k, depth, budget)
+
+
+def _row_sizes(parts, count):
+    """The candidates each row evaluates, over the lists ``_Kernel.cores``
+    yields, read off their spans."""
+    sizes = []
+    for (_prefix, i, los), part in parts:
+        left = len(part)
+        while left:
+            sizes.append(count - los[i])
+            left -= sizes[-1]
+            i += 1
+    return sizes
 
 
 def test_class_vectors_cut_a_layer_larger_than_the_batch(monkeypatch):
     """A layer of more than ``_BATCH`` candidates under budget=None: an
     and/or layer over 295 classes is cut into lists of whole rows of at most
-    ``_BATCH`` candidates, the lists hold the candidates the row path
-    evaluates, symmetric skips included, and the vectors equal its own."""
+    ``_BATCH`` candidates, the lists hold the candidates of the layer's
+    rows, symmetric skips included, and the vectors are those of the
+    classes' witnesses."""
     sig = SIGS["modal"]
     rng = random.Random(0)
     m1, m2 = (random_model(5, ["R1"], ["P1", "P2"], 0.3, 0.5, rng.randrange(1 << 30)) for _ in range(2))
     theta = theta_of(m1, m2)
     lists, real = [], formula._Kernel.cores
 
-    def cores(kernel, vecs, count, start):
+    def cores(kernel, vecs, count, start, room=None):
         if kernel.arity == 1:
             want = count - start
         else:
             want = sum(count - (max(start, i) if kernel.symmetric else start if i < start else 0)
                        for i in range(count))
         lists.append((want, []))
-        for part in real(kernel, vecs, count, start):
+        for span, part in real(kernel, vecs, count, start, room):
             lists[-1][1].append(len(part))
-            yield part
+            yield span, part
 
     monkeypatch.setattr(formula._Kernel, "cores", cores)
     got = formula.class_vectors(sig, theta, 4, m1, m2, None)
     monkeypatch.undo()
-    assert got == _row_path_vectors(sig, theta, 4, m1, m2, None)
+    assert got == _witnessed_vectors(sig, theta, 4, m1, m2, None)
     assert got[1][3] == 295 and 295 ** 2 - got[1][2] ** 2 > formula._BATCH
     assert [want for want, _ in lists] == [sum(lens) for _, lens in lists]
     assert max(max(lens) for _, lens in lists) <= formula._BATCH
@@ -394,22 +406,25 @@ def test_symmetric_rows_skip_mirrored_argument_lists(monkeypatch):
     is charged count - lo, where lo is the layer's start while the row uses
     no class of the previous layer, and 0 once it does.  A core symmetric in
     its last two arguments evaluates the row with prefix (..., i) only from
-    max(lo, i); every other core evaluates the whole row."""
+    max(lo, i); every other core evaluates the whole row.  A row's charge is
+    the least room past the rows before it for which ``_Kernel.cores``
+    yields it."""
     sig = SIGS["symmetric_guarded"]
     _k, m1, m2 = next(_pairs(17, 1))
     rows_seen = []
-    real_charge, real_row = formula._charge, formula._Kernel.row
+    real = formula._Kernel.cores
 
-    def charge(checked, row, budget):
-        rows_seen.append([row])
-        return real_charge(checked, row, budget)
+    def cores(kernel, vecs, count, start, room=None):
+        parts = list(real(kernel, vecs, count, start, room))
+        spent = 0
+        for k, evaluated in enumerate(_row_sizes(parts, count)):
+            charged = next(c for c in range(count + 1)
+                           if len(_row_sizes(real(kernel, vecs, count, start, spent + c), count)) > k)
+            rows_seen.append([charged, evaluated])
+            spent += charged
+        yield from parts
 
-    def row(kernel, off, on, vecs):
-        rows_seen[-1].append(len(vecs))
-        return real_row(kernel, off, on, vecs)
-
-    monkeypatch.setattr(formula, "_charge", charge)
-    monkeypatch.setattr(formula._Kernel, "row", row)
+    monkeypatch.setattr(formula._Kernel, "cores", cores)
     classes = semantic_classes(sig, theta_of(m1, m2), 2, m1, m2, None)
     monkeypatch.undo()
 
