@@ -19,12 +19,16 @@ paths are built only for violation reports.  A check is one row loop per
 direction: ``passing`` computes every row, while the verifier stops at the
 first row that loses a pair, so a failing ``fwd`` costs no ``bwd`` row and a
 passing condition every row.  The verifier turns its relation into rows and
-inverse rows once per call and every connective's check reads those; atom
-transfer is row algebra too, read off each predicate's holder rows.  A
+inverse rows once per call and every connective's check reads those.  A
 relation document is read straight into rows and inverse rows, by
 ``bitrows.read_pairs``; with one model object on both sides and equal lists,
 once, into mirrored rows.  A relation that carries no rows over the two
 model objects checked is read as its document.
+
+Truth transfer is written once: ``_transfer`` cuts rows to the pairs along
+which each listed joint truth vector holds at y wherever it holds at x.  It
+gives the atom rows, the verifier's atom violations, ``invariance_check``
+(one evaluation per element) and each depth's preservation preorder.
 
 Within one check, each distinct set is worked out once per partner model.
 The rows of a relation repeat (at the solver's first condition the
@@ -305,8 +309,8 @@ def _relation(rows: dict[str, list[int]], m1: Model, m2: Model) -> CrossRelation
 
 def _mirrored(*relations: dict[str, list[int]]) -> bool:
     """Whether each relation holds one row list for both directions.  Only
-    a self-pair's relations do (``m1 is m2``): ``_full`` and ``_atom_rows``
-    build them so for one model, and ``_inverse``, ``_meet`` and
+    a self-pair's relations do (``m1 is m2``): ``_full`` builds them so for
+    one model, and ``_inverse``, ``_meet``, ``_transfer`` and
     ``_Condition.passing`` keep them so, computing one direction for both."""
     return all(r[FWD] is r[BWD] for r in relations)
 
@@ -335,36 +339,55 @@ def _full(m1: Model, m2: Model) -> dict[str, list[int]]:
     return {d: [(1 << len(my)) - 1] * len(mx) for d, mx, my in _directions(m1, m2)}
 
 
+def _transfer(rows: dict[str, list[int]], vecs: Sequence[int], n1: int) -> dict[str, list[int]]:
+    """The pairs of ``rows`` along which each joint truth vector of ``vecs``
+    (bits 0..n1-1 on the first model, the rest on the second, as
+    ``class_vectors`` lays them out) holds at y wherever it holds at x.
+    Mirrored rows give mirrored rows: a self pair's vectors have equal
+    halves, so one direction serves both."""
+    low = (1 << n1) - 1
+    halves = [(v & low, v >> n1) for v in vecs]
+    out = {}
+    for d in (FWD,) if _mirrored(rows) else (FWD, BWD):
+        cut = list(rows[d])
+        for at_x, at_y in halves:
+            while at_x:  # ``bits`` written out: its generator costs more than the loop
+                bit = at_x & -at_x
+                cut[bit.bit_length() - 1] &= at_y
+                at_x ^= bit
+        out[d] = cut
+        halves = [(at_y, at_x) for at_x, at_y in halves]
+    return out if BWD in out else _both(out[FWD])
+
+
+def _lost(rows: dict[str, list[int]], kept: dict[str, list[int]], m1: Model, m2: Model):
+    """Each pair of ``rows`` outside ``kept`` with its direction, fwd before
+    bwd and then in index order."""
+    for d, mx, my in _directions(m1, m2):
+        if rows[d] != kept[d]:
+            for x, row, k in compress(zip(mx.domain, rows[d], kept[d]), map(int.__ne__, rows[d], kept[d])):
+                for j in bits(row ^ k):  # kept rows lie inside the given ones
+                    yield (x, my.domain[j]), d
+
+
+def _atom_vectors(theta_preds: Sequence[str], m1: Model, m2: Model) -> list[int]:
+    return [m1.pred_row(p) | m2.pred_row(p) << len(m1) for p in theta_preds]
+
+
 def _atom_rows(m1: Model, m2: Model, theta_preds: Sequence[str]) -> dict[str, list[int]]:
     """The atom-preserving relation as rows, mirrored when ``m1 is m2``."""
-    out = {}
-    for d, mx, my in _directions(m1, m2):
-        rows = out[d] = [(1 << len(my)) - 1] * len(mx)
-        for p in theta_preds:
-            holders = my.pred_row(p)
-            for i in bits(mx.pred_row(p)):
-                rows[i] &= holders
-        if m1 is m2:
-            return _both(rows)
-    return out
+    return _transfer(_full(m1, m2), _atom_vectors(theta_preds, m1, m2), len(m1))
 
 
 def _atom_violations(theta_preds: Sequence[str], rows, m1: Model, m2: Model) -> list[ViolationReport]:
-    """The pairs of ``rows`` outside the atom-preserving rows, sorted by pair
-    within each direction, each with its first untransferred predicate,
-    read off each predicate's holder rows; only failing rows are reported."""
-    reports = []
+    """The pairs of ``rows`` that lose an atom, fwd before bwd and then in
+    pair order, each with its first untransferred predicate."""
     preds = sorted(theta_preds)
-    for d, mx, my in _directions(m1, m2):
-        bad, given = [0] * len(mx), rows[d]
-        for p in preds:
-            holders = my.pred_row(p)
-            for i in bits(mx.pred_row(p)):
-                bad[i] |= given[i] & ~holders
-        for x, row in compress(zip(mx.domain, bad), bad):
-            for y in map(my.domain.__getitem__, bits(row)):
-                p = next(p for p in preds if mx.has_pred(p, x) and not my.has_pred(p, y))
-                reports.append(ViolationReport("", "atom", (x, y), d, (), f"{p} not transferred"))
+    reports = []
+    for (x, y), d in _lost(rows, _transfer(rows, _atom_vectors(preds, m1, m2), len(m1)), m1, m2):
+        mx, my = (m1, m2) if d == FWD else (m2, m1)
+        p = next(p for p in preds if mx.has_pred(p, x) and not my.has_pred(p, y))
+        reports.append(ViolationReport("", "atom", (x, y), d, (), f"{p} not transferred"))
     return reports
 
 
@@ -542,6 +565,10 @@ class _Condition:
             else:
                 continue
             j = next(bits(row ^ kept))
+            pair = (mx.domain[i], my.domain[j])
+            if not self.guards:
+                # along the empty chain, a failing pair is one whose mirror is missing
+                return ViolationReport("", "degree0", pair, d, (), "pair lacks its mirror")
             x_ends, y_ends = mx.chain_rows(self.guards)[0][i], my.chain_rows(self.guards)[0][j]
             if self.back:
                 covers = [union(w, x_ends) for w in ws]
@@ -556,7 +583,7 @@ class _Condition:
                 detail = f"no witness related {'to' if misses[end][0] else 'from'} the endpoint"
             path = side.guard_path(self.guards, side.domain[start], side.domain[end])
             name = ("s-" if self.special else "") + ("back" if self.back else "forth")
-            return ViolationReport("", name, (mx.domain[i], my.domain[j]), d, tuple(path), detail)
+            return ViolationReport("", name, pair, d, tuple(path), detail)
         return None
 
 
@@ -612,9 +639,6 @@ def _reports(conds, rows, inv, m1: Model, m2: Model) -> list[ViolationReport]:
         if inv is None and cond.reads_inverse():
             inv = _inverse(rows, m1, m2)
         got = cond.violation(rows, cond.witnesses(rows, inv, m1, m2), m1, m2)
-        if got is not None and not cond.guards:
-            # along the empty chain, a failing pair is one whose mirror is missing
-            got = replace(got, condition="degree0", path=(), detail="pair lacks its mirror")
         if got is not None:
             reports.append(replace(got, connective=name))
     return reports
@@ -768,18 +792,16 @@ def _sweeps(conds, start: dict[str, list[int]], m1: Model, m2: Model) -> dict[st
 def invariance_check(
     phi: FoFormula, a: CrossRelation, m1: Model, m2: Model
 ) -> tuple[tuple[str, str], str] | None:
-    """First pair (with direction) where truth of ``phi`` fails to transfer."""
+    """First pair (with direction) where truth of ``phi``, evaluated once at
+    each element of each model, fails to transfer."""
     fv = sorted(free_vars(phi))
     if len(fv) > 1:
         raise ValueError(f"need at most one free variable, got {fv}")
     rows = _read(a, m1, m2)[0]
     var = fv[0] if fv else "x"
-    for d, mx, my in _directions(m1, m2):
-        for x, row in zip(mx.domain, rows[d]):
-            for y in map(my.domain.__getitem__, bits(row)):
-                if eval_fo(mx, {var: x}, phi) and not eval_fo(my, {var: y}, phi):
-                    return (x, y), d
-    return None
+    truth = [eval_fo(m, {var: x}, phi) for m in (m1, m2) for x in m.domain]
+    vec = sum(1 << k for k, holds in enumerate(truth) if holds)
+    return next(_lost(rows, _transfer(rows, [vec], len(m1)), m1, m2), None)
 
 
 def preservation_relation(
@@ -792,34 +814,22 @@ def preservation_relation(
 ) -> CrossRelation:
     """Pairs along which every fragment formula up to the given nesting depth
     transfers truth, computed from the deduplicated enumeration."""
-    return _ClassProfiles(class_vectors(sig, preds, depth, m1, m2, budget)[0], m1, m2).preorder()
+    return _preorders(*class_vectors(sig, preds, depth, m1, m2, budget), m1, m2)[-1]
 
 
-class _ClassProfiles:
-    """The classes true at each element of a model pair, transposed once:
-    bit k of a model's profile row i is class k, given by its joint vector
-    ``vecs[k]``, at its element i.  Depth-d readings mask the rows to the
-    first classes."""
+def _preorders(vecs: Sequence[int], ends: Sequence[int], m1: Model, m2: Model) -> list[CrossRelation]:
+    """For each of ``ends`` in order, the pairs along which each of the
+    first ``end`` classes, given by their joint vectors ``vecs``, transfers
+    truth: the full rows cut by one prefix's new classes after another."""
+    rows, out = _full(m1, m2), []
+    for start, end in zip([0, *ends], ends):
+        rows = _transfer(rows, vecs[start:end], len(m1))
+        out.append(_relation(rows, m1, m2))
+    return out
 
-    def __init__(self, vecs: Sequence[int], m1: Model, m2: Model):
-        n1 = len(m1)
-        profiles = transpose(vecs, n1 + len(m2))
-        p1, p2 = profiles[:n1], profiles[n1:]
-        self.m1, self.m2 = m1, m2
-        self.sides = ((FWD, p1, p2), (BWD, p2, p1))
 
-    def preorder(self, end: int | None = None) -> CrossRelation:
-        """Pairs (x, y) such that each of the first ``end`` classes (all by
-        default) that is true at x is true at y."""
-        mask = -1 if end is None else (1 << end) - 1
-        rows = {}
-        for d, px, py in self.sides:
-            rows[d] = [sum(1 << j for j, q in enumerate(py) if p & mask & ~q == 0) for p in px]
-        return _relation(rows, self.m1, self.m2)
-
-    def violations(self, a: CrossRelation) -> int:
-        """How many (class, pair of ``a``) have the class true at the pair's
-        first element and false at its second."""
-        rows = _read(a, self.m1, self.m2)[0]
-        return sum((px[i] & ~py[j]).bit_count()
-                   for d, px, py in self.sides for i, row in enumerate(rows[d]) for j in bits(row))
+def _violation_count(a: CrossRelation, vecs: Sequence[int], m1: Model, m2: Model) -> int:
+    """How many (class, pair of ``a``) have the class, given by its joint
+    vector, true at the pair's first element and false at its second."""
+    rows = _read(a, m1, m2)[0]
+    return sum(1 for v in vecs for _ in _lost(rows, _transfer(rows, [v], len(m1)), m1, m2))

@@ -105,8 +105,6 @@ class TruthTable:
 
 TABLE_TOP = TruthTable(0, 1)
 TABLE_BOT = TruthTable(0, 0)
-TABLE_P1_1 = TruthTable(1, 0b10)       # p1 as a unary table
-TABLE_NOT_P1_1 = TruthTable(1, 0b01)
 TABLE_AND = TruthTable(2, 0b1000)      # outputs for 00,01,10,11 are bits 0..3
 TABLE_OR = TruthTable(2, 0b1110)
 TABLE_IMPLIES = TruthTable(2, 0b1011)  # p1 -> p2
@@ -418,14 +416,6 @@ class DiagonalValue(Enum):
     BOT = "F"
     P1 = "p1"
     NOT_P1 = "~p1"
-
-    def table(self) -> TruthTable:
-        return {
-            DiagonalValue.TOP: TABLE_TOP,
-            DiagonalValue.BOT: TABLE_BOT,
-            DiagonalValue.P1: TABLE_P1_1,
-            DiagonalValue.NOT_P1: TABLE_NOT_P1_1,
-        }[self]
 
 
 def diagonal(f: TruthTable) -> DiagonalValue:

@@ -308,15 +308,14 @@ def cmd_experiment(args) -> int:
             record["asim_bwd"] = rel.count(asim.BWD)
             vecs, ends = formula.class_vectors(sig, theta, depth, m1, m2, budget)
             record["classes"] = len(vecs)
-            profiles = asim._ClassProfiles(vecs, m1, m2)
-            violations = profiles.violations(rel)
+            # The classes come out ordered by depth, and those of depth <= d
+            # are the depth-d enumeration, so one enumeration serves every d.
+            preorders = asim._preorders(vecs, ends, m1, m2)
+            # every class transfers along rel exactly when rel lies in the last preorder
+            violations = 0 if rel.subset_of(preorders[-1]) else asim._violation_count(rel, vecs, m1, m2)
             record["invariance_violations"] = violations
             sandwich_depth = None
-            for d, end in enumerate(ends):
-                # The classes come out ordered by depth, and those of depth
-                # <= d are the depth-d enumeration, so one enumeration and
-                # its profiles serve every d.
-                pres = profiles.preorder(end)
+            for d, pres in enumerate(preorders):
                 if not rel.subset_of(pres):
                     record["containment_failure"] = d
                     break

@@ -191,7 +191,7 @@ class TestDiagonal:
         for arity in range(4):
             for t in all_tables(arity):
                 v = diagonal(t)
-                assert diagonal(v.table()) is v
+                assert diagonal(from_expr(v.value)) is v
 
     def test_monotone_always_projection(self):
         for t in all_tables(3):

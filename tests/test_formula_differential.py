@@ -2,7 +2,9 @@
 replaced, kept in reference_formula.py, on seeded random model pairs of 1-6
 elements: equal (formula, vec1, vec2) lists, equal budget exhaustion (also at
 each layer's boundary), equal distinguishing formulas, and preservation
-preorders read off the depth-3 prefix."""
+preorders read off the depth-3 prefix; and the truth-transfer cuts behind
+the preorders, the experiment's violation count and ``invariance_check``
+against their per-pair definitions."""
 
 import random
 from itertools import product
@@ -16,11 +18,14 @@ from guardasim.connective import FragmentSignature
 from guardasim.formula import (
     BudgetExceeded,
     distinguishing_formula,
+    eval_fo,
     fragment_truth_set,
+    parse_fo,
     semantic_classes,
+    std_translate,
 )
 from guardasim.model import PointedModel, random_model
-from guardasim.syntax import Apply, fragment_depth
+from guardasim.syntax import Apply, Not, fragment_depth, free_vars
 
 import reference_formula as ref
 from helpers import ALL_SIGS, theta_of
@@ -450,17 +455,16 @@ def test_symmetric_rows_skip_mirrored_argument_lists(monkeypatch):
 
 
 @pytest.mark.parametrize("sig_name", sorted(ALL_SIGS))
-def test_class_profiles_match_the_pair_definitions(sig_name):
-    """Invariance violations and each depth's preorder, read off one
-    transpose of the classes, against their per-pair definitions, on
-    relations that are not asimulations."""
+def test_transfer_cuts_match_the_pair_definitions(sig_name):
+    """Invariance violations and each depth's preorder, cut from the rows by
+    ``asim._transfer``, against their per-pair definitions, on relations
+    that are not asimulations."""
     sig = SIGS[sig_name]
     total = 0
     for k, m1, m2 in _pairs(6000 + len(sig_name), 6):
         theta = theta_of(m1, m2)
         classes = semantic_classes(sig, theta, 3, m1, m2, None)
         vecs, ends = formula.class_vectors(sig, theta, 3, m1, m2, None)
-        profiles = asim._ClassProfiles(vecs, m1, m2)
         for rel in (asim.atom_preserving(m1, m2, theta), asim.full_relation(m1, m2)):
             want = sum(
                 (c.vec1 >> m1.index_of(x)) & 1 and not (c.vec2 >> m2.index_of(y)) & 1
@@ -469,15 +473,81 @@ def test_class_profiles_match_the_pair_definitions(sig_name):
                 (c.vec2 >> m2.index_of(y)) & 1 and not (c.vec1 >> m1.index_of(x)) & 1
                 for c in classes for y, x in rel.bwd
             )
-            assert profiles.violations(rel) == want, (sig_name, k)
+            assert asim._violation_count(rel, vecs, m1, m2) == want, (sig_name, k)
             total += want
         # each depth's prefix, as the experiment reads it, and two cuts inside layers
-        for end in sorted({1, len(classes) // 2, *ends}):
+        prefixes = sorted({1, len(classes) // 2, *ends})
+        for end, got in zip(prefixes, asim._preorders(vecs, prefixes, m1, m2)):
             holds = [(x, y) for i, x in enumerate(m1.domain) for j, y in enumerate(m2.domain)
                      if all(not (c.vec1 >> i) & 1 or (c.vec2 >> j) & 1 for c in classes[:end])]
             holds_back = [(y, x) for j, y in enumerate(m2.domain) for i, x in enumerate(m1.domain)
                           if all(not (c.vec2 >> j) & 1 or (c.vec1 >> i) & 1 for c in classes[:end])]
-            assert profiles.preorder(end) == asim.CrossRelation(
-                frozenset(holds), frozenset(holds_back)), (sig_name, k, end)
-        assert profiles.preorder() == profiles.preorder(len(classes))
+            want = asim.CrossRelation(frozenset(holds), frozenset(holds_back))
+            assert got == want, (sig_name, k, end)
+            assert asim._preorders(vecs, [end], m1, m2) == [want], (sig_name, k, end)
+        assert asim.preservation_relation(sig, theta, m1, m2, 3, None) == want
     assert total, sig_name
+
+
+# First-order formulas beyond the standard translations: quantified ones,
+# with one free variable or none, and their negations.
+FO_TEXTS = (
+    "~P1(x)",
+    "R1(x,x)",
+    "exists y P1(y)",
+    "exists y (R1(x,y) & ~P2(y))",
+    "forall y (R2(y,x) -> P1(y))",
+    "~(exists y (R1(x,y) & (exists z (R3(y,z) & P2(z)))))",
+    "forall y exists z R1(y,z)",
+    "P1(x) <-> P2(x)",
+)
+
+
+def _first_untransferred(phi, rel, m1, m2):
+    """``invariance_check``'s definition: the first pair of ``rel``, fwd
+    before bwd and then in index order, with ``phi`` true at its first
+    element and false at its second."""
+    var = next(iter(free_vars(phi)), "x")
+    for d, mx, my, pairs in (("fwd", m1, m2, rel.fwd), ("bwd", m2, m1, rel.bwd)):
+        for x in mx.domain:
+            for y in my.domain:
+                if (x, y) in pairs and eval_fo(mx, {var: x}, phi) and not eval_fo(my, {var: y}, phi):
+                    return (x, y), d
+    return None
+
+
+def _perturbed(rel, m1, m2, rng):
+    """``rel`` as a pair-set relation with a few pairs dropped and a few added."""
+    out = []
+    for pairs, mx, my in ((rel.fwd, m1, m2), (rel.bwd, m2, m1)):
+        pairs = set(pairs)
+        for p in rng.sample(sorted(pairs), min(2, len(pairs))):
+            pairs.discard(p)
+        for _ in range(3):
+            pairs.add((rng.choice(mx.domain), rng.choice(my.domain)))
+        out.append(frozenset(pairs))
+    return CrossRelation(*out)
+
+
+@pytest.mark.parametrize("sig_name", sorted(ALL_SIGS))
+def test_invariance_check_matches_the_pair_definition(sig_name):
+    """``invariance_check`` against its per-pair definition, on seeded pairs
+    and self pairs, for the largest asimulation and perturbed copies of it,
+    with the standard translations of enumerated formulas, their negations
+    and quantified first-order formulas."""
+    sig = SIGS[sig_name]
+    rng = random.Random(7000 + len(sig_name))
+    found = 0
+    for k, m1, m2 in _pairs(7000 + len(sig_name), 8):
+        for m2 in (m2, m1):
+            theta = theta_of(m1, m2)
+            classes = semantic_classes(sig, theta, 2, m1, m2, None)
+            translated = [std_translate(c.formula, "x", sig) for c in rng.sample(classes, min(6, len(classes)))]
+            phis = translated + [Not(phi) for phi in translated[:3]] + list(map(parse_fo, FO_TEXTS))
+            big = asim.largest_asimulation(sig, theta, m1, m2)
+            for rel in (big, _perturbed(big, m1, m2, rng), _perturbed(big, m1, m2, rng)):
+                for phi in phis:
+                    want = _first_untransferred(phi, rel, m1, m2)
+                    assert asim.invariance_check(phi, rel, m1, m2) == want, (sig_name, k, phi)
+                    found += want is not None
+    assert found, sig_name
