@@ -26,9 +26,11 @@ once, into mirrored rows.  A relation that carries no rows over the two
 model objects checked is read as its document.
 
 Truth transfer is written once: ``_transfer`` cuts rows to the pairs along
-which each listed joint truth vector holds at y wherever it holds at x.  It
-gives the atom rows, the verifier's atom violations, ``invariance_check``
-(one evaluation per element) and each depth's preservation preorder.
+which each listed joint truth vector holds at y wherever it holds at x,
+walking each distinct first half's bits once with the meet of the second
+halves it comes with.  It gives the atom rows, the verifier's atom
+violations, ``invariance_check`` (one evaluation per element, once for a
+self pair) and each depth's preservation preorder.
 
 Within one check, each distinct set is worked out once per partner model.
 The rows of a relation repeat (at the solver's first condition the
@@ -58,7 +60,7 @@ import json
 import weakref
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import chain, compress, cycle
+from itertools import compress, count, cycle, repeat
 from json.encoder import encode_basestring_ascii
 from operator import and_, is_, or_
 from typing import Sequence
@@ -343,21 +345,33 @@ def _transfer(rows: dict[str, list[int]], vecs: Sequence[int], n1: int) -> dict[
     """The pairs of ``rows`` along which each joint truth vector of ``vecs``
     (bits 0..n1-1 on the first model, the rest on the second, as
     ``class_vectors`` lays them out) holds at y wherever it holds at x.
-    Mirrored rows give mirrored rows: a self pair's vectors have equal
-    halves, so one direction serves both."""
+    Each direction walks the bits of each distinct x-side half once, with
+    the meet of the y-side halves that come with it (``_cut``).  Mirrored
+    rows give mirrored rows: a self pair's vectors have equal halves, so
+    one direction serves both."""
     low = (1 << n1) - 1
-    halves = [(v & low, v >> n1) for v in vecs]
-    out = {}
-    for d in (FWD,) if _mirrored(rows) else (FWD, BWD):
-        cut = list(rows[d])
-        for at_x, at_y in halves:
-            while at_x:  # ``bits`` written out: its generator costs more than the loop
-                bit = at_x & -at_x
-                cut[bit.bit_length() - 1] &= at_y
-                at_x ^= bit
-        out[d] = cut
-        halves = [(at_y, at_x) for at_x, at_y in halves]
-    return out if BWD in out else _both(out[FWD])
+    firsts, seconds = [v & low for v in vecs], [v >> n1 for v in vecs]
+    fwd = _cut(rows[FWD], firsts, seconds)
+    if rows[FWD] is rows[BWD]:  # ``_mirrored``; its generator would cost a tenth of the call
+        return _both(fwd)
+    return {FWD: fwd, BWD: _cut(rows[BWD], seconds, firsts)}
+
+
+def _cut(rows: list[int], at_xs: list[int], at_ys: list[int]) -> list[int]:
+    """``rows`` cut, for each k, to ``at_ys[k]`` at the elements of
+    ``at_xs[k]``: the entries sharing an ``at_xs`` value cut its rows once,
+    by the meet of their ``at_ys``, and an empty ``at_xs`` value cuts nothing."""
+    meets = {}
+    for at_x, at_y in zip(at_xs, at_ys):
+        if at_x:
+            meets[at_x] = meets.get(at_x, -1) & at_y
+    cut = list(rows)
+    for at_x, at_y in meets.items():
+        while at_x:  # ``bits`` written out: its generator costs more than the loop
+            bit = at_x & -at_x
+            cut[bit.bit_length() - 1] &= at_y
+            at_x ^= bit
+    return cut
 
 
 def _lost(rows: dict[str, list[int]], kept: dict[str, list[int]], m1: Model, m2: Model):
@@ -736,29 +750,33 @@ def _bisimulation(conds, theta_preds: Sequence[str], m1: Model, m2: Model) -> di
     """The largest bisimulation along the conditions' chains that keeps every
     listed predicate, by colour refinement of both models at once: colours
     start as valuations, and each round adds an element's endpoints' colours
-    per chain, until no colour splits."""
-    models = (m1,) if m1 is m2 else (m1, m2)
+    per chain, until no colour splits or each element has its own.  Both
+    models' elements share one list, the second's after the first's (none
+    for a self pair), and so do their endpoints, which the second model's
+    offset by the first's size."""
+    n1 = len(m1)
     chains = list(dict.fromkeys(c.guards for c in conds if c.guards))
-    ends = [[m.endpoint_indices(g) for g in chains] for m in models]
-    keys = []
-    for m in models:
-        ks = [0] * len(m)
-        for row in map(m.pred_row, theta_preds):
-            ks = [k + k + (row >> i & 1) for i, k in enumerate(ks)]
-        keys.append(ks)
-    count = 0
+    ends = [m1.endpoint_indices(g) for g in chains]
+    rows = list(map(m1.pred_row, theta_preds))
+    if m2 is not m1:
+        ends = [es + tuple(tuple(j + n1 for j in js) for js in m2.endpoint_indices(g))
+                for es, g in zip(ends, chains)]
+        rows = [row | m2.pred_row(p) << n1 for row, p in zip(rows, theta_preds)]
+    keys = [0] * (n1 if m1 is m2 else n1 + len(m2))
+    for row in rows:
+        keys = [k + k + (row >> i & 1) for i, k in enumerate(keys)]
+    number = 0
     while True:
-        ids = {k: c for c, k in enumerate(dict.fromkeys(chain.from_iterable(keys)))}
-        colours = [list(map(ids.__getitem__, ks)) for ks in keys]
-        if len(ids) == count:
+        ids = dict(zip(dict.fromkeys(keys), count()))
+        colours = list(map(ids.__getitem__, keys))
+        if len(ids) == number or len(ids) == len(keys):  # nothing split, or nothing can
             break
-        count = len(ids)
-        keys = [list(zip(cs, *([frozenset(map(cs.__getitem__, e)) for e in es] for es in ess)))
-                for cs, ess in zip(colours, ends)]
-    by_colour = {}  # the last model's elements of each colour
-    for j, c in enumerate(colours[-1]):
+        number = len(ids)
+        keys = list(zip(colours, *(map(frozenset, map(map, repeat(colours.__getitem__), es)) for es in ends)))
+    by_colour = {}  # the second model's elements, the last of the list, by colour
+    for j, c in enumerate(colours[-len(m2):]):
         by_colour[c] = by_colour.get(c, 0) | 1 << j
-    fwd = [by_colour.get(c, 0) for c in colours[0]]
+    fwd = [by_colour.get(c, 0) for c in colours[:n1]]
     return _both(fwd) if m1 is m2 else {FWD: fwd, BWD: transpose(fwd, len(m2))}
 
 
@@ -793,14 +811,17 @@ def invariance_check(
     phi: FoFormula, a: CrossRelation, m1: Model, m2: Model
 ) -> tuple[tuple[str, str], str] | None:
     """First pair (with direction) where truth of ``phi``, evaluated once at
-    each element of each model, fails to transfer."""
+    each element (a self pair's second half mirrors its first), fails to
+    transfer."""
     fv = sorted(free_vars(phi))
     if len(fv) > 1:
         raise ValueError(f"need at most one free variable, got {fv}")
     rows = _read(a, m1, m2)[0]
     var = fv[0] if fv else "x"
-    truth = [eval_fo(m, {var: x}, phi) for m in (m1, m2) for x in m.domain]
+    truth = [eval_fo(m, {var: x}, phi) for m in ((m1,) if m1 is m2 else (m1, m2)) for x in m.domain]
     vec = sum(1 << k for k, holds in enumerate(truth) if holds)
+    if m1 is m2:
+        vec |= vec << len(m1)
     return next(_lost(rows, _transfer(rows, [vec], len(m1)), m1, m2), None)
 
 

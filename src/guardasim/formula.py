@@ -23,10 +23,14 @@ product order, evaluated or not.
 
 One loop computes each connective's part of a layer in lists of whole rows,
 a comprehension each, and applies the guard blocks once per distinct core
-vector through tables of subset unions of 8 source rows each.  A class's
-first witness is read off its vector's first position in its list.  A part
-that would pass the budget evaluates only the rows that fit, so a search
-still stops at the row that answers it.
+vector through tables of subset unions of 8 source rows each.  A list's
+span is its first row and ``outer``, the layer's start while the prefix
+uses only earlier classes: row k takes its last arguments from ``outer``
+below it and, from there, from k or 0 (``_Kernel.lo``), worked out only
+where a witness is decoded.  A class's first witness is read off its
+vector's first position in its list.  A part that would pass the budget
+evaluates only the rows that fit, so a search still stops at the row that
+answers it.
 """
 
 from __future__ import annotations
@@ -259,9 +263,11 @@ class _Joint:
         if got is None:
             rows, tables = self.sources(guards), []
             for at in range(0, len(rows), 8):
-                tables.append([0])
+                table = [0]
                 for row in rows[at:at + 8]:
-                    tables[-1] += [x | row for x in tables[-1]]
+                    # no element reaches this one: the new half repeats the old
+                    table += [x | row for x in table] if row else table
+                tables.append(table)
             got = tables[0].__getitem__ if len(tables) == 1 else partial(_lookup, tables)
             self._unions[guards] = got
         return got
@@ -298,10 +304,12 @@ class _Kernel(dict):
     identity.  ``symmetric``: the core does not change when its last two
     arguments swap, which maps table entry 4k + 1 to 4k + 2."""
 
+    __slots__ = ("full", "arity", "masks", "joint", "blocks", "symmetric")
+
     def __init__(self, joint: _Joint, mu: GuardedConnective):
-        self.full = joint.full
-        self.arity = mu.arity
-        self.masks = masks = [self.full if mu.core.bits >> r & 1 else 0 for r in range(1 << mu.arity)]
+        self.full = full = joint.full
+        self.arity, bits = mu.arity, mu.core.bits
+        self.masks = masks = [full if bits >> r & 1 else 0 for r in range(1 << mu.arity)]
         self.joint = joint
         self.blocks = [(b.quantifier == "forall", b.guards, joint.sources(b.guards))
                        for b in reversed(mu.blocks)]
@@ -323,22 +331,28 @@ class _Kernel(dict):
         return cores
 
     def cores(self, vecs: list[int], count: int, start: int,
-              room: int | None = None) -> Iterator[tuple[tuple, list[int]]]:
+              room: int | None = None) -> Iterable[tuple[tuple, list[int]]]:
         """The core vectors of one layer's rows, in order, in lists of whole
         rows of at most ``_BATCH`` candidates (or one row), each with its span
-        ``(prefix, i, los)``: it starts at row (*prefix, i), row (*prefix, k)
-        takes the last arguments from ``los[k]`` on (for arity 1, the one row
-        takes them from ``i`` on, and ``los`` is None).  Given ``room``, only
-        the rows up to the first whose charge does not fit in it."""
-        if self.arity == 1:
-            if room is None or count - start <= room:
-                off, on = self.masks
-                yield ((), start, None), [off ^ (on ^ off) & v for v in vecs[start:count]]
-            return
-        step = max(1, _BATCH // count)
+        ``(prefix, i, outer)``: it starts at row (*prefix, i), and row
+        (*prefix, k) takes the last arguments from ``lo(outer, k)`` on.  For
+        arity 1, the one row takes them from ``i`` on and ``outer`` is None;
+        it is one list, so it is computed at once.  Given ``room``, only the
+        rows up to the first whose charge does not fit in it."""
+        if self.arity > 1:
+            return self._lists(vecs, count, start, room)
+        if room is not None and count - start > room:
+            return ()
+        off, on = self.masks
+        flip = on ^ off
+        return ((((), start, None), [off ^ flip & v for v in vecs[start:count]]),)
+
+    def _lists(self, vecs: list[int], count: int, start: int,
+               room: int | None) -> Iterator[tuple[tuple, list[int]]]:
+        """``cores`` for arity 2 or more, each list computed when it is read."""
+        step = _BATCH // count or 1
+        symmetric = self.symmetric
         for prefix, (m0, m1, m2, m3), outer in _rows(vecs, count, start, self.arity - 2, self.masks):
-            # lo per last prefix index, skipping as the symmetric core allows
-            los = [outer] * outer + (list(range(outer, count)) if self.symmetric else [0] * (count - outer))
             stop = count
             if room is not None:
                 # a row is charged count - outer below outer, count from there
@@ -346,12 +360,21 @@ class _Kernel(dict):
                 stop = min(count, room // (count - outer) if room < cut else outer + (room - cut) // count)
                 room -= cut + (count - outer) * count
             for at in range(0, stop, step):
-                yield (prefix, at, los), [
-                    off ^ flip & v for u, lo in zip(vecs[at:min(at + step, stop)], los[at:at + step])
+                # lo(outer, k) written out: a call per row costs more than the row
+                yield (prefix, at, outer), [
+                    off ^ flip & v for k in range(at, min(at + step, stop)) for u in (vecs[k],)
                     for off in (u & m2 | ~u & m0,) for flip in ((u & m3 | ~u & m1) ^ off,)
-                    for v in vecs[lo:count]]
+                    for v in vecs[outer if k < outer else k if symmetric else 0:count]]
             if stop < count:
                 return
+
+    def lo(self, outer: int, k: int) -> int:
+        """The first last argument of row (*prefix, k) in a span with
+        ``outer``: below ``outer`` the prefix uses only earlier layers'
+        classes, so the last argument must be new; from there a symmetric
+        core skips the last arguments below k, whose mirrored argument lists
+        came first."""
+        return outer if k < outer else k if self.symmetric else 0
 
     def apply(self, args: Sequence[int]) -> int:
         masks = self.masks
@@ -415,13 +438,15 @@ class SemanticClass:
 def _rows(items: Sequence, count: int, start: int, width: int, masks) -> Iterable:
     """The rows of one layer: each prefix of ``width`` indices into
     ``items[:count]`` in ``itertools.product`` order, ``masks`` folded by
-    ``_fold`` over its items, and ``lo``: ``start``, or 0 once the prefix uses an index >= start.
-    Candidates (*prefix, i) for i in range(lo, count), row after row, are the
-    product order of the argument lists that use a class of the previous layer."""
+    ``_fold`` over its items, and ``outer``: ``start``, or 0 once the prefix
+    uses an index >= start.  The argument lists (*prefix, i, j) that use a
+    class of the previous layer, in product order, are those with j >= outer
+    if i < outer and every j otherwise (``_Kernel.lo`` also skips the lists
+    a symmetric core mirrors)."""
     rows: Iterable = [((), masks, start)]
     for _ in range(width):
-        rows = (((*prefix, i), _fold(state, items[i]), 0 if i >= start else lo)
-                for prefix, state, lo in rows for i in range(count))
+        rows = (((*prefix, i), _fold(state, items[i]), 0 if i >= start else outer)
+                for prefix, state, outer in rows for i in range(count))
     return rows
 
 
@@ -540,7 +565,10 @@ def _classes(sig, preds, depth, joint, budget):
     first, kernels = _first_layer(sig, preds, depth, joint)
     yield from first.items()
     classes = dict.fromkeys(first)
-    for name, (prefix, i, los), cores, keys, images, before in _batches(classes, [], kernels, depth, budget):
+    ends = [len(classes)]  # ends[-1]: the current layer's class count, a row's width
+    named = dict(kernels)
+    for name, (prefix, i, outer), cores, keys, images, before in _batches(classes, ends, kernels, depth, budget):
+        kernel, count = named[name], ends[-1]
         keys = keys if keys is cores else list(keys)
         k = at = -1
         row_at = 0  # the position of row i's first candidate
@@ -548,13 +576,15 @@ def _classes(sig, preds, depth, joint, budget):
             # each new vector first occurs past the previous one
             k = images.index(vec, k + 1)
             at = k if keys is cores else cores.index(keys[k], at + 1)
-            if los is None:
+            if outer is None:
                 yield vec, (name, i + at)
                 continue
-            while at - row_at >= len(los) - los[i]:
-                row_at += len(los) - los[i]
+            lo = kernel.lo(outer, i)
+            while at - row_at >= count - lo:
+                row_at += count - lo
                 i += 1
-            yield vec, (name, *prefix, i, los[i] + at - row_at)
+                lo = kernel.lo(outer, i)
+            yield vec, (name, *prefix, i, lo + at - row_at)
 
 
 def distinguishing_formula(

@@ -616,6 +616,21 @@ class TestExperiment:
         with open(data("experiment_golden.jsonl"), "r", encoding="utf-8") as fh:
             assert out == fh.read()
 
+    def test_matches_golden_trials(self, capsys, tmp_path):
+        """Each line of experiment_trials_golden.jsonl: a one-trial
+        ``--config`` (its ``fragment`` a file of tests/data) and what it
+        printed and returned when recorded, byte for byte."""
+        with open(data("experiment_trials_golden.jsonl"), encoding="utf-8") as fh:
+            lines = [json.loads(line) for line in fh]
+        assert {rec["config"]["fragment"] for rec in lines} == {
+            "sig_intuitionistic.json", "sig_modal_int.json", "sig_modal.json"}
+        assert {rec["code"] for rec in lines} == {0, 1}
+        config = tmp_path / "config.json"
+        for k, rec in enumerate(lines):
+            config.write_text(json.dumps({**rec["config"], "fragment": data(rec["config"]["fragment"])}))
+            code, out, _ = run(capsys, "experiment", "--config", str(config))
+            assert (code, out) == (rec["code"], rec["stdout"]), (k, rec["config"])
+
     def test_budget_exhaustion_recorded_not_fatal(self, capsys):
         code, out, _ = run(
             capsys, "experiment", "--fragment", data("sig_modal.json"),

@@ -360,14 +360,15 @@ def test_class_vectors_match_the_row_path_on_wide_joints(sig_name):
             assert got == _witnessed_vectors(sig, theta, depth, m1, m2, budget), (sig_name, k, depth, budget)
 
 
-def _row_sizes(parts, count):
+def _row_sizes(kernel, parts, count):
     """The candidates each row evaluates, over the lists ``_Kernel.cores``
-    yields, read off their spans."""
+    yields, read off their spans: row k of a span with ``outer`` starts at
+    ``kernel.lo(outer, k)``, and a unary core's one row at the span's i."""
     sizes = []
-    for (_prefix, i, los), part in parts:
+    for (_prefix, i, outer), part in parts:
         left = len(part)
         while left:
-            sizes.append(count - los[i])
+            sizes.append(count - (i if outer is None else kernel.lo(outer, i)))
             left -= sizes[-1]
             i += 1
     return sizes
@@ -377,8 +378,9 @@ def test_class_vectors_cut_a_layer_larger_than_the_batch(monkeypatch):
     """A layer of more than ``_BATCH`` candidates under budget=None: an
     and/or layer over 295 classes is cut into lists of whole rows of at most
     ``_BATCH`` candidates, the lists hold the candidates of the layer's
-    rows, symmetric skips included, and the vectors are those of the
-    classes' witnesses."""
+    rows, symmetric skips included, each list's span starts at the row after
+    the previous list's rows, and the vectors are those of the classes'
+    witnesses."""
     sig = SIGS["modal"]
     rng = random.Random(0)
     m1, m2 = (random_model(5, ["R1"], ["P1", "P2"], 0.3, 0.5, rng.randrange(1 << 30)) for _ in range(2))
@@ -392,9 +394,14 @@ def test_class_vectors_cut_a_layer_larger_than_the_batch(monkeypatch):
             want = sum(count - (max(start, i) if kernel.symmetric else start if i < start else 0)
                        for i in range(count))
         lists.append((want, []))
+        rows = 0  # the rows of the lists so far, read off their spans
         for span, part in real(kernel, vecs, count, start, room):
             lists[-1][1].append(len(part))
+            if kernel.arity > 1:
+                assert span[1] == rows
+                rows += len(_row_sizes(kernel, [(span, part)], count))
             yield span, part
+        assert rows == (count if kernel.arity > 1 else 0)
 
     monkeypatch.setattr(formula._Kernel, "cores", cores)
     got = formula.class_vectors(sig, theta, 4, m1, m2, None)
@@ -422,9 +429,9 @@ def test_symmetric_rows_skip_mirrored_argument_lists(monkeypatch):
     def cores(kernel, vecs, count, start, room=None):
         parts = list(real(kernel, vecs, count, start, room))
         spent = 0
-        for k, evaluated in enumerate(_row_sizes(parts, count)):
+        for k, evaluated in enumerate(_row_sizes(kernel, parts, count)):
             charged = next(c for c in range(count + 1)
-                           if len(_row_sizes(real(kernel, vecs, count, start, spent + c), count)) > k)
+                           if len(_row_sizes(kernel, real(kernel, vecs, count, start, spent + c), count)) > k)
             rows_seen.append([charged, evaluated])
             spent += charged
         yield from parts
@@ -489,6 +496,55 @@ def test_transfer_cuts_match_the_pair_definitions(sig_name):
     assert total, sig_name
 
 
+def _transfer_definition(rows, vecs, n1, n2):
+    """``asim._transfer`` pair by pair: (i, j) stays in fwd when every
+    vector true at bit i is true at bit n1 + j, and (j, i) in bwd the other
+    way round."""
+    def keeps(x, y):
+        return all(not v >> x & 1 or v >> y & 1 for v in vecs)
+    return {
+        "fwd": [sum(1 << j for j in range(n2) if row >> j & 1 and keeps(i, n1 + j))
+                for i, row in enumerate(rows["fwd"])],
+        "bwd": [sum(1 << i for i in range(n1) if row >> i & 1 and keeps(n1 + j, i))
+                for j, row in enumerate(rows["bwd"])],
+    }
+
+
+def test_transfer_cuts_hand_made_vectors():
+    """``asim._transfer`` on vector lists that take its grouping's edges:
+    first halves that are empty or repeated, an all-ones vector, and a
+    self pair's mirrored rows, which stay mirrored."""
+    rng = random.Random(34)
+    for n1, n2 in ((3, 2), (1, 4), (4, 4)):
+        m1, m2 = (random_model(n, ["R1"], ["P1"], 0.3, 0.5, rng.randrange(1 << 30)) for n in (n1, n2))
+        full, low = (1 << n1 + n2) - 1, (1 << n1) - 1
+        picked = {"fwd": [rng.randrange(1 << n2) for _ in range(n1)],
+                  "bwd": [rng.randrange(1 << n1) for _ in range(n2)]}
+        lists = [
+            [],
+            [0, full & ~low, 1 << n1],                              # empty first halves
+            [1 | 1 << n1, 1 | 3 << n1 & full, 1, low | 1 << n1],    # repeated first halves
+            [full],                                                 # all ones
+            [full, 1, low, 2 << n1 & full, 1 | 1 << n1 + n2 - 1],
+            [rng.randrange(1 << n1 + n2) for _ in range(12)],
+        ]
+        for rows in (asim._full(m1, m2), picked):
+            for vecs in lists:
+                got = asim._transfer(rows, vecs, n1)
+                assert got == _transfer_definition(rows, vecs, n1, n2), (n1, n2, vecs)
+                assert got["fwd"] is not got["bwd"]
+    for n in (1, 3, 5):
+        m = random_model(n, ["R1"], ["P1"], 0.3, 0.5, rng.randrange(1 << 30))
+        low = (1 << n) - 1
+        halves = [0, 1, low, 1, low & 5, rng.randrange(1 << n), rng.randrange(1 << n)]
+        vecs = [h | h << n for h in halves]                         # a self pair's equal halves
+        for rows in (asim._full(m, m), asim._both([rng.randrange(1 << n) for _ in range(n)])):
+            for cut in (vecs, vecs[:1], vecs[2:4], []):
+                got = asim._transfer(rows, cut, n)
+                assert got["fwd"] is got["bwd"], (n, cut)
+                assert got == _transfer_definition(rows, cut, n, n), (n, cut)
+
+
 # First-order formulas beyond the standard translations: quantified ones,
 # with one free variable or none, and their negations.
 FO_TEXTS = (
@@ -551,3 +607,16 @@ def test_invariance_check_matches_the_pair_definition(sig_name):
                     assert asim.invariance_check(phi, rel, m1, m2) == want, (sig_name, k, phi)
                     found += want is not None
     assert found, sig_name
+
+
+def test_invariance_check_evaluates_a_self_pair_once(monkeypatch):
+    """On a self pair, φ is evaluated once per element, not once per half
+    of the joint vector, and the first lost pair is the definition's."""
+    m = random_model(5, ["R1"], ["P1", "P2"], 0.4, 0.5, 7044)
+    rel = _perturbed(asim.atom_preserving(m, m, ["P1"]), m, m, random.Random(5))
+    phi = parse_fo("exists y (R1(x,y) & P2(y))")
+    want = _first_untransferred(phi, rel, m, m)
+    calls, real = [], asim.eval_fo
+    monkeypatch.setattr(asim, "eval_fo", lambda *args: calls.append(args) or real(*args))
+    assert asim.invariance_check(phi, rel, m, m) == want
+    assert want is not None and len(calls) == len(m) == 5
