@@ -976,6 +976,38 @@ def test_experiment_builds_no_class_formula(capsys, monkeypatch, tmp_path):
         assert [{**json.loads(line), "trial": 0} for line in fh] == [json.loads(out) for _, out, _ in expected[:6]]
 
 
+# The front door of the command line, recorded before check, largest and
+# distinguish shared their flags and input steps: the help of the program and
+# of every subcommand at 80 columns, and inputs with two faults each, whose
+# first fault in reading order is the one reported.  Paths are relative to
+# tests/data; "{config}" stands for a file holding the case's "config".
+with open(data("front_door_pins.json"), "r", encoding="utf-8") as fh:
+    PINS = json.load(fh)
+
+
+@pytest.mark.parametrize("command", sorted(PINS["help"]))
+def test_help_is_pinned(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as done:
+        main([*([] if command == "guardasim" else [command]), "--help"])
+    assert done.value.code == 0
+    assert tuple(capsys.readouterr()) == (PINS["help"][command], "")
+
+
+@pytest.mark.parametrize("case", PINS["faults"], ids=lambda case: case["argv"][0])
+def test_first_fault_is_pinned(capsys, monkeypatch, tmp_path, case):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(DATA)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(case.get("config")))
+    argv = [str(config) if arg == "{config}" else arg for arg in case["argv"]]
+    try:
+        code = main(argv)
+    except SystemExit as e:
+        code = e.code
+    assert (code, *capsys.readouterr()) == (case["code"], case["stdout"], case["stderr"])
+
+
 def test_runs_as_python_module():
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
