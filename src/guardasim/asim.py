@@ -542,13 +542,9 @@ class _Condition:
                             n_cover = len(my) - n_missing
                             if n_cover < n_todo and n_cover < n_missing:
                                 kept = _sparse_cover(todo, cover, missing, dead, y_ends, y_sources)
-                            elif n_todo < n_missing:
-                                # fewer candidates than gaps: test each candidate's endpoints
-                                kept = sum(1 << j for j in bits(todo) if not y_ends[j] & missing)
                             else:
-                                # settle every partner element: those with an
-                                # endpoint outside the cover fail
-                                todo, kept = full, full ^ union(y_sources, missing)
+                                # test each candidate's endpoints
+                                kept = sum(1 << j for j in bits(todo) if not y_ends[j] & missing)
                             tested, passed = memo[cover] = tested | todo, passed | kept
                         row &= passed
                 yield row

@@ -5,6 +5,10 @@ largest, distinguish, experiment.  Machine-readable JSON lines go to stdout
 under --json; a human-readable summary always goes to stderr.  Exit codes:
 0 ok, 1 semantic negative (violations, not related, false, none found),
 2 malformed input, 3 unsupported fragment.
+
+The model-pair commands check, largest and distinguish have one front door:
+one parent parser declares --fragment, --m1 and --m2, and ``_pair_inputs``
+reads the signature, refuses a non-standard one, then loads the two models.
 """
 
 from __future__ import annotations
@@ -35,12 +39,16 @@ def _emit(args, record: dict, human: str) -> None:
         print(human)
 
 
-def _load_models(args) -> tuple[model.Model, model.Model]:
-    """The models of ``--m1`` and ``--m2``, one model when both name the same
-    file, however spelled or linked, so a model checked against itself is
-    read once and its guard chains are built once."""
+def _pair_inputs(args) -> tuple[connective.FragmentSignature, model.Model, model.Model, list[str]]:
+    """The signature, the models and θ (the predicates to preserve) of a model-pair
+    command, read in the order that picks the fault reported.  Both flags naming
+    one file, however spelled or linked, give one model, so a model checked
+    against itself is read once and its guard chains are built once."""
+    sig = connective.FragmentSignature.from_file(args.fragment)
+    asim._require_standard(sig)
     m1 = model.load_file(args.m1)
-    return m1, m1 if os.path.samefile(args.m1, args.m2) else model.load_file(args.m2)
+    m2 = m1 if os.path.samefile(args.m1, args.m2) else model.load_file(args.m2)
+    return sig, m1, m2, formula._model_preds(m1, m2)
 
 
 def _require(value, message: str) -> None:
@@ -167,12 +175,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_check(args) -> int:
-    sig = connective.FragmentSignature.from_file(args.fragment)
-    asim._require_standard(sig)
-    m1, m2 = _load_models(args)
+    sig, m1, m2, theta = _pair_inputs(args)
     with open(args.relation, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    theta = formula._model_preds(m1, m2)
     reports = asim.is_asimulation(sig, theta, m1, m2, doc)
     for rep in reports:
         print(json.dumps(rep.to_doc(), sort_keys=True))
@@ -188,12 +193,9 @@ def cmd_largest(args) -> int:
         _require(args.point2, "largest --point1 needs --point2")
     if args.point2 is not None:
         _require(args.point1, "largest --point2 needs --point1")
-    sig = connective.FragmentSignature.from_file(args.fragment)
-    asim._require_standard(sig)
-    m1, m2 = _load_models(args)
+    sig, m1, m2, theta = _pair_inputs(args)
     if args.point1 is not None and (args.point1 not in m1 or args.point2 not in m2):
         raise ModelError("verdict points must lie in the respective domains")
-    theta = formula._model_preds(m1, m2)
     rel = asim.largest_asimulation(sig, theta, m1, m2)
     extra = {}
     verdict = None
@@ -216,14 +218,11 @@ def cmd_largest(args) -> int:
 
 
 def cmd_distinguish(args) -> int:
-    sig = connective.FragmentSignature.from_file(args.fragment)
-    asim._require_standard(sig)
-    m1, m2 = _load_models(args)
+    sig, m1, m2, theta = _pair_inputs(args)
     pm1 = model.PointedModel(m1, args.point1)
     pm2 = model.PointedModel(m2, args.point2)
     # a pair of the largest asimulation is separated at no depth (sandwich
     # theorem); a negative --depth is left for the enumeration to refuse
-    theta = formula._model_preds(m1, m2)
     related = args.depth >= 0 and asim.largest_asimulation(sig, theta, m1, m2).relates(
         args.point1, args.point2)
     try:
@@ -248,56 +247,46 @@ _NUMBER = ("a number", lambda v: _is_int(v) or isinstance(v, float))
 _NAMES = ("a list of strings", lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v))
 _BUDGET = ("an integer or null", lambda v: v is None or _is_int(v))
 _PATH = ("a signature file path", lambda v: isinstance(v, str))
-
-
-def _setting(conf: dict, key: str, default, kind) -> object:
-    """A config value, taken out of ``conf``, or the flag's default, checked
-    against its type."""
-    value = conf.pop(key, default)
-    what, ok = kind
-    if not ok(value):
-        raise ValueError(f"experiment setting {key!r} must be {what}, got {json.dumps(value)}")
-    return value
+# experiment's settings in the order they are checked; each flag is a default
+_SETTINGS = {
+    "seed": _INT, "trials": _INT, "size_min": _INT, "size_max": _INT, "edge_prob": _NUMBER,
+    "pred_prob": _NUMBER, "depth": _INT, "budget": _BUDGET, "fragment": _PATH,
+    "relations": _NAMES, "predicates": _NAMES,
+}
 
 
 def cmd_experiment(args) -> int:
+    conf = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             conf = json.load(fh)
         if not isinstance(conf, dict):
             raise ValueError("experiment config: expected an object")
-    else:
-        conf = {}
-    seed = _setting(conf, "seed", args.seed, _INT)
-    trials = _setting(conf, "trials", args.trials, _INT)
-    size_min = _setting(conf, "size_min", args.size_min, _INT)
-    size_max = _setting(conf, "size_max", args.size_max, _INT)
-    edge_prob = _setting(conf, "edge_prob", args.edge_prob, _NUMBER)
-    pred_prob = _setting(conf, "pred_prob", args.pred_prob, _NUMBER)
-    depth = _setting(conf, "depth", args.depth, _INT)
-    budget = _setting(conf, "budget", args.budget, _BUDGET)
-    fragment_path = _setting(conf, "fragment", args.fragment, _PATH)
-    rel_symbols = _setting(conf, "relations", ["R1"], _NAMES)
-    pred_symbols = _setting(conf, "predicates", ["P1", "P2"], _NAMES)
+    # a config value overrides the flag of its name
+    for key, (what, ok) in _SETTINGS.items():
+        value = conf.pop(key, getattr(args, key))
+        if not ok(value):
+            raise ValueError(f"experiment setting {key!r} must be {what}, got {json.dumps(value)}")
+        setattr(args, key, value)
     if conf:
         raise ValueError(f"experiment config: unknown keys {sorted(conf)}")
-    if trials < 1 or size_min < 1 or size_max < size_min:
+    if args.trials < 1 or args.size_min < 1 or args.size_max < args.size_min:
         raise ValueError("need trials >= 1 and 1 <= size_min <= size_max")
 
-    sig = connective.FragmentSignature.from_file(fragment_path)
+    sig = connective.FragmentSignature.from_file(args.fragment)
     if not args.allow_nonstandard:
         asim._require_standard(sig)
 
     import random as _random
 
     overall_ok = True
-    for t in range(trials):
-        trial_seed = seed + t
+    for t in range(args.trials):
+        trial_seed = args.seed + t
         rng = _random.Random(trial_seed)
-        n1 = rng.randint(size_min, size_max)
-        n2 = rng.randint(size_min, size_max)
-        m1 = model.random_model(n1, rel_symbols, pred_symbols, edge_prob, pred_prob, rng.randrange(1 << 30))
-        m2 = model.random_model(n2, rel_symbols, pred_symbols, edge_prob, pred_prob, rng.randrange(1 << 30))
+        n1 = rng.randint(args.size_min, args.size_max)
+        n2 = rng.randint(args.size_min, args.size_max)
+        m1, m2 = (model.random_model(n, args.relations, args.predicates, args.edge_prob, args.pred_prob,
+                                     rng.randrange(1 << 30)) for n in (n1, n2))
         theta = formula._model_preds(m1, m2)
         # The enumeration is over this finite atom list, a deliberate
         # restriction of the full predicate vocabulary.
@@ -306,7 +295,7 @@ def cmd_experiment(args) -> int:
             rel = asim.largest_asimulation(sig, theta, m1, m2, strict=not args.allow_nonstandard)
             record["asim_fwd"] = rel.count(asim.FWD)
             record["asim_bwd"] = rel.count(asim.BWD)
-            vecs, ends = formula.class_vectors(sig, theta, depth, m1, m2, budget)
+            vecs, ends = formula.class_vectors(sig, theta, args.depth, m1, m2, args.budget)
             record["classes"] = len(vecs)
             # The classes come out ordered by depth, and those of depth <= d
             # are the depth-d enumeration, so one enumeration serves every d.
@@ -341,9 +330,14 @@ def cmd_experiment(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="guardasim", description=__doc__)
+    # --help shows the docstring up to its front-door paragraph
+    parser = argparse.ArgumentParser(prog="guardasim", description=__doc__.partition("\n\nThe model-pair")[0])
     parser.add_argument("--json", action="store_true", help="machine-readable output on stdout")
     sub = parser.add_subparsers(dest="command", required=True)
+    # the flags every model-pair command takes
+    pair = argparse.ArgumentParser(add_help=False)
+    for flag in ("--fragment", "--m1", "--m2"):
+        pair.add_argument(flag, required=True)
 
     p = sub.add_parser("classify-bool", help="classify a Boolean expression")
     p.add_argument("--expr", required=True)
@@ -369,25 +363,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fragment")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("check", help="verify a relation is an asimulation")
-    p.add_argument("--fragment", required=True)
-    p.add_argument("--m1", required=True)
-    p.add_argument("--m2", required=True)
+    p = sub.add_parser("check", parents=[pair], help="verify a relation is an asimulation")
     p.add_argument("--relation", required=True)
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("largest", help="compute the largest asimulation")
-    p.add_argument("--fragment", required=True)
-    p.add_argument("--m1", required=True)
-    p.add_argument("--m2", required=True)
+    p = sub.add_parser("largest", parents=[pair], help="compute the largest asimulation")
     p.add_argument("--point1")
     p.add_argument("--point2")
     p.set_defaults(func=cmd_largest)
 
-    p = sub.add_parser("distinguish", help="search for a distinguishing formula")
-    p.add_argument("--fragment", required=True)
-    p.add_argument("--m1", required=True)
-    p.add_argument("--m2", required=True)
+    p = sub.add_parser("distinguish", parents=[pair], help="search for a distinguishing formula")
     p.add_argument("--point1", required=True)
     p.add_argument("--point2", required=True)
     p.add_argument("--depth", type=int, default=3)
@@ -407,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=200_000)
     p.add_argument("--allow-nonstandard", action="store_true",
                    help="run the harness on non-standard degree<=2 connectives and report divergences")
-    p.set_defaults(func=cmd_experiment)
+    p.set_defaults(func=cmd_experiment, relations=["R1"], predicates=["P1", "P2"])
 
     return parser
 

@@ -31,11 +31,13 @@ from guardasim.asim import (
 )
 from guardasim.boolfn import classify, from_expr
 from guardasim.connective import FragmentSignature, parse_connective, validate_standard_fragment
-from guardasim.formula import parse_fo, std_translate
+from guardasim.formula import class_vectors, parse_fo, std_translate
 from guardasim.model import Model, load, random_model, save
 from guardasim.syntax import Apply, Atom
 
+import reference_asim
 from helpers import (
+    ALL_SIGS,
     random_preorder,
     sig_intuitionistic,
     sig_modal,
@@ -51,6 +53,13 @@ CHAIN = load({
     "predicates": {"P1": ["a2"]},
 })
 SINGLE = load({"domain": ["b"], "relations": {}, "predicates": {}})
+# Every model over R1 and P1 with one or two elements: 4 + 64.
+TINY = [
+    load({"domain": domain,
+          "relations": {"R1": [pair for k, pair in enumerate(itertools.product(domain, repeat=2)) if r >> k & 1]},
+          "predicates": {"P1": [w for k, w in enumerate(domain) if p >> k & 1]}})
+    for domain in (["a"], ["a", "b"]) for r in range(1 << len(domain) ** 2) for p in range(1 << len(domain))
+]
 EMPTY = CrossRelation(frozenset(), frozenset())
 
 
@@ -756,6 +765,10 @@ class TestInvariance:
     def test_bottom_invariant_under_anything(self):
         assert invariance_check(parse_fo("F"), full_relation(CHAIN, SINGLE), CHAIN, SINGLE) is None
 
+    def test_two_free_variables_refused(self):
+        with pytest.raises(ValueError, match=r"^need at most one free variable, got \['x', 'y'\]$"):
+            invariance_check(parse_fo("R1(x,y)"), full_relation(CHAIN, SINGLE), CHAIN, SINGLE)
+
     def test_negated_atom_counterexample(self):
         m1 = load({"domain": ["a"], "relations": {}, "predicates": {}})
         m2 = load({"domain": ["b"], "relations": {}, "predicates": {"P1": ["b"]}})
@@ -833,6 +846,26 @@ class TestPreservation:
                 hit = d
                 break
         assert hit is not None
+
+
+    @pytest.mark.parametrize("name", sorted(ALL_SIGS))
+    def test_sandwich_on_every_model_of_at_most_two_elements(self, name):
+        # All 4 624 ordered pairs of TINY, a self pair as one model object:
+        # the fixpoint is the preservation preorder of an enumeration that
+        # closes, and an asimulation when non-empty.  The set-based reference
+        # solver is compared on the self pairs and the pairs whose indices
+        # sum to a multiple of 4, so every model meets it 17 times per side.
+        sig = ALL_SIGS[name]()
+        assert len(TINY) == 68
+        for (i, m1), (j, m2) in itertools.product(enumerate(TINY), repeat=2):
+            big = largest_asimulation(sig, ["P1"], m1, m2)
+            vecs, ends = class_vectors(sig, ["P1"], 10, m1, m2, None)
+            assert ends[-2] == ends[-1], (i, j)
+            assert big == asim._preorders(vecs, ends, m1, m2)[-1], (i, j)
+            if not big.is_empty:
+                assert is_asimulation(sig, ["P1"], m1, m2, big) == [], (i, j)
+            if i == j or (i + j) % 4 == 0:
+                assert big == reference_asim.largest_asimulation(sig, ["P1"], m1, m2), (i, j)
 
 
 class TestCoreCandidateKind:

@@ -56,6 +56,10 @@ class TestClassifyBool:
         code, _, err = run(capsys, "classify-bool", "--expr", "p1 &")
         assert code == 2 and "input error" in err
 
+    def test_anti_monotone_kind(self, capsys):
+        code, out, _ = run(capsys, "classify-bool", "--expr", "~p1 & ~p2")
+        assert code == 0 and out.startswith("arity 2: anti-monotone\n")
+
     @pytest.mark.parametrize("expr, kinds, forms", [
         ("p1 -> p16", "rest, TFT, exists-special", {
             "to_implication": ["p1"] + ["F"] * 14 + ["p2"],
@@ -686,6 +690,34 @@ class TestExperiment:
             "--seed", "3", "--trials", "1",
         )
         assert code2 == 3 and "unsupported fragment" in err
+
+    def test_divergence_is_recorded(self, capsys, tmp_path):
+        # a non-standard degree-2 connective whose preorders stay above the
+        # fixpoint up to the last depth: a divergence, not a failure
+        sig = tmp_path / "sig.json"
+        sig.write_text(json.dumps({"connectives": {"g": "exists[R1] forall[R1]{ p1 <-> p2 }"}}))
+        code, out, err = run(
+            capsys, "experiment", "--fragment", str(sig), "--allow-nonstandard", "--seed", "17",
+            "--trials", "1", "--size-min", "1", "--size-max", "3", "--depth", "4", "--edge-prob", "0.5",
+        )
+        assert (code, err) == (0, "all trials passed\n")
+        assert json.loads(out) == {
+            "asim_bwd": 2, "asim_fwd": 1, "atoms": ["P1", "P2"], "classes": 9,
+            "divergence": "preservation preorder differs from the fixpoint up to this depth",
+            "invariance_violations": 0, "n1": 3, "n2": 2, "pass": True, "sandwich_depth": None,
+            "seed": 17, "trial": 0,
+        }
+
+    def test_containment_failure_fails_the_trial(self, capsys, monkeypatch):
+        # a solver answering with every pair leaves the preorder at the
+        # depth where some formula first tells the models' elements apart
+        monkeypatch.setattr(asim, "largest_asimulation", lambda sig, theta, m1, m2, strict: asim.full_relation(m1, m2))
+        code, out, err = run(capsys, "experiment", "--fragment", data("sig_modal.json"), "--seed", "5",
+                             "--trials", "1", "--size-min", "2", "--size-max", "3", "--depth", "3")
+        rec = json.loads(out)
+        assert (code, err) == (1, "some trials failed\n")
+        assert rec["pass"] is False and rec["sandwich_depth"] is None
+        assert rec["containment_failure"] == 0 and rec["invariance_violations"] > 0
 
 
 def test_largest_is_deterministic(capsys):

@@ -8,7 +8,7 @@ import pytest
 
 from guardasim import connective
 from guardasim.cli import main
-from guardasim.boolfn import classify, from_expr
+from guardasim.boolfn import TruthTable, classify, from_expr
 from guardasim.connective import (
     ConnectiveError,
     FragmentSignature,
@@ -24,11 +24,11 @@ from guardasim.connective import (
     unify_args,
     validate_standard_fragment,
 )
-from guardasim.formula import eval_fo, eval_fragment, std_translate
+from guardasim.formula import eval_fo, eval_fragment, parse_fragment, std_translate
 from guardasim.model import random_model
 from guardasim.syntax import Apply, Atom, PredAtom, fo_text
 
-from helpers import sig_modal, sig_modal_intuitionistic
+from helpers import random_fragment_formula, sig_modal, sig_modal_intuitionistic
 
 LAM1 = parse_connective("forall[R1]{ p1 }", "lambda1")
 LAM2 = parse_connective("forall[R1,R2]{ p1 }", "lambda2")
@@ -242,6 +242,50 @@ class TestStdTranslation:
     def test_arity_mismatch(self):
         with pytest.raises(ConnectiveError):
             std_translation(LAM4, [], "x")
+
+    def test_two_step_diamond(self):
+        # one existential per guard, the path and the core under the last
+        phi = std_translation(parse_connective("exists[R1,R2]{ p1 }", "d2"), [PredAtom("P1", "x")], "x")
+        assert fo_text(phi) == "exists x2 (exists x3 (R1(x,x2) & R2(x2,x3) & P1(x3)))"
+
+    def test_multi_guard_translations_agree_with_the_fragment_evaluator(self):
+        sig = FragmentSignature.from_dict({"connectives": {
+            "d2": "exists[R1,R2]{ p1 }",
+            "d3": "exists[R2,R1,R2]{ ~p1 | p2 }",
+            "b2": "forall[R1,R2]{ p1 & ~p2 }",
+        }})
+        rng = random.Random(36)
+        formulas = [parse_fragment("d2(P1)", sig), parse_fragment("d3(d2(P2), b2(P1, P2))", sig)]
+        formulas += [random_fragment_formula(sig, ["P1", "P2"], 3, rng) for _ in range(20)]
+        for seed in range(12):
+            m = random_model(rng.randint(1, 5), ["R1", "R2"], ["P1", "P2"], 0.4, 0.5, seed)
+            for f in formulas:
+                phi = std_translate(f, "x", sig)
+                for w in m.domain:
+                    assert eval_fo(m, {"x": w}, phi) == eval_fragment(m, w, f, sig), (seed, f, w)
+
+
+class TestConnectiveText:
+    @pytest.mark.parametrize("spec, text", [
+        # FTF but not TFT: the clause form
+        ("forall[R1]{ p1 & ~p2 }", "forall[R1] { p1 & ~p2 }"),
+        # both TFT and FTF: one term per true row
+        ("exists[R1]{ p1 <-> p2 }", "exists[R1] { (p1 & p2) | (~p1 & ~p2) }"),
+    ])
+    def test_clause_forms(self, capsys, spec, text):
+        assert main(["--json", "classify-connective", "--spec", spec]) == 0
+        assert json.loads(capsys.readouterr().out)["normalized"] == text
+
+    @pytest.mark.parametrize("arity", [1, 2, 3])
+    def test_every_core_reads_back(self, arity):
+        # every core that depends on its last variable, so the text names it
+        block = (GuardBlock("exists", ("R1",)),)
+        tables = [TruthTable(arity, b) for b in range(1 << (1 << arity))]
+        tables = [t for t in tables if any(t.value_at(i) != t.value_at(i ^ 1) for i in range(t.size))]
+        assert len(tables) == {1: 2, 2: 12, 3: 240}[arity]
+        for core in tables:
+            mu = GuardedConnective("mu", arity, block, core)
+            assert parse_connective(connective_text(mu)).core == mu.core, core
 
 
 class TestModalityRewrites:

@@ -149,6 +149,13 @@ class TestEvalFo:
         with pytest.raises(FormulaError, match="unassigned"):
             eval_fo(SINGLE, {}, parse_fo("P1(x)"))
 
+    def test_quantifier_restores_the_shadowed_value(self):
+        # the inner x ranges over the domain; the outer x is a again after it
+        m = load({"domain": ["a", "b"], "relations": {}, "predicates": {"P1": ["b"]}})
+        phi = parse_fo("(exists x P1(x)) & P1(x)")
+        assert not eval_fo(m, {"x": "a"}, phi)
+        assert eval_fo(m, {"x": "b"}, phi)
+
 
 class TestParseFragment:
     def test_modal_application(self):
